@@ -46,7 +46,7 @@ func main() {
 	fuzzy := flag.Bool("fuzzy", false, "enable typo-tolerant matching")
 	batch := flag.Bool("batch", false, "treat every argument as a recipe file and estimate them concurrently")
 	workers := flag.Int("workers", 0, "worker pool size for -batch and ingredient estimation (default: one per CPU)")
-	cacheSize := flag.Int("cache", 8192, "memoization cache entries (phrase + match level); 0 disables")
+	cacheSize := flag.Int("cache", 8192, "result-cache budget in entries: bounds the phrase cache, the match cache and the batch slot L1s; 0 disables")
 	cachePolicy := flag.String("cache-policy", "tinylfu", "memo cache admission policy: lru or tinylfu")
 	stats := flag.Bool("stats", false, "print memoization-cache and matcher-engine statistics after estimation")
 	matchPruning := flag.Bool("match-pruning", true, "candidate-pruned ranking engine; false selects the exhaustive spec engine (ablation)")

@@ -55,7 +55,7 @@ func main() {
 	batchWindow := flag.Int("batch-window", 0, "NDJSON lines per /v1/batch pipeline window (0: default 64)")
 	batchWorkers := flag.Int("batch-workers", 0, "estimator workers per /v1/batch window (0: half the CPUs)")
 	maxBulkStreams := flag.Int("max-bulk-streams", 0, "concurrently open /v1/batch streams before shedding (0: max-in-flight/4)")
-	cacheSize := flag.Int("cache", 8192, "memoization cache entries (phrase + match level); 0 disables")
+	cacheSize := flag.Int("cache", 8192, "result-cache budget in entries: bounds the phrase cache, the match cache and the batch slot L1s; 0 disables")
 	cachePolicy := flag.String("cache-policy", "tinylfu", "memo cache admission policy: lru or tinylfu")
 	coalesce := flag.Bool("coalesce", true, "coalesce concurrent estimates of the same phrase onto one pipeline pass (no effect with -cache 0)")
 	regional := flag.Bool("regional", false, "use the merged SR+FAO composition table")

@@ -5,17 +5,18 @@ package core
 // to the sequential path, so callers can parallelize corpus-scale runs
 // without giving up determinism.
 //
-// Two dispatch strategies exist (see shard.go for the why):
+// Two dispatch strategies exist, each the only path for its job (see
+// shard.go for the why):
 //
-//   - Sharded (the default for parallel cached batches): phrases are
+//   - Sharded (parallel batches on a caching estimator): phrases are
 //     hash-partitioned onto slots, workers own disjoint slot subsets,
 //     and repeats are served from per-slot L1 caches with no shared
 //     writes on the hot path.
 //
 //   - Work-stealing (sequential batches, uncached estimators, and the
-//     DisableSharding ablation): indices are handed out by an atomic
-//     counter, which balances skewed per-item costs but funnels every
-//     repeat through the shared L2.
+//     recipe-corpus pool): indices are handed out by an atomic counter,
+//     which balances skewed per-item costs but funnels every repeat
+//     through the shared L2.
 //
 // Both strategies run on estimator-owned worker environments (scratch +
 // pinned match session) rather than sync.Pool scratches: pool per-P
@@ -118,7 +119,7 @@ func (e *Estimator) batchInto(ctx context.Context, phrases []string, workers int
 	// reload lands mid-batch.
 	v := e.pin()
 	workers = normWorkers(workers, len(phrases))
-	if workers > 1 && e.phraseCache != nil && !e.opts.DisableSharding {
+	if workers > 1 && e.phraseCache != nil {
 		if workers > numSlots {
 			workers = numSlots
 		}

@@ -97,13 +97,15 @@ type Options struct {
 	// no description are retried with out-of-vocabulary words corrected
 	// to their closest vocabulary word (extension; see match.MatchFuzzy).
 	FuzzyMatch bool
-	// CacheSize bounds the estimator's two memoization levels: a
-	// phrase-level cache (normalized phrase → full IngredientResult) and
-	// a match-level cache (match.Query → description match). Estimation
+	// CacheSize bounds the estimator's memoization tiers: a phrase-level
+	// cache (normalized phrase → full IngredientResult), a match-level
+	// cache (match.Query → description match), and the sharded batch
+	// path's slot L1s, which split it between them (shard.go). Each tier
+	// holds at most CacheSize results. Estimation
 	// is a pure function of phrase + options + frozen unit statistics,
 	// so memoization never changes results; it only skips recomputation
 	// for the "salt"/"olive oil" phrases that dominate real corpora.
-	// 0 (the zero value) disables both caches. ObserveUnits invalidates
+	// 0 (the zero value) disables every tier. ObserveUnits invalidates
 	// the phrase cache, since it changes the most-frequent-unit state.
 	CacheSize int
 	// CachePolicy selects the memo caches' eviction policy: PolicyLRU
@@ -121,12 +123,6 @@ type Options struct {
 	// hatch. Meaningless when CacheSize == 0 — with no cache to land
 	// results in, deduplicating the computation would not be observable.
 	DisableCoalescing bool
-	// DisableSharding turns off the phrase-hash-partitioned batch
-	// dispatch (see shard.go): parallel batches fall back to the
-	// work-stealing pool with the shared L2 cache only. Results are
-	// identical either way; the switch exists for the scaling ablation
-	// benchmarks.
-	DisableSharding bool
 	// DisableMatchPruning selects the matcher's straight-line exhaustive
 	// scoring engine instead of the candidate-pruned one (match.Options.
 	// DisablePruning). Rankings are byte-identical either way — the
@@ -242,7 +238,7 @@ func newEstimator(db *usda.DB, m *match.Matcher, tagger ner.Tagger, opts Options
 		e.phraseCache = memo.NewPolicy[IngredientResult](opts.CacheSize, memo.DefaultShards, opts.CachePolicy)
 		e.matchCache = memo.NewPolicy[matchHit](opts.CacheSize, memo.DefaultShards, opts.CachePolicy)
 	}
-	e.shardState.init()
+	e.shardState.init(opts.CacheSize)
 	return e, nil
 }
 

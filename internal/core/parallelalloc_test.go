@@ -11,6 +11,7 @@ package core
 import (
 	"testing"
 
+	"nutriprofile/internal/pipeline"
 	"nutriprofile/internal/usda"
 )
 
@@ -50,5 +51,29 @@ func TestParallelBatchZeroAllocPerPhrase(t *testing.T) {
 	if maxAllocs := 24.0; allocs > maxAllocs {
 		t.Fatalf("warm %d-worker batch of %d phrases allocates %v per run, want <= %v",
 			workers, len(phrases), allocs, maxAllocs)
+	}
+}
+
+// TestWarmFractionPhraseZeroAllocs: a warm phrase with a vulgar-fraction
+// glyph is served from the phrase cache without allocating. The glyph
+// expansion renders into the scratch instead of a new string per call.
+func TestWarmFractionPhraseZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	e, err := New(usda.Seed(), nil, Options{CacheSize: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const phrase = "1½ cups flour"
+	sc := new(pipeline.Scratch)
+	want := e.EstimateIngredientScratch(phrase, sc) // warm the cache and scratch
+	if !want.Mapped || want.Quantity != 1.5 {
+		t.Fatalf("%q: Mapped=%v Quantity=%v, want a mapped 1.5", phrase, want.Mapped, want.Quantity)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		e.EstimateIngredientScratch(phrase, sc)
+	}); allocs != 0 {
+		t.Fatalf("warm %q allocates %v times per call, want 0", phrase, allocs)
 	}
 }

@@ -33,6 +33,7 @@ import (
 	"context"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"nutriprofile/internal/match"
 	"nutriprofile/internal/memo"
@@ -49,12 +50,6 @@ const (
 	// exceeds any sane worker count for phrase-scale work while keeping
 	// the slot array small.
 	numSlots = 32
-
-	// maxL1Entries bounds each slot's L1 map. Recipe vocabulary is a
-	// few thousand distinct phrases spread over 32 slots, so wholesale
-	// clearing only triggers on adversarial input — mirroring the
-	// pipeline scratch memo policy.
-	maxL1Entries = 4096
 
 	// maxFreeEnvs bounds the worker-environment free list: more
 	// environments than this can exist transiently (concurrent batches
@@ -75,7 +70,10 @@ type slot struct {
 	mu  sync.Mutex
 	l1  map[string]l1Entry
 	gen uint64 // Snapshot.gen the l1 contents were computed against
-	_   [64]byte
+	// resident mirrors len(l1) for ShardStats, which must not wait on a
+	// slot an in-flight batch holds. Only the owner writes it.
+	resident atomic.Int64
+	_        [64]byte
 }
 
 // l1Entry is one slot-L1 cached result plus the L2 phrase-cache key
@@ -113,6 +111,18 @@ type worker struct {
 // value (it is a few KB of padded slots).
 type shardState struct {
 	slots [numSlots]slot
+	// l1Cap is each slot's L1 capacity: Options.CacheSize split evenly
+	// over the slots, at least one entry each, so the slot L1s together
+	// hold at most CacheSize results and -cache N bounds every result
+	// tier (phrase cache, match cache, slot L1s) at N entries. A fixed
+	// 4,096 per slot let the L1s grow to 16× the default budget: at
+	// paper-corpus scale they kept every phrase /v1/recipe had seen
+	// resident (16 of 26 MB live heap in a mixed bulk+interactive run)
+	// while serving 0.5 % of its phrases. A full slot is cleared
+	// wholesale: per-entry random eviction at the same bound lifted the
+	// Zipf L1 hit ratio only 0.67 → 0.70 and kept every slot at its
+	// peak (DESIGN.md §12).
+	l1Cap int
 
 	envMu    sync.Mutex
 	freeEnvs []*env
@@ -125,7 +135,8 @@ type shardState struct {
 	flushes     *metrics.Striped
 }
 
-func (s *shardState) init() {
+func (s *shardState) init(cacheSize int) {
+	s.l1Cap = max(1, cacheSize/numSlots)
 	s.phrasesDone = metrics.NewStriped(statStripes)
 	s.l1Hits = metrics.NewStriped(statStripes)
 	s.flushes = metrics.NewStriped(statStripes)
@@ -137,6 +148,7 @@ type ShardStats struct {
 	Slots         int    `json:"slots"`          // phrase-hash partition width
 	Phrases       uint64 `json:"phrases"`        // phrases estimated through batch workers
 	L1Hits        uint64 `json:"l1_hits"`        // served from an owned slot's L1
+	L1Entries     uint64 `json:"l1_entries"`     // results resident in the slot L1s, at most CacheSize
 	WorkerFlushes uint64 `json:"worker_flushes"` // per-worker batched stat flushes
 	Envs          uint64 `json:"envs"`           // worker environments ever created
 }
@@ -147,10 +159,15 @@ func (e *Estimator) ShardStats() ShardStats {
 	e.envMu.Lock()
 	envs := e.envsMade
 	e.envMu.Unlock()
+	var resident int64
+	for i := range e.slots {
+		resident += e.slots[i].resident.Load()
+	}
 	return ShardStats{
 		Slots:         numSlots,
 		Phrases:       e.phrasesDone.Sum(),
 		L1Hits:        e.l1Hits.Sum(),
+		L1Entries:     uint64(resident),
 		WorkerFlushes: e.flushes.Sum(),
 		Envs:          envs,
 	}
@@ -217,6 +234,7 @@ func (e *Estimator) claimSlot(i int, gen uint64) *slot {
 	if sl.gen != gen {
 		if sl.l1 != nil {
 			clear(sl.l1)
+			sl.resident.Store(0)
 		}
 		sl.gen = gen
 	}
@@ -260,11 +278,12 @@ func (e *Estimator) estimateSlot(v view, phrase string, w *worker, sl *slot) Ing
 		stored := r
 		stored.Phrase = ""
 		if sl.l1 == nil {
-			sl.l1 = make(map[string]l1Entry, 64)
-		} else if len(sl.l1) >= maxL1Entries {
+			sl.l1 = make(map[string]l1Entry, min(e.l1Cap, 64))
+		} else if len(sl.l1) >= e.l1Cap {
 			clear(sl.l1)
 		}
 		sl.l1[strings.Clone(phrase)] = l1Entry{res: stored, l2h: l2h}
+		sl.resident.Store(int64(len(sl.l1)))
 	}
 	return r
 }

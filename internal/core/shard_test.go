@@ -58,8 +58,8 @@ func TestSlotIndexStableUnderStorm(t *testing.T) {
 }
 
 // TestShardedBatchMatchesSequential: the sharded parallel dispatch, the
-// work-stealing ablation (DisableSharding), and the sequential path must
-// produce byte-identical output on the same input.
+// work-stealing pool (the uncached parallel case), and the sequential
+// path must produce byte-identical output on the same input.
 func TestShardedBatchMatchesSequential(t *testing.T) {
 	phrases := stormPhrases(t)
 
@@ -74,7 +74,6 @@ func TestShardedBatchMatchesSequential(t *testing.T) {
 		opts Options
 	}{
 		{"sharded", Options{CacheSize: 1 << 12}},
-		{"work-stealing", Options{CacheSize: 1 << 12, DisableSharding: true}},
 		{"uncached", Options{}},
 	} {
 		for _, workers := range []int{2, 4, 8, 32} {
@@ -169,6 +168,24 @@ func TestShardStatsFlushTotals(t *testing.T) {
 	}
 	const goroutines = 32
 	workersPer := 4
+	// A stats reader runs beside the storm: ShardStats must never wait
+	// on (or race with) the slots the batches own.
+	stop := make(chan struct{})
+	read := make(chan struct{})
+	go func() {
+		defer close(read)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if st := e.ShardStats(); st.L1Entries > 1<<12 {
+				t.Errorf("L1Entries = %d mid-storm, want <= CacheSize %d", st.L1Entries, 1<<12)
+				return
+			}
+		}
+	}()
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -178,6 +195,8 @@ func TestShardStatsFlushTotals(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	close(stop)
+	<-read
 
 	st := e.ShardStats()
 	if want := uint64(goroutines * len(phrases)); st.Phrases != want {
@@ -285,5 +304,46 @@ func TestEstimateRecipesSharedWorkers(t *testing.T) {
 				t.Fatalf("workers=%d recipe %d diverged:\n got: %s\nwant: %s", workers, i, got, want[i])
 			}
 		}
+	}
+}
+
+// TestSlotL1BoundedByCacheSize pins the memory budget of the slot L1s:
+// they are carved out of Options.CacheSize, so a stream of distinct
+// phrases far larger than the budget never leaves more than CacheSize
+// results resident across all slots, and repeats still hit the L1.
+func TestSlotL1BoundedByCacheSize(t *testing.T) {
+	const (
+		cacheSize = 8192
+		chunk     = 4096
+		chunks    = 25 // 102,400 distinct phrases
+		workers   = 4
+	)
+	e, err := New(usda.Seed(), nil, Options{CacheSize: cacheSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]string, chunk)
+	for c := 0; c < chunks; c++ {
+		for i := range batch {
+			// The salt keeps every phrase (and its token stream) distinct.
+			batch[i] = fmt.Sprintf("%d cups flour salt%d", 1+i%3, c*chunk+i)
+		}
+		e.EstimateBatchWorkers(batch, workers)
+		if st := e.ShardStats(); st.L1Entries > cacheSize {
+			t.Fatalf("after %d distinct phrases the slot L1s hold %d results, want <= CacheSize %d",
+				(c+1)*chunk, st.L1Entries, cacheSize)
+		}
+	}
+	before := e.ShardStats()
+	if before.L1Entries == 0 {
+		t.Fatal("L1Entries = 0: the sharded batches populated no slot L1")
+	}
+	e.EstimateBatchWorkers(batch, workers)
+	after := e.ShardStats()
+	if after.L1Hits == before.L1Hits {
+		t.Error("repeating the last batch produced no L1 hits")
+	}
+	if after.L1Entries > cacheSize {
+		t.Errorf("L1Entries = %d after the repeat, want <= %d", after.L1Entries, cacheSize)
 	}
 }

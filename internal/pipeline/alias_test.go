@@ -80,3 +80,39 @@ func TestScratchMemosOwnTheirBytes(t *testing.T) {
 		t.Errorf(`memoized unit for "slices" = (%q, %v), want ("slice", true)`, name, known)
 	}
 }
+
+// TestFractionExpansionOwnsNoMemo: a phrase with a fraction glyph is
+// expanded into the scratch's own buffer, so its tokens view bytes the
+// next glyph phrase overwrites. Everything the scratch memoizes from
+// them — and every Extraction field — must survive that overwrite.
+func TestFractionExpansionOwnsNoMemo(t *testing.T) {
+	var sc Scratch
+	sc.Tokenize("1½ slices bread")
+	sc.Tag()
+	lemma := sc.Lemmas()[2]
+	unit, known := sc.UnitFor(2)
+	ex := sc.Extract(ner.RuleTagger{})
+	if ex.Quantity != "1 1/2" || ex.Name != "bread" {
+		t.Fatalf("extraction of the expanded phrase: %+v", ex)
+	}
+
+	// Same length, different bytes: rewrites the expansion buffer in place.
+	sc.Tokenize("9¾ xxxxxx yyyyy")
+	sc.Tag()
+	sc.Lemmas()
+	sc.Extract(ner.RuleTagger{})
+
+	if lemma != "slice" {
+		t.Errorf(`lemma of "slices" = %q after the buffer was reused, want "slice"`, lemma)
+	}
+	if unit != "slice" || !known {
+		t.Errorf(`unit of "slices" = (%q, %v) after the buffer was reused, want ("slice", true)`, unit, known)
+	}
+	if ex.Name != "bread" || ex.Quantity != "1 1/2" {
+		t.Errorf("extraction changed after the buffer was reused: %+v", ex)
+	}
+	sc.Tokenize("2 slices ham")
+	if name, known := sc.UnitFor(1); name != "slice" || !known {
+		t.Errorf(`memoized unit for "slices" = (%q, %v), want ("slice", true)`, name, known)
+	}
+}

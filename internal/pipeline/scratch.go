@@ -59,6 +59,11 @@ type Scratch struct {
 
 // Tokenize resets the scratch to a new phrase and returns its tokens.
 // Token values equal textutil.Tokenize's; the slice aliases the arena.
+// A phrase with vulgar-fraction glyphs ("1½ cups") is expanded into
+// the folder's buffer rather than a new string, so its tokens view bytes
+// the next such phrase overwrites — every memo below clones what it
+// keeps, the rule that already covers phrases viewing a caller-reused
+// buffer.
 func (sc *Scratch) Tokenize(phrase string) []string {
 	sc.tokens = textutil.AppendTokensFolded(sc.tokens[:0], phrase, &sc.folder)
 	sc.haveLemmas = false

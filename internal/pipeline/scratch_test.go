@@ -149,12 +149,13 @@ func TestJoinKey(t *testing.T) {
 // TestColdPathZeroAllocs is the tentpole acceptance gate: a warm Scratch
 // must process a phrase through tokenize → POS-tag → lemma → NER →
 // unit lookup → cache keys with zero heap allocations, for both the
-// rule tagger and a trained model. (Phrases with vulgar-fraction glyphs
-// are excluded: expanding "½" rewrites the input string before
-// tokenization, a per-input normalization cost outside the arena.)
+// rule tagger and a trained model — phrases with vulgar-fraction glyphs
+// included, since "½" is expanded into the arena too.
 func TestColdPathZeroAllocs(t *testing.T) {
 	phrases := []string{
 		"2 cups all-purpose flour",
+		"1½ cups sugar",
+		"¼ teaspoon salt",
 		"1 small onion , finely chopped",
 		"1/2 lb lean ground beef",
 		"1 teaspoon butter",

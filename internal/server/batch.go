@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"runtime"
 	"strings"
 	"sync"
@@ -48,9 +47,6 @@ const (
 	// stream of maximal lines cannot turn BatchWindow into an unbounded
 	// buffer. A single line may still reach MaxBodyBytes.
 	batchWindowBytes = 512 << 10
-	// drainPoll bounds how long a bulk stream blocked on a slow reader
-	// goes without checking the drain signal.
-	drainPoll = 250 * time.Millisecond
 )
 
 // lineSpan locates one input line inside the window buffer. tooLong
@@ -142,13 +138,11 @@ type batchStream struct {
 	body io.Reader
 	dst  io.Writer
 	ctx  context.Context
-	// rc controls the underlying connection; deadlineOK/flushOK latch to
-	// false the first time the transport reports the verb unsupported
-	// (httptest recorders, fuzz harness), falling back to plain blocking
-	// reads and unflushed writes.
-	rc         *http.ResponseController
-	deadlineOK bool
-	flushOK    bool
+	// rc controls the underlying connection; flushOK latches to false
+	// the first time the transport reports Flush unsupported (httptest
+	// recorders, fuzz harness), falling back to unflushed writes.
+	rc      *http.ResponseController
+	flushOK bool
 
 	line     int // input lines numbered so far
 	consumed int // bytes of bs.buf consumed by the current window
@@ -163,14 +157,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	bs := getBatchScratch()
 	defer putBatchScratch(bs)
 	st := batchStream{
-		s:          s,
-		bs:         bs,
-		body:       r.Body,
-		dst:        w,
-		ctx:        r.Context(),
-		rc:         http.NewResponseController(w),
-		deadlineOK: true,
-		flushOK:    true,
+		s:       s,
+		bs:      bs,
+		body:    r.Body,
+		dst:     w,
+		ctx:     r.Context(),
+		rc:      http.NewResponseController(w),
+		flushOK: true,
 	}
 	// HTTP/1.x servers close the request body once the handler starts
 	// responding; a bulk stream writes and reads concurrently for its
@@ -178,10 +171,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// transports that don't support the verb (httptest recorders) don't
 	// close the body on write either.
 	_ = st.rc.EnableFullDuplex()
-	// Probe deadline support once so the poll loop doesn't retry a verb
-	// the transport will never grow.
-	if st.rc.SetReadDeadline(time.Time{}) != nil {
-		st.deadlineOK = false
+	// Where the transport supports read deadlines, drain can wake a read
+	// blocked on a silent client (watchDrain); recorders fall back to
+	// reads that drain cannot interrupt.
+	if st.rc.SetReadDeadline(time.Time{}) == nil {
+		defer st.watchDrain()()
 	}
 	// The status line commits before the first line is read: per-line
 	// failures are in-stream envelopes, and an early 200 + flush lets
@@ -191,7 +185,30 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	st.flush()
 	st.run()
-	if st.deadlineOK {
+}
+
+// watchDrain starts the one-shot drain watcher: when graceful shutdown
+// begins, it moves the read deadline to now, so a read blocked on a
+// client that has gone quiet returns and the stream can end with its
+// trailer. No deadline is set otherwise — a read that times out makes
+// net/http cancel the request context, which would end the stream of
+// any client that merely pauses. The returned stop waits for the
+// watcher and clears the deadline, so neither outlives the handler
+// onto a reused connection.
+func (st *batchStream) watchDrain() (stop func()) {
+	quit := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		select {
+		case <-st.s.drainCh:
+			_ = st.rc.SetReadDeadline(time.Now())
+		case <-quit:
+		}
+	}()
+	return func() {
+		close(quit)
+		<-done
 		_ = st.rc.SetReadDeadline(time.Time{})
 	}
 }
@@ -358,10 +375,9 @@ func (st *batchStream) discardToNewline(pos int) {
 	}
 }
 
-// fill appends one read's worth of body bytes to bs.buf. When the
-// transport supports read deadlines, reads wake every drainPoll to
-// re-check the drain signal — the mechanism that lets shutdown reach a
-// stream blocked on a silent client.
+// fill appends one read's worth of body bytes to bs.buf. A read blocks
+// until the client sends, however long it pauses; only drain interrupts
+// it, through the deadline watchDrain sets.
 func (st *batchStream) fill() {
 	bs := st.bs
 	if len(bs.buf) == cap(bs.buf) {
@@ -374,9 +390,6 @@ func (st *batchStream) fill() {
 			return
 		default:
 		}
-		if st.deadlineOK && st.rc.SetReadDeadline(time.Now().Add(drainPoll)) != nil {
-			st.deadlineOK = false
-		}
 		n, err := st.body.Read(bs.buf[len(bs.buf):cap(bs.buf)])
 		bs.buf = bs.buf[:len(bs.buf)+n]
 		switch {
@@ -387,12 +400,15 @@ func (st *batchStream) fill() {
 		case errors.Is(err, io.EOF):
 			st.eof = true
 			return
-		case st.deadlineOK && errors.Is(err, os.ErrDeadlineExceeded):
-			if n > 0 {
-				return // the poll tick also delivered bytes
-			}
 		default:
-			st.readErr = err
+			select {
+			case <-st.s.drainCh:
+				// The drain watcher's deadline woke this read: end the
+				// stream with the trailer, not as a torn read.
+				st.draining = true
+			default:
+				st.readErr = err
+			}
 			return
 		}
 	}

@@ -255,11 +255,19 @@ type batchClientStream struct {
 
 func openBatchStream(t *testing.T, ts *httptest.Server) *batchClientStream {
 	t.Helper()
+	return openBatchStreamLen(t, ts, 0)
+}
+
+// openBatchStreamLen is openBatchStream with a declared body length:
+// n > 0 sends a fixed-length body of n bytes, 0 a chunked one.
+func openBatchStreamLen(t *testing.T, ts *httptest.Server, n int64) *batchClientStream {
+	t.Helper()
 	pr, pw := io.Pipe()
 	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/batch", pr)
 	if err != nil {
 		t.Fatal(err)
 	}
+	req.ContentLength = n
 	req.Header.Set("Content-Type", ndjsonContentType)
 	resp, err := ts.Client().Do(req) // returns as soon as the server commits the status line
 	if err != nil {
@@ -378,6 +386,88 @@ func TestBatchDrainTrailer(t *testing.T) {
 	}
 	cs.pw.Close()
 	cs.expectEnd(t)
+}
+
+// TestBatchDrainSilentStream: drain also reaches a stream whose client
+// has sent no complete line — nothing at all, on a chunked or a
+// fixed-length body, or half a line. The blocked read is woken and the
+// stream ends with the `draining` trailer naming line 1.
+func TestBatchDrainSilentStream(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		length int64
+		sent   string
+	}{
+		{"silent-chunked", 0, ""},
+		{"silent-fixed-length", 1 << 10, ""},
+		{"torn-line", 0, `{"phrase":"2 cups`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			s := newTestServer(t, nil)
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+
+			cs := openBatchStreamLen(t, ts, tc.length)
+			if tc.sent != "" {
+				cs.write(t, tc.sent)
+			}
+			time.Sleep(100 * time.Millisecond) // let the handler block in its read
+			s.startDrain()
+
+			trailer := cs.readLine(t)
+			eb := decodeBatchError(t, []byte(trailer))
+			if eb.Error.Code != "draining" || eb.Error.Line != 1 {
+				t.Fatalf("trailer (%s, line %d), want (draining, line 1): %s", eb.Error.Code, eb.Error.Line, trailer)
+			}
+			cs.pw.Close()
+			cs.expectEnd(t)
+		})
+	}
+}
+
+// TestBatchClientPause: a client that pauses between lines keeps its
+// stream, and every line is answered, on a chunked and on a
+// fixed-length body. Reads carry no deadline until drain: a read that
+// times out makes net/http cancel the request context, and on a
+// chunked body the timeout error is sticky.
+func TestBatchClientPause(t *testing.T) {
+	lines := []string{
+		`{"phrase":"2 cups all-purpose flour"}` + "\n",
+		`{"ingredients":["1 cup whole milk"],"servings":3}` + "\n",
+		`{"phrase":"1 teaspoon salt"}` + "\n",
+	}
+	total := 0
+	for _, l := range lines {
+		total += len(l)
+	}
+	for _, tc := range []struct {
+		name   string
+		length int64
+	}{
+		{"chunked", 0},
+		{"fixed-length", int64(total)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			s := newTestServer(t, nil)
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+
+			cs := openBatchStreamLen(t, ts, tc.length)
+			for i, l := range lines {
+				if i > 0 {
+					time.Sleep(400 * time.Millisecond)
+				}
+				cs.write(t, l)
+				if ln := cs.readLine(t); strings.Contains(ln, `"error"`) {
+					t.Fatalf("line %d after a pause answered with an error: %s", i+1, ln)
+				}
+			}
+			cs.pw.Close()
+			cs.expectEnd(t)
+		})
+	}
 }
 
 // TestBatchBulkCapacity pins bulk admission: streams beyond
@@ -657,8 +747,9 @@ func TestServeBatchHotZeroAllocs(t *testing.T) {
 	rd := bytes.NewReader(nil)
 	run := func() {
 		rd.Reset(body.Bytes())
-		// rc is nil: deadlineOK/flushOK stay false, so the stream uses
-		// plain blocking reads and unflushed writes — the recorder path.
+		// rc is nil: flushOK stays false and no drain watcher runs, so the
+		// stream uses plain blocking reads and unflushed writes — the
+		// recorder path.
 		st := batchStream{s: s, bs: bs, body: rd, dst: io.Discard, ctx: context.Background()}
 		st.run()
 	}

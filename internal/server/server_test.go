@@ -289,6 +289,9 @@ func TestHealthzAndStatsShape(t *testing.T) {
 	if st.Memo.Phrase.Capacity <= 0 || st.Memo.Phrase.Shards <= 0 {
 		t.Fatalf("memo snapshot missing shape: %+v", st.Memo.Phrase)
 	}
+	if !strings.Contains(w.Body.String(), `"l1_entries":`) {
+		t.Fatalf("stats shard block lacks the slot-L1 resident count: %s", w.Body.String())
+	}
 	est := st.HTTP.Routes["/v1/estimate"]
 	if est.Requests != 3 || est.ByClass["2xx"] != 2 || est.ByClass["4xx"] != 1 {
 		t.Fatalf("estimate route metrics %+v", est)

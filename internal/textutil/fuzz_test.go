@@ -51,5 +51,11 @@ func FuzzExpandFractions(f *testing.F) {
 		if again := ExpandFractions(out); again != out {
 			t.Fatalf("not idempotent: %q → %q → %q", s, out, again)
 		}
+		// A Folder's buffer-backed expansion renders the same bytes,
+		// also over a buffer still holding an earlier expansion.
+		f := Folder{frac: []byte("⅛⅛⅛ stale bytes")}
+		if into := f.expandFractions(s); into != out {
+			t.Fatalf("Folder.expandFractions(%q) = %q, ExpandFractions = %q", s, into, out)
+		}
 	})
 }

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"unicode"
 	"unicode/utf8"
+	"unsafe"
 )
 
 // fractionGlyphs maps unicode vulgar-fraction code points to their ASCII
@@ -33,22 +34,26 @@ func ExpandFractions(s string) string {
 	if !containsFractionGlyph(s) {
 		return s
 	}
-	var b strings.Builder
-	b.Grow(len(s))
+	b := appendExpanded(make([]byte, 0, len(s)+8), s)
+	return unsafe.String(unsafe.SliceData(b), len(b)) // b is never reused
+}
+
+// appendExpanded appends s with every glyph expanded.
+func appendExpanded(b []byte, s string) []byte {
 	prevDigit := false
 	for _, r := range s {
 		if frac, ok := fractionGlyphs[r]; ok {
 			if prevDigit {
-				b.WriteByte(' ')
+				b = append(b, ' ')
 			}
-			b.WriteString(frac)
+			b = append(b, frac...)
 			prevDigit = false
 			continue
 		}
-		b.WriteRune(r)
+		b = utf8.AppendRune(b, r)
 		prevDigit = unicode.IsDigit(r)
 	}
-	return b.String()
+	return b
 }
 
 // containsFractionGlyph reports whether s contains any vulgar-fraction
@@ -85,8 +90,11 @@ func AppendTokens(dst []string, s string) []string {
 
 // AppendTokensFolded is AppendTokens with a Folder caching the case
 // foldings, so phrases containing upper-case tokens stop allocating once
-// the Folder has seen each distinct spelling. Token values are identical
-// to Tokenize's.
+// the Folder has seen each distinct spelling, and expanding fraction
+// glyphs into the Folder's buffer rather than a new string. Token values
+// are identical to Tokenize's, but the tokens of a phrase with a glyph
+// ("1½ cups") view that buffer and are valid only until the next call
+// with the same Folder: callers copy out whatever outlives it.
 func AppendTokensFolded(dst []string, s string, f *Folder) []string {
 	return appendTokens(dst, s, false, f)
 }
@@ -95,14 +103,31 @@ func AppendTokensFolded(dst []string, s string, f *Folder) []string {
 // far smaller, so the reset path only guards against adversarial input.
 const maxFolderEntries = 4096
 
-// Folder memoizes strings.ToLower for cased tokens. Tokens that are
-// already lower-case never touch the cache (they are returned as
-// zero-copy substrings before the Folder is consulted), so the map only
-// holds the rare cased spellings. A nil *Folder is valid and simply
-// falls back to strings.ToLower. Not safe for concurrent use — a Folder
-// belongs to one goroutine's scratch state.
+// Folder is a tokenizer's reusable state. It memoizes strings.ToLower
+// for cased tokens — tokens that are already lower-case never touch the
+// cache (they are returned as zero-copy substrings before the Folder is
+// consulted), so the map only holds the rare cased spellings — and owns
+// the buffer phrases with fraction glyphs are expanded into. A nil
+// *Folder is valid and simply falls back to strings.ToLower and
+// ExpandFractions. Not safe for concurrent use — a Folder belongs to one
+// goroutine's scratch state.
 type Folder struct {
-	m map[string]string
+	m    map[string]string
+	frac []byte // the last phrase with fraction glyphs, expanded
+}
+
+// expandFractions is ExpandFractions rendering into f.frac, so a warm
+// Folder expands without allocating. The result views f.frac until the
+// next expansion.
+func (f *Folder) expandFractions(s string) string {
+	if f == nil {
+		return ExpandFractions(s)
+	}
+	if !containsFractionGlyph(s) {
+		return s
+	}
+	f.frac = appendExpanded(f.frac[:0], s)
+	return unsafe.String(unsafe.SliceData(f.frac), len(f.frac))
 }
 
 // Lower returns strings.ToLower(s), serving repeated cased spellings
@@ -143,7 +168,7 @@ func (f *Folder) Lower(s string) string {
 // substrings because case folding returns its input unchanged when there
 // is nothing to fold; cased tokens fold through f (nil: plain ToLower).
 func appendTokens(dst []string, s string, wordsOnly bool, f *Folder) []string {
-	s = ExpandFractions(s)
+	s = f.expandFractions(s)
 	for i := 0; i < len(s); {
 		r, size := utf8.DecodeRuneInString(s[i:])
 		switch {
