@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench experiments fuzz clean ci fmt-check bench-smoke bench-json cover-check serve-smoke load-smoke load-bench
+.PHONY: all build vet test race bench experiments fuzz clean ci fmt-check bench-smoke bench-json cover-check serve-smoke cli-smoke load-smoke load-bench
 
 all: build vet test
 
@@ -133,6 +133,23 @@ serve-smoke:
 	trap - EXIT; \
 	rm -f /tmp/smoke-a.img /tmp/smoke-b.img; \
 	echo "serve-smoke: all routes OK, hot reload v1->v2 OK, SIGTERM drained cleanly"
+
+# Run nutriprofile and dbtool end to end: nutriprofile -stats on three
+# phrases (its matcher lines print unconditionally), nutriprofile -batch
+# on two recipe files written to a temp dir, and dbtool -search. Each
+# must exit 0. CI runs this in the serve-smoke job.
+cli-smoke:
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -o "$$dir/nutriprofile" ./cmd/nutriprofile; \
+	$(GO) build -o "$$dir/dbtool" ./cmd/dbtool; \
+	"$$dir/nutriprofile" -stats -workers 2 "2 cups flour" "1 cup sugar" "2 eggs" >"$$dir/stats.txt"; \
+	grep -q '^matcher prune:' "$$dir/stats.txt" || \
+		{ echo "cli-smoke: nutriprofile -stats printed no matcher prune line" >&2; exit 1; }; \
+	printf 'Pancakes\nServes 4\nIngredients:\n1 1/2 cups all-purpose flour\n2 eggs\n1 1/4 cups milk\nInstructions:\nWhisk and fry.\n' >"$$dir/pancakes.txt"; \
+	printf 'Garlic Butter\nServes 2\nIngredients:\n1/2 cup butter , softened\n2 cloves garlic , minced\nInstructions:\nMash together.\n' >"$$dir/butter.txt"; \
+	"$$dir/nutriprofile" -batch "$$dir/pancakes.txt" "$$dir/butter.txt" >/dev/null; \
+	"$$dir/dbtool" -search "raw chicken" >/dev/null; \
+	echo "cli-smoke: nutriprofile -stats, nutriprofile -batch and dbtool -search OK"
 
 # Boot nutriserve and drive a small generated corpus through streaming
 # /v1/batch with interactive traffic mixed in, verifying zero lost/torn

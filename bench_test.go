@@ -8,6 +8,7 @@
 package bench
 
 import (
+	"context"
 	"testing"
 
 	"nutriprofile/internal/core"
@@ -393,15 +394,16 @@ func BenchmarkEstimateBatch(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			ctx := context.Background()
 			if v.warm {
-				e.EstimateBatchWorkers(phrases, v.workers)
+				e.EstimateBatch(ctx, phrases, v.workers)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				out := e.EstimateBatchWorkers(phrases, v.workers)
-				if len(out) != len(phrases) {
-					b.Fatalf("len = %d, want %d", len(out), len(phrases))
+				out, err := e.EstimateBatch(ctx, phrases, v.workers)
+				if err != nil || len(out) != len(phrases) {
+					b.Fatalf("len = %d, want %d (err %v)", len(out), len(phrases), err)
 				}
 			}
 			b.ReportMetric(float64(len(phrases))*float64(b.N)/b.Elapsed().Seconds(), "phrases/s")

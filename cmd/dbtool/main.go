@@ -33,7 +33,6 @@ func main() {
 	search := flag.String("search", "", "rank matching descriptions for an ingredient name")
 	show := flag.Int("show", 0, "print one food by NDB number")
 	stats := flag.Bool("stats", false, "print table statistics")
-	matchPruning := flag.Bool("match-pruning", true, "candidate-pruned ranking engine for -search; false selects the exhaustive spec engine (ablation)")
 	export := flag.String("export", "", "write the table as CSV to this file")
 	flag.Parse()
 
@@ -55,7 +54,6 @@ func main() {
 		ran = true
 		opts := match.DefaultOptions()
 		opts.ExplainMatched = true // explain output: show the matched words
-		opts.DisablePruning = !*matchPruning
 		m := match.New(db, opts)
 		results := m.Rank(match.Query{Name: *search}, 10)
 		if len(results) == 0 {

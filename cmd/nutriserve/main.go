@@ -57,11 +57,9 @@ func main() {
 	maxBulkStreams := flag.Int("max-bulk-streams", 0, "concurrently open /v1/batch streams before shedding (0: max-in-flight/4)")
 	cacheSize := flag.Int("cache", 8192, "result-cache budget in entries: bounds the phrase cache, the match cache and the batch slot L1s; 0 disables")
 	cachePolicy := flag.String("cache-policy", "tinylfu", "memo cache admission policy: lru or tinylfu")
-	coalesce := flag.Bool("coalesce", true, "coalesce concurrent estimates of the same phrase onto one pipeline pass (no effect with -cache 0)")
 	regional := flag.Bool("regional", false, "use the merged SR+FAO composition table")
 	dbImage := flag.String("db", "", "serve from a baked DB image (cmd/dbbake); enables POST /admin/reload")
 	fuzzy := flag.Bool("fuzzy", false, "enable typo-tolerant matching")
-	matchPruning := flag.Bool("match-pruning", true, "candidate-pruned ranking engine; false selects the exhaustive spec engine (ablation)")
 	quiet := flag.Bool("quiet", false, "disable per-request access logging")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables")
 	flag.Parse()
@@ -70,7 +68,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("nutriserve: %v", err)
 	}
-	opts := core.Options{FuzzyMatch: *fuzzy, CacheSize: *cacheSize, DisableCoalescing: !*coalesce, CachePolicy: policy, DisableMatchPruning: !*matchPruning}
+	opts := core.Options{FuzzyMatch: *fuzzy, CacheSize: *cacheSize, CachePolicy: policy}
 	var est *core.Estimator
 	switch {
 	case *dbImage != "":

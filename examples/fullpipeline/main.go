@@ -9,6 +9,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -75,7 +76,7 @@ func main() {
 			phrases[j] = rec.Ingredients[j].Phrase
 		}
 		method := instructions.InferMethod(rec.Instructions)
-		res, err := estimator.EstimateRecipeCooked(phrases, servings, method)
+		res, err := estimator.EstimateRecipe(context.Background(), core.RecipeInput{Phrases: phrases, Servings: servings, Method: method}, 1)
 		if err != nil {
 			log.Fatal(err)
 		}

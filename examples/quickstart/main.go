@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -33,7 +34,7 @@ func main() {
 	const servings = 6
 
 	estimator := core.NewDefault()
-	result, err := estimator.EstimateRecipe(ingredients, servings)
+	result, err := estimator.EstimateRecipe(context.Background(), core.RecipeInput{Phrases: ingredients, Servings: servings}, 1)
 	if err != nil {
 		log.Fatalf("quickstart: %v", err)
 	}

@@ -52,21 +52,16 @@ func normWorkers(workers, items int) int {
 	return workers
 }
 
-// forEachIndex runs fn(i, w) for i in [0, n) on a bounded worker pool.
-// Indices are handed out by an atomic counter, so the pool stays busy
-// even when per-item cost is skewed (cache hits vs full matches). Each
-// worker checks one environment out of the estimator's free list —
+// forEachIndexCtx runs fn(i, w) for i in [0, n) on a bounded worker
+// pool. Indices are handed out by an atomic counter, so the pool stays
+// busy even when per-item cost is skewed (cache hits vs full matches).
+// Each worker checks one environment out of the estimator's free list —
 // pinned to snap's matcher — and reuses it for every index it claims,
-// flushing its stats once on exit.
-func (e *Estimator) forEachIndex(snap *Snapshot, n, workers int, fn func(int, *worker)) {
-	e.forEachIndexCtx(context.Background(), snap, n, workers, fn)
-}
-
-// forEachIndexCtx is forEachIndex with cancellation: once ctx is done,
-// workers stop claiming new indices and the call returns ctx's error.
-// Items already in flight run to completion (per-item work is
-// microseconds; there is no partial-item state to unwind), so the
-// cancellation latency is one item per worker.
+// flushing its stats once on exit. Once ctx is done, workers stop
+// claiming new indices and the call returns ctx's error. Items already
+// in flight run to completion (per-item work is microseconds; there is
+// no partial-item state to unwind), so the cancellation latency is one
+// item per worker.
 func (e *Estimator) forEachIndexCtx(ctx context.Context, snap *Snapshot, n, workers int, fn func(int, *worker)) error {
 	workers = normWorkers(workers, n)
 	done := ctx.Done()
@@ -133,34 +128,16 @@ func (e *Estimator) batchInto(ctx context.Context, phrases []string, workers int
 	})
 }
 
-// EstimateBatch estimates every phrase concurrently with one worker per
-// CPU, returning results in input order. Equivalent to (but faster
-// than) calling EstimateIngredient in a loop.
-func (e *Estimator) EstimateBatch(phrases []string) []IngredientResult {
-	return e.EstimateBatchWorkers(phrases, 0)
-}
-
-// EstimateBatchWorkers is EstimateBatch with an explicit worker count:
-// workers <= 0 selects GOMAXPROCS, workers == 1 runs sequentially on
-// the calling goroutine. The pool is bounded — at most `workers`
-// goroutines exist at any time regardless of batch size.
-func (e *Estimator) EstimateBatchWorkers(phrases []string, workers int) []IngredientResult {
-	if len(phrases) == 0 {
-		return nil
-	}
-	out := make([]IngredientResult, len(phrases))
-	e.batchInto(context.Background(), phrases, workers, out)
-	return out
-}
-
-// EstimateBatchContext is EstimateBatchWorkers with cancellation: when
-// ctx is cancelled (or its deadline passes) mid-batch, workers stop
-// claiming new phrases and the call returns ctx's error with a nil
-// slice. Results are only valid when err == nil — a cancelled batch has
-// estimated an unpredictable prefix of the input. This is the entry
-// point the serving layer uses so an abandoned HTTP request stops
-// consuming pipeline workers.
-func (e *Estimator) EstimateBatchContext(ctx context.Context, phrases []string, workers int) ([]IngredientResult, error) {
+// EstimateBatch estimates every phrase on a bounded worker pool sharing
+// this Estimator and returns the results in input order, identical to
+// calling EstimateIngredient in a loop. workers <= 0 selects
+// GOMAXPROCS, workers == 1 runs sequentially on the calling goroutine,
+// and at most `workers` goroutines exist at any time regardless of
+// batch size. When ctx is cancelled (or its deadline passes) mid-batch,
+// workers stop claiming new phrases and the call returns ctx's error
+// with a nil slice: a cancelled batch has estimated an unpredictable
+// prefix of the input. An empty batch returns nil, nil.
+func (e *Estimator) EstimateBatch(ctx context.Context, phrases []string, workers int) ([]IngredientResult, error) {
 	if len(phrases) == 0 {
 		return nil, nil
 	}
@@ -171,44 +148,58 @@ func (e *Estimator) EstimateBatchContext(ctx context.Context, phrases []string, 
 	return out, nil
 }
 
-// EstimateRecipeContext is EstimateRecipeConcurrent with cancellation
-// propagated into the ingredient worker pool (see EstimateBatchContext).
-// The returned error is ctx.Err() on cancellation, or the recipe
-// validation error; the result is identical to the sequential path when
-// err == nil.
-func (e *Estimator) EstimateRecipeContext(ctx context.Context, phrases []string, servings, workers int) (RecipeResult, error) {
-	if len(phrases) == 0 {
-		return RecipeResult{}, errors.New("core: recipe has no ingredients")
+// EstimateRecipe estimates one recipe, its ingredient lines on a worker
+// pool as in EstimateBatch, and aggregates them into totals corrected
+// for r.Method. The error is the recipe's validation error or, on
+// cancellation, ctx.Err().
+func (e *Estimator) EstimateRecipe(ctx context.Context, r RecipeInput, workers int) (RecipeResult, error) {
+	if err := r.validate(); err != nil {
+		return RecipeResult{}, err
 	}
-	if servings <= 0 {
-		return RecipeResult{}, fmt.Errorf("core: invalid servings %d", servings)
-	}
-	ingredients, err := e.EstimateBatchContext(ctx, phrases, workers)
+	ingredients, err := e.EstimateBatch(ctx, r.Phrases, workers)
 	if err != nil {
 		return RecipeResult{}, err
 	}
-	return aggregateRecipe(ingredients, servings), nil
+	return r.aggregate(ingredients), nil
 }
 
-// EstimateRecipeCookedContext is EstimateRecipeContext followed by the
-// cooking-yield correction of the given method (see EstimateRecipeCooked).
-func (e *Estimator) EstimateRecipeCookedContext(ctx context.Context, phrases []string, servings int, m yield.Method, workers int) (RecipeResult, error) {
-	out, err := e.EstimateRecipeContext(ctx, phrases, servings, workers)
-	if err != nil {
-		return out, err
-	}
-	out.Total = yield.Apply(out.Total, m)
-	out.PerServing = yield.Apply(out.PerServing, m)
-	return out, nil
-}
-
-// RecipeInput is one recipe for batch estimation.
+// RecipeInput is one recipe to estimate.
 type RecipeInput struct {
 	Phrases  []string
 	Servings int
 	// Method, when not yield.None, applies the cooking-yield correction
-	// to the recipe's totals (as EstimateRecipeCooked does).
+	// — the Bognár-style adjustment the paper cites as the accuracy gap
+	// of the raw-ingredient-sum approximation — to the recipe's totals.
 	Method yield.Method
+}
+
+// validate reports why r cannot be estimated, or nil.
+func (r *RecipeInput) validate() error {
+	if len(r.Phrases) == 0 {
+		return errors.New("core: recipe has no ingredients")
+	}
+	if r.Servings <= 0 {
+		return fmt.Errorf("core: invalid servings %d", r.Servings)
+	}
+	return nil
+}
+
+// aggregate sums r's per-ingredient results into a RecipeResult and
+// applies r's cooking-yield correction to the totals.
+func (r *RecipeInput) aggregate(ingredients []IngredientResult) RecipeResult {
+	out := RecipeResult{Servings: r.Servings, Ingredients: ingredients}
+	mapped := 0
+	for i := range ingredients {
+		out.Total = out.Total.Add(ingredients[i].Profile)
+		if ingredients[i].Mapped {
+			mapped++
+		}
+	}
+	out.PerServing = out.Total.Scale(1 / float64(r.Servings))
+	out.MappedFraction = float64(mapped) / float64(len(ingredients))
+	out.Total = yield.Apply(out.Total, r.Method)
+	out.PerServing = yield.Apply(out.PerServing, r.Method)
+	return out
 }
 
 // RecipeOutcome pairs a recipe's result with its per-recipe validation
@@ -220,40 +211,38 @@ type RecipeOutcome struct {
 }
 
 // estimateRecipeWorker runs one recipe sequentially on an already-held
-// worker environment: EstimateRecipes parallelizes across recipes, so
-// nesting another pool per recipe would only multiply goroutines. Slot
-// L1s are skipped (nil slot) — recipe workers don't own slots; repeats
-// still hit the shared L2. ingredients is the caller-provided result
-// destination, len(r.Phrases) long.
-func (e *Estimator) estimateRecipeWorker(v view, r RecipeInput, w *worker, ingredients []IngredientResult) RecipeOutcome {
-	if len(r.Phrases) == 0 {
-		return RecipeOutcome{Err: errors.New("core: recipe has no ingredients")}
-	}
-	if r.Servings <= 0 {
-		return RecipeOutcome{Err: fmt.Errorf("core: invalid servings %d", r.Servings)}
+// worker environment: EstimateRecipesInto parallelizes across recipes,
+// so nesting another pool per recipe would only multiply goroutines.
+// Slot L1s are skipped (nil slot) — recipe workers don't own slots;
+// repeats still hit the shared L2. ingredients is the caller-provided
+// result destination, len(r.Phrases) long.
+func (e *Estimator) estimateRecipeWorker(v view, r *RecipeInput, w *worker, ingredients []IngredientResult) RecipeOutcome {
+	if err := r.validate(); err != nil {
+		return RecipeOutcome{Err: err}
 	}
 	for i, p := range r.Phrases {
 		ingredients[i] = e.estimateSlot(v, p, w, nil)
 	}
-	res := aggregateRecipe(ingredients, r.Servings)
-	res.Total = yield.Apply(res.Total, r.Method)
-	res.PerServing = yield.Apply(res.PerServing, r.Method)
-	return RecipeOutcome{Result: res}
+	return RecipeOutcome{Result: r.aggregate(ingredients)}
 }
 
 // EstimateRecipes estimates a corpus of recipes on a bounded worker
-// pool sharing this Estimator. Outcomes are input-ordered and
-// byte-identical to calling EstimateRecipeCooked sequentially; workers
-// <= 0 selects GOMAXPROCS.
+// pool sharing this Estimator: EstimateRecipesInto on freshly allocated
+// memory. Outcomes are input-ordered and byte-identical to calling
+// EstimateRecipe on each recipe in turn; workers <= 0 selects
+// GOMAXPROCS.
 func (e *Estimator) EstimateRecipes(recipes []RecipeInput, workers int) []RecipeOutcome {
 	if len(recipes) == 0 {
 		return nil
 	}
+	total := 0
+	for i := range recipes {
+		total += len(recipes[i].Phrases)
+	}
 	out := make([]RecipeOutcome, len(recipes))
-	v := e.pin()
-	e.forEachIndex(v.snap, len(recipes), workers, func(i int, w *worker) {
-		out[i] = e.estimateRecipeWorker(v, recipes[i], w, make([]IngredientResult, len(recipes[i].Phrases)))
-	})
+	// Cannot fail: out and the arena are sized to the input, and the
+	// background context is never cancelled.
+	_ = e.EstimateRecipesInto(context.Background(), recipes, workers, out, make([]IngredientResult, total))
 	return out
 }
 
@@ -265,8 +254,8 @@ func (e *Estimator) EstimateRecipes(recipes []RecipeInput, workers int) []Recipe
 // hold at least the window's total phrase count — so a warm window
 // performs no heap allocation in this layer. Outcomes (including their
 // Ingredients slices) alias arena and are valid until the caller reuses
-// it. Cancellation follows EstimateBatchContext: on a done ctx workers
-// stop claiming recipes, the error is ctx.Err(), and out holds an
+// it. Cancellation follows EstimateBatch: on a done ctx workers stop
+// claiming recipes, the error is ctx.Err(), and out holds an
 // unpredictable prefix.
 func (e *Estimator) EstimateRecipesInto(ctx context.Context, recipes []RecipeInput, workers int, out []RecipeOutcome, arena []IngredientResult) error {
 	if len(recipes) == 0 {
@@ -310,13 +299,13 @@ func (e *Estimator) EstimateRecipesInto(ctx context.Context, recipes []RecipeInp
 			default:
 			}
 			dst := out[i].Result.Ingredients
-			out[i] = e.estimateRecipeWorker(v, recipes[i], &w, dst[:len(recipes[i].Phrases)])
+			out[i] = e.estimateRecipeWorker(v, &recipes[i], &w, dst[:len(recipes[i].Phrases)])
 		}
 		return nil
 	}
 	return e.forEachIndexCtx(ctx, v.snap, len(recipes), workers, func(i int, w *worker) {
 		dst := out[i].Result.Ingredients
-		out[i] = e.estimateRecipeWorker(v, recipes[i], w, dst[:len(recipes[i].Phrases)])
+		out[i] = e.estimateRecipeWorker(v, &recipes[i], w, dst[:len(recipes[i].Phrases)])
 	})
 }
 

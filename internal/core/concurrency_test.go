@@ -1,12 +1,17 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
+	"nutriprofile/internal/pipeline"
 	"nutriprofile/internal/recipedb"
 	"nutriprofile/internal/usda"
+	"nutriprofile/internal/yield"
 )
 
 // testCorpus generates a small deterministic corpus and flattens it to
@@ -26,6 +31,16 @@ func testCorpus(t *testing.T, recipes int) (*recipedb.Corpus, [][]string) {
 		}
 	}
 	return corpus, phrases
+}
+
+// estimateAll is EstimateBatch on a context that is never cancelled.
+func estimateAll(t testing.TB, e *Estimator, phrases []string, workers int) []IngredientResult {
+	t.Helper()
+	out, err := e.EstimateBatch(context.Background(), phrases, workers)
+	if err != nil {
+		t.Errorf("EstimateBatch: %v", err)
+	}
+	return out
 }
 
 // renderResult serializes a RecipeResult completely, so "byte-identical"
@@ -49,7 +64,7 @@ func TestSharedEstimatorStress(t *testing.T) {
 	ref.ObserveUnits(corpus.Phrases())
 	want := make([]string, len(phrases))
 	for i := range phrases {
-		rr, err := ref.EstimateRecipe(phrases[i], corpus.Recipes[i].Servings)
+		rr, err := ref.EstimateRecipe(context.Background(), RecipeInput{Phrases: phrases[i], Servings: corpus.Recipes[i].Servings}, 1)
 		want[i] = renderResult(rr, err)
 	}
 
@@ -74,7 +89,7 @@ func TestSharedEstimatorStress(t *testing.T) {
 			// hit from different positions simultaneously.
 			for k := 0; k < len(phrases); k++ {
 				i := (k + g*7) % len(phrases)
-				rr, err := shared.EstimateRecipe(phrases[i], corpus.Recipes[i].Servings)
+				rr, err := shared.EstimateRecipe(context.Background(), RecipeInput{Phrases: phrases[i], Servings: corpus.Recipes[i].Servings}, 1)
 				got[g][i] = renderResult(rr, err)
 			}
 		}()
@@ -114,7 +129,7 @@ func TestEstimateBatchMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := e.EstimateBatchWorkers(flat, workers)
+			got := estimateAll(t, e, flat, workers)
 			if len(got) != len(flat) {
 				t.Fatalf("cache=%d workers=%d: len=%d want %d", cacheSize, workers, len(got), len(flat))
 			}
@@ -127,48 +142,189 @@ func TestEstimateBatchMatchesSequential(t *testing.T) {
 		}
 	}
 
-	if got := NewDefault().EstimateBatch(nil); got != nil {
+	if got := estimateAll(t, NewDefault(), nil, 0); got != nil {
 		t.Fatalf("EstimateBatch(nil) = %v; want nil", got)
 	}
 }
 
-// TestEstimateRecipesMatchesSequential checks the recipe-level pool,
-// including per-recipe error isolation.
+// recipeOutcome is the reference every entry point is held to: the
+// recipe's validation error, or its phrases estimated one at a time
+// through estimate, summed, scaled per serving and yield-corrected.
+func recipeOutcome(in RecipeInput, estimate func(string) IngredientResult) RecipeOutcome {
+	if err := in.validate(); err != nil {
+		return RecipeOutcome{Err: err}
+	}
+	res := RecipeResult{Servings: in.Servings, Ingredients: make([]IngredientResult, len(in.Phrases))}
+	mapped := 0
+	for i, p := range in.Phrases {
+		r := estimate(p)
+		res.Ingredients[i] = r
+		res.Total = res.Total.Add(r.Profile)
+		if r.Mapped {
+			mapped++
+		}
+	}
+	res.PerServing = res.Total.Scale(1 / float64(in.Servings))
+	res.MappedFraction = float64(mapped) / float64(len(in.Phrases))
+	res.Total = yield.Apply(res.Total, in.Method)
+	res.PerServing = yield.Apply(res.PerServing, in.Method)
+	return RecipeOutcome{Result: res}
+}
+
+// TestEntryPointsMatchSequential holds every Estimate* entry point, at
+// every worker count, cached and uncached, to sequential
+// EstimateIngredient on an uncached estimator plus aggregation —
+// reflect.DeepEqual, including per-recipe error isolation for
+// malformed recipes. The entries share one estimator per cell, so all
+// but the first run on caches another entry left warm.
+func TestEntryPointsMatchSequential(t *testing.T) { matchSequential(t) }
+
+// The tests below run one entry point alone on a fresh estimator per
+// cell, so its own miss path is held to the same reference.
+
+func TestEstimateBatchContextMatchesSequential(t *testing.T) {
+	matchSequential(t, "EstimateBatch")
+}
+
+func TestEstimateRecipeContextMatchesPlain(t *testing.T) {
+	matchSequential(t, "EstimateRecipe")
+}
+
 func TestEstimateRecipesMatchesSequential(t *testing.T) {
+	matchSequential(t, "EstimateRecipes")
+	if NewDefault().EstimateRecipes(nil, 4) != nil {
+		t.Fatal("EstimateRecipes(nil) should be nil")
+	}
+}
+
+func TestEstimateRecipesIntoMatches(t *testing.T) {
+	matchSequential(t, "EstimateRecipesInto")
+}
+
+// matchSequential runs the named entry points (all of them if none is
+// named), in table order on one estimator per workers × CacheSize cell,
+// and fails on the first recipe that differs from recipeOutcome over
+// an uncached EstimateIngredient.
+func matchSequential(t *testing.T, only ...string) {
+	t.Helper()
 	corpus, phrases := testCorpus(t, 25)
 	inputs := make([]RecipeInput, len(phrases))
 	for i := range phrases {
-		inputs[i] = RecipeInput{Phrases: phrases[i], Servings: corpus.Recipes[i].Servings}
+		rec := &corpus.Recipes[i]
+		inputs[i] = RecipeInput{Phrases: phrases[i], Servings: rec.Servings, Method: rec.Method}
 	}
-	// Inject malformed recipes: they must yield Err without aborting
-	// the rest of the batch.
+	// Malformed recipes must yield Err without aborting the rest.
 	inputs = append(inputs,
 		RecipeInput{Phrases: nil, Servings: 2},
 		RecipeInput{Phrases: []string{"1 cup milk"}, Servings: 0},
 	)
+	flat := corpus.Phrases()
+	ctx := context.Background()
 
 	ref := NewDefault()
-	want := make([]string, len(inputs))
+	want := make([]RecipeOutcome, len(inputs))
 	for i, in := range inputs {
-		rr, err := ref.EstimateRecipeCooked(in.Phrases, in.Servings, in.Method)
-		want[i] = renderResult(rr, err)
+		want[i] = recipeOutcome(in, ref.EstimateIngredient)
 	}
-
-	e, err := New(usda.Seed(), nil, Options{CacheSize: 1 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := e.EstimateRecipes(inputs, 4)
-	for i := range out {
-		if s := renderResult(out[i].Result, out[i].Err); s != want[i] {
-			t.Fatalf("recipe %d diverged:\n got: %s\nwant: %s", i, s, want[i])
+	for i, w := range want {
+		if malformed := i >= len(phrases); (w.Err != nil) != malformed {
+			t.Fatalf("recipe %d (malformed %v): Err = %v", i, malformed, w.Err)
 		}
 	}
-	if out[len(out)-2].Err == nil || out[len(out)-1].Err == nil {
-		t.Fatal("malformed recipes did not report errors")
+
+	entries := []struct {
+		name string
+		run  func(e *Estimator, workers int) []RecipeOutcome
+	}{
+		{"EstimateIngredient", func(e *Estimator, _ int) []RecipeOutcome {
+			out := make([]RecipeOutcome, len(inputs))
+			for i, in := range inputs {
+				out[i] = recipeOutcome(in, e.EstimateIngredient)
+			}
+			return out
+		}},
+		{"EstimateIngredientScratch", func(e *Estimator, _ int) []RecipeOutcome {
+			sc := new(pipeline.Scratch)
+			out := make([]RecipeOutcome, len(inputs))
+			for i, in := range inputs {
+				out[i] = recipeOutcome(in, func(p string) IngredientResult { return e.EstimateIngredientScratch(p, sc) })
+			}
+			return out
+		}},
+		{"EstimateBatch", func(e *Estimator, workers int) []RecipeOutcome {
+			results, err := e.EstimateBatch(ctx, flat, workers)
+			if err != nil || len(results) != len(flat) {
+				t.Fatalf("EstimateBatch: %d results for %d phrases, err %v", len(results), len(flat), err)
+			}
+			// flat is the valid recipes' phrases in order; the malformed
+			// ones fail validation before estimating anything.
+			next := 0
+			out := make([]RecipeOutcome, len(inputs))
+			for i, in := range inputs {
+				out[i] = recipeOutcome(in, func(string) IngredientResult { next++; return results[next-1] })
+			}
+			return out
+		}},
+		{"EstimateRecipe", func(e *Estimator, workers int) []RecipeOutcome {
+			out := make([]RecipeOutcome, len(inputs))
+			for i, in := range inputs {
+				out[i].Result, out[i].Err = e.EstimateRecipe(ctx, in, workers)
+			}
+			return out
+		}},
+		{"EstimateRecipes", func(e *Estimator, workers int) []RecipeOutcome {
+			return e.EstimateRecipes(inputs, workers)
+		}},
+		{"EstimateRecipesInto", func(e *Estimator, workers int) []RecipeOutcome {
+			out := make([]RecipeOutcome, len(inputs))
+			arena := make([]IngredientResult, len(flat)+1)
+			if err := e.EstimateRecipesInto(ctx, inputs, workers, out, arena); err != nil {
+				t.Fatal(err)
+			}
+			// Every Ingredients slice is carved out of the caller's arena.
+			off := 0
+			for i, in := range inputs {
+				if out[i].Err == nil && &out[i].Result.Ingredients[0] != &arena[off] {
+					t.Fatalf("workers=%d recipe %d: Ingredients not carved from the caller arena", workers, i)
+				}
+				off += len(in.Phrases)
+			}
+			return out
+		}},
 	}
-	if e.EstimateRecipes(nil, 4) != nil {
-		t.Fatal("EstimateRecipes(nil) should be nil")
+
+	if len(only) > 0 {
+		kept := entries[:0]
+		for _, entry := range entries {
+			if slices.Contains(only, entry.name) {
+				kept = append(kept, entry)
+			}
+		}
+		if len(kept) != len(only) {
+			t.Fatalf("entry points %v: %d of them are in the table", only, len(kept))
+		}
+		entries = kept
+	}
+
+	for _, cacheSize := range []int{0, 8192} {
+		for _, workers := range []int{1, 2, 4} {
+			// One estimator per cell, shared by the entries in turn: the
+			// first runs cold, the rest on whatever caches it left warm.
+			e, err := New(usda.Seed(), nil, Options{CacheSize: cacheSize})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, entry := range entries {
+				got := entry.run(e, workers)
+				for i := range want {
+					if !reflect.DeepEqual(got[i], want[i]) {
+						t.Fatalf("%s cache=%d workers=%d: recipe %d diverged:\n got: %s\nwant: %s",
+							entry.name, cacheSize, workers, i,
+							renderResult(got[i].Result, got[i].Err), renderResult(want[i].Result, want[i].Err))
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -190,7 +346,7 @@ func TestObserveUnitsConcurrentWithEstimation(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			e.EstimateBatchWorkers(flat, 2)
+			estimateAll(t, e, flat, 2)
 		}()
 	}
 	wg.Add(1)

@@ -8,35 +8,9 @@ import (
 	"time"
 )
 
-// TestEstimateBatchContextMatchesSequential pins the context path to the
-// plain batch path on a live context.
-func TestEstimateBatchContextMatchesSequential(t *testing.T) {
-	e := NewDefault()
-	phrases := []string{
-		"2 cups all-purpose flour",
-		"1 cup sugar",
-		"2 eggs",
-		"1/2 cup butter , softened",
-		"1 tsp salt",
-	}
-	want := e.EstimateBatchWorkers(phrases, 1)
-	got, err := e.EstimateBatchContext(context.Background(), phrases, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("len %d vs %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i].Grams != want[i].Grams || got[i].Profile != want[i].Profile || got[i].Mapped != want[i].Mapped {
-			t.Fatalf("phrase %d diverges: %+v vs %+v", i, got[i], want[i])
-		}
-	}
-}
-
 func TestEstimateBatchContextEmpty(t *testing.T) {
 	e := NewDefault()
-	got, err := e.EstimateBatchContext(context.Background(), nil, 4)
+	got, err := e.EstimateBatch(context.Background(), nil, 4)
 	if got != nil || err != nil {
 		t.Fatalf("empty batch: %v, %v", got, err)
 	}
@@ -49,7 +23,7 @@ func TestEstimateBatchContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 4} {
-		got, err := e.EstimateBatchContext(ctx, []string{"1 cup sugar", "2 eggs"}, workers)
+		got, err := e.EstimateBatch(ctx, []string{"1 cup sugar", "2 eggs"}, workers)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err %v, want context.Canceled", workers, err)
 		}
@@ -89,10 +63,10 @@ func TestEstimateBatchContextCancelMidway(t *testing.T) {
 
 func TestEstimateRecipeContextValidation(t *testing.T) {
 	e := NewDefault()
-	if _, err := e.EstimateRecipeContext(context.Background(), nil, 4, 0); err == nil {
+	if _, err := e.EstimateRecipe(context.Background(), RecipeInput{Servings: 4}, 0); err == nil {
 		t.Fatal("expected error for empty recipe")
 	}
-	if _, err := e.EstimateRecipeContext(context.Background(), []string{"salt"}, 0, 0); err == nil {
+	if _, err := e.EstimateRecipe(context.Background(), RecipeInput{Phrases: []string{"salt"}}, 0); err == nil {
 		t.Fatal("expected error for zero servings")
 	}
 }
@@ -106,26 +80,8 @@ func TestEstimateRecipeContextDeadline(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
-	_, err := e.EstimateRecipeContext(ctx, phrases, 4, 0)
+	_, err := e.EstimateRecipe(ctx, RecipeInput{Phrases: phrases, Servings: 4}, 0)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err %v, want context.DeadlineExceeded", err)
-	}
-}
-
-// TestEstimateRecipeContextMatchesPlain pins context and plain recipe
-// paths to identical results.
-func TestEstimateRecipeContextMatchesPlain(t *testing.T) {
-	e := NewDefault()
-	phrases := []string{"2 cups all-purpose flour", "1 cup sugar", "2 eggs"}
-	want, err := e.EstimateRecipe(phrases, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := e.EstimateRecipeContext(context.Background(), phrases, 4, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Total != want.Total || got.PerServing != want.PerServing || got.MappedFraction != want.MappedFraction {
-		t.Fatalf("context recipe diverges: %+v vs %+v", got, want)
 	}
 }

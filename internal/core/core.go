@@ -6,12 +6,11 @@
 package core
 
 import (
+	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
-	"nutriprofile/internal/flight"
 	"nutriprofile/internal/match"
 	"nutriprofile/internal/memo"
 	"nutriprofile/internal/ner"
@@ -19,7 +18,6 @@ import (
 	"nutriprofile/internal/pipeline"
 	"nutriprofile/internal/units"
 	"nutriprofile/internal/usda"
-	"nutriprofile/internal/yield"
 )
 
 // UnitOrigin records how the pipeline obtained an ingredient's unit.
@@ -116,33 +114,12 @@ type Options struct {
 	// which phrases stay cached — so it is a pure performance
 	// ablation, threaded to the CLIs as -cache-policy.
 	CachePolicy memo.Policy
-	// DisableCoalescing turns off single-flight deduplication of
-	// concurrent cache misses (see internal/flight). On by default when
-	// caching is enabled; coalescing is a no-op for sequential callers,
-	// so the switch exists for ablation benchmarks and as an escape
-	// hatch. Meaningless when CacheSize == 0 — with no cache to land
-	// results in, deduplicating the computation would not be observable.
-	DisableCoalescing bool
-	// DisableMatchPruning selects the matcher's straight-line exhaustive
-	// scoring engine instead of the candidate-pruned one (match.Options.
-	// DisablePruning). Rankings are byte-identical either way — the
-	// switch exists as the cold-path performance ablation, threaded to
-	// the CLIs as -match-pruning.
-	DisableMatchPruning bool
 	// Ablation switches.
 	DisableConversion   bool
 	DisablePhraseSearch bool
 	DisableMostFrequent bool
 	DisableDefaultRow   bool
 	DisableRepair       bool
-}
-
-// matchOptions is the match-engine configuration the estimator's
-// options select: engine defaults plus the pruning ablation.
-func (o Options) matchOptions() match.Options {
-	mo := match.DefaultOptions()
-	mo.DisablePruning = o.DisableMatchPruning
-	return mo
 }
 
 func (o *Options) fill() {
@@ -181,11 +158,6 @@ type Estimator struct {
 	phraseCache *memo.Cache[IngredientResult]
 	matchCache  *memo.Cache[matchHit]
 
-	// flights coalesces concurrent phrase-cache misses on the same
-	// normalized token stream: one pipeline pass runs, every waiter
-	// shares its result. Sits below the cache — see estimateCached.
-	flights flight.Group[IngredientResult]
-
 	// shardState is the per-core sharded batch machinery: worker
 	// environments, the phrase-hash slot partition with per-slot L1
 	// caches, and the striped batched-flush stat aggregates (shard.go).
@@ -204,7 +176,7 @@ func New(db *usda.DB, tagger ner.Tagger, opts Options) (*Estimator, error) {
 	if db == nil {
 		return nil, errors.New("core: nil database")
 	}
-	return newEstimator(db, match.New(db, opts.matchOptions()), tagger, opts, "boot")
+	return newEstimator(db, match.New(db, match.DefaultOptions()), tagger, opts, "boot")
 }
 
 // NewWithIndex builds an Estimator whose matcher adopts a prebuilt
@@ -216,7 +188,7 @@ func NewWithIndex(db *usda.DB, tagger ner.Tagger, opts Options, idx *match.Index
 		return nil, errors.New("core: nil database")
 	}
 	opts.fill()
-	m, err := match.NewFromIndex(db, opts.matchOptions(), idx)
+	m, err := match.NewFromIndex(db, match.DefaultOptions(), idx)
 	if err != nil {
 		return nil, err
 	}
@@ -305,8 +277,8 @@ func (e *Estimator) EstimateIngredient(phrase string) IngredientResult {
 // cycling the pool per phrase. The cache key is the normalized token
 // stream (rendered in the scratch, probed without allocating), the exact
 // input every downstream stage consumes. Its FNV-1a hash is computed
-// once and reused for the cache shard, the flight shard, and the store
-// — one pass over the key bytes instead of three.
+// once and reused for the cache shard and the store — one pass over
+// the key bytes instead of two.
 //
 // sess, when non-nil, is the worker's pinned match session; nil callers
 // match through the pinned snapshot's pool-backed matcher entry points.
@@ -333,45 +305,24 @@ func (e *Estimator) estimateCached(v view, phrase string, sc *pipeline.Scratch, 
 		r.Phrase = phrase
 		return r, h
 	}
-	if e.opts.DisableCoalescing {
-		r := e.estimateTokenized(v, phrase, sc, sess)
-		// key still aliases the scratch (nothing downstream of Tokenize
-		// touches the phrase-key buffer); materialize it only on this
-		// miss path. Scrub the verbatim phrase from the stored copy: the
-		// cache is keyed on the token stream, and the serving layer may
-		// pass phrases whose backing bytes it reuses after the call.
-		stored := r
-		stored.Phrase = ""
-		e.phraseCache.PutHashGen(h, string(key), stored, v.phraseGen)
-		return r, h
-	}
-	// Coalesce concurrent misses on the same token stream: under load,
-	// the same phrase is often requested again while the first pipeline
-	// pass is still running, and the cache can only absorb repeats after
-	// a result lands. The leader computes, stores, and shares; waiters
-	// block on its flight instead of redoing the pass. The shared value
-	// carries no Phrase for the same reason the stored one doesn't.
-	r, _ := e.flights.DoHash(h, key, func() IngredientResult {
-		r := e.estimateTokenized(v, phrase, sc, sess)
-		r.Phrase = ""
-		e.phraseCache.PutHashGen(h, string(key), r, v.phraseGen)
-		return r
-	})
-	r.Phrase = phrase
+	r := e.estimateTokenized(v, phrase, sc, sess)
+	// key still aliases the scratch (nothing downstream of Tokenize
+	// touches the phrase-key buffer); materialize it only on this miss
+	// path. Scrub the verbatim phrase from the stored copy: the cache is
+	// keyed on the token stream, and the serving layer may pass phrases
+	// whose backing bytes it reuses after the call.
+	stored := r
+	stored.Phrase = ""
+	e.phraseCache.PutHashGen(h, string(key), stored, v.phraseGen)
 	return r, h
 }
-
-// FlightStats reports the single-flight coalescing counters: how many
-// cache misses led a pipeline pass and how many shared another caller's
-// in-flight result. Zero everywhere when caching or coalescing is off.
-func (e *Estimator) FlightStats() flight.Stats { return e.flights.Stats() }
 
 // EstimateIngredientScratch is EstimateIngredient on a caller-owned
 // scratch, for callers (like the serving layer) that pool their own
 // pipeline scratches across requests. The phrase may be backed by a
-// caller-reused buffer: neither the caches nor the shared flight
-// results retain it past the call. The same read-only contract as
-// EstimateIngredient applies to the returned result.
+// caller-reused buffer: the caches do not retain it past the call. The
+// same read-only contract as EstimateIngredient applies to the returned
+// result.
 func (e *Estimator) EstimateIngredientScratch(phrase string, sc *pipeline.Scratch) IngredientResult {
 	r, _ := e.estimateCached(e.pin(), phrase, sc, nil)
 	return r
@@ -653,7 +604,7 @@ func (e *Estimator) ObserveUnits(phrases []string) {
 	}
 	v := e.pin()
 	observations := make([]obs, len(phrases))
-	e.forEachIndex(v.snap, len(phrases), 0, func(i int, w *worker) {
+	e.forEachIndexCtx(context.Background(), v.snap, len(phrases), 0, func(i int, w *worker) {
 		// Bypass the phrase cache: a cached most-frequent-unit result
 		// never contributes, and observation must not pollute the cache
 		// with entries that this very pass is about to invalidate.
@@ -696,58 +647,4 @@ func (e *Estimator) ObserveUnits(phrases []string) {
 		e.phraseCache.Purge()
 		e.swapMu.Unlock()
 	}
-}
-
-// EstimateRecipe runs the pipeline over a recipe's ingredient section.
-func (e *Estimator) EstimateRecipe(phrases []string, servings int) (RecipeResult, error) {
-	return e.EstimateRecipeConcurrent(phrases, servings, 1)
-}
-
-// EstimateRecipeConcurrent is EstimateRecipe with the ingredient lines
-// estimated by a worker pool (see EstimateBatchWorkers for worker
-// semantics). The result is identical to the sequential path.
-func (e *Estimator) EstimateRecipeConcurrent(phrases []string, servings, workers int) (RecipeResult, error) {
-	if len(phrases) == 0 {
-		return RecipeResult{}, errors.New("core: recipe has no ingredients")
-	}
-	if servings <= 0 {
-		return RecipeResult{}, fmt.Errorf("core: invalid servings %d", servings)
-	}
-	return aggregateRecipe(e.EstimateBatchWorkers(phrases, workers), servings), nil
-}
-
-// aggregateRecipe sums per-ingredient results into a RecipeResult.
-func aggregateRecipe(ingredients []IngredientResult, servings int) RecipeResult {
-	out := RecipeResult{Servings: servings, Ingredients: ingredients}
-	mapped := 0
-	for i := range ingredients {
-		out.Total = out.Total.Add(ingredients[i].Profile)
-		if ingredients[i].Mapped {
-			mapped++
-		}
-	}
-	out.PerServing = out.Total.Scale(1 / float64(servings))
-	out.MappedFraction = float64(mapped) / float64(len(ingredients))
-	return out
-}
-
-// EstimateRecipeCooked runs EstimateRecipe and then applies the
-// cooking-yield correction of the given method to the totals — the
-// Bognár-style adjustment the paper cites as the accuracy gap of the
-// raw-ingredient-sum approximation. With yield.None it is identical to
-// EstimateRecipe.
-func (e *Estimator) EstimateRecipeCooked(phrases []string, servings int, m yield.Method) (RecipeResult, error) {
-	return e.EstimateRecipeCookedConcurrent(phrases, servings, m, 1)
-}
-
-// EstimateRecipeCookedConcurrent is EstimateRecipeCooked with the
-// ingredient lines estimated by a worker pool (see EstimateBatchWorkers).
-func (e *Estimator) EstimateRecipeCookedConcurrent(phrases []string, servings int, m yield.Method, workers int) (RecipeResult, error) {
-	out, err := e.EstimateRecipeConcurrent(phrases, servings, workers)
-	if err != nil {
-		return out, err
-	}
-	out.Total = yield.Apply(out.Total, m)
-	out.PerServing = yield.Apply(out.PerServing, m)
-	return out, nil
 }

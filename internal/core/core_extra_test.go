@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -12,11 +13,11 @@ import (
 func TestEstimateRecipeCooked(t *testing.T) {
 	e := NewDefault()
 	phrases := []string{"2 cups broccoli florets", "1 tablespoon olive oil"}
-	raw, err := e.EstimateRecipe(phrases, 2)
+	raw, err := e.EstimateRecipe(context.Background(), RecipeInput{Phrases: phrases, Servings: 2}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	boiled, err := e.EstimateRecipeCooked(phrases, 2, yield.Boiled)
+	boiled, err := e.EstimateRecipe(context.Background(), RecipeInput{Phrases: phrases, Servings: 2, Method: yield.Boiled}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,14 +27,6 @@ func TestEstimateRecipeCooked(t *testing.T) {
 	}
 	if boiled.PerServing.EnergyKcal > raw.PerServing.EnergyKcal {
 		t.Error("boiling increased energy")
-	}
-	// yield.None must be the identity.
-	same, err := e.EstimateRecipeCooked(phrases, 2, yield.None)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if same.PerServing != raw.PerServing {
-		t.Error("EstimateRecipeCooked(None) differs from EstimateRecipe")
 	}
 }
 

@@ -4,61 +4,7 @@ import (
 	"context"
 	"strings"
 	"testing"
-
-	"nutriprofile/internal/usda"
 )
-
-// TestEstimateRecipesIntoMatches pins the caller-owned-memory batch
-// entry point against EstimateRecipes: identical outcomes on both the
-// inline sequential path (workers == 1, the bulk stream's default) and
-// the parallel path, with every Ingredients slice carved out of the
-// caller's arena.
-func TestEstimateRecipesIntoMatches(t *testing.T) {
-	corpus, phrases := testCorpus(t, 30)
-	inputs := make([]RecipeInput, len(phrases))
-	for i := range phrases {
-		inputs[i] = RecipeInput{
-			Phrases:  phrases[i],
-			Servings: corpus.Recipes[i].Servings,
-			Method:   corpus.Recipes[i].Method,
-		}
-	}
-	inputs = append(inputs,
-		RecipeInput{Phrases: nil, Servings: 2},                    // per-recipe error
-		RecipeInput{Phrases: []string{"1 cup milk"}, Servings: 0}, // per-recipe error
-	)
-
-	e, err := New(usda.Seed(), nil, Options{CacheSize: 1 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := e.EstimateRecipes(inputs, 4)
-
-	total := 0
-	for i := range inputs {
-		total += len(inputs[i].Phrases)
-	}
-	for _, workers := range []int{1, 4} {
-		out := make([]RecipeOutcome, len(inputs))
-		arena := make([]IngredientResult, total)
-		if err := e.EstimateRecipesInto(context.Background(), inputs, workers, out, arena); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		off := 0
-		for i := range out {
-			if got, ref := renderResult(out[i].Result, out[i].Err), renderResult(want[i].Result, want[i].Err); got != ref {
-				t.Fatalf("workers=%d recipe %d diverged:\n got: %s\nwant: %s", workers, i, got, ref)
-			}
-			n := len(inputs[i].Phrases)
-			if n > 0 && out[i].Err == nil {
-				if &out[i].Result.Ingredients[0] != &arena[off] {
-					t.Fatalf("workers=%d recipe %d: Ingredients not carved from the caller arena", workers, i)
-				}
-			}
-			off += n
-		}
-	}
-}
 
 // TestEstimateRecipesIntoValidation pins the size contract: undersized
 // out or arena is an error before any estimation happens, and the empty

@@ -267,7 +267,7 @@ func TestPipelineGoldenBatchStress(t *testing.T) {
 		want[i] = refEstimateIngredient(e, p)
 	}
 
-	sequential := e.EstimateBatchWorkers(phrases, 1)
+	sequential := estimateAll(t, e, phrases, 1)
 	const goroutines = 8
 	var wg sync.WaitGroup
 	parallel := make([][]IngredientResult, goroutines)
@@ -275,7 +275,7 @@ func TestPipelineGoldenBatchStress(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			parallel[g] = e.EstimateBatchWorkers(phrases, 8)
+			parallel[g] = estimateAll(t, e, phrases, 8)
 		}(g)
 	}
 	wg.Wait()

@@ -87,8 +87,8 @@ func TestCachePolicyBatchDifferential(t *testing.T) {
 		}
 		// Two rounds: round one warms and churns, round two is the
 		// comparison surface.
-		e.EstimateBatchWorkers(phrases, 8)
-		return e.EstimateBatchWorkers(phrases, 8)
+		estimateAll(t, e, phrases, 8)
+		return estimateAll(t, e, phrases, 8)
 	}
 	lru, tlfu := run(memo.PolicyLRU), run(memo.PolicyTinyLFU)
 	for i := range lru {

@@ -24,10 +24,9 @@ package core
 //     cache-line-striped aggregate once per batch (metrics.Striped),
 //     instead of per-phrase atomics on shared counters.
 //
-// The shared L2 (memo.Cache) and the flight layer sit below the slots
-// and are themselves sharded by the same FNV-1a hash family; they only
-// see first-contact traffic, so their (padded, per-shard) locks stay
-// uncontended.
+// The shared L2 (memo.Cache) sits below the slots and is itself
+// sharded by the same FNV-1a hash family; it only sees first-contact
+// traffic, so its (padded, per-shard) locks stay uncontended.
 
 import (
 	"context"
@@ -174,8 +173,8 @@ func (e *Estimator) ShardStats() ShardStats {
 }
 
 // slotIndex maps a raw phrase to its owning shard — a pure function of
-// the phrase bytes (the same FNV-1a family the memo and flight layers
-// shard on), stable for the Estimator's lifetime.
+// the phrase bytes (the same FNV-1a family the memo caches shard on),
+// stable for the Estimator's lifetime.
 func slotIndex(phrase string) int {
 	return int(memo.HashString(phrase) & (numSlots - 1))
 }

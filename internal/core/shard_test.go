@@ -7,6 +7,7 @@ package core
 // proof obligations of DESIGN.md §12.
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -65,7 +66,7 @@ func TestShardedBatchMatchesSequential(t *testing.T) {
 
 	ref := NewDefault()
 	want := make([]string, len(phrases))
-	for i, r := range ref.EstimateBatchWorkers(phrases, 1) {
+	for i, r := range estimateAll(t, ref, phrases, 1) {
 		want[i] = fmt.Sprintf("%+v", r)
 	}
 
@@ -81,7 +82,7 @@ func TestShardedBatchMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := e.EstimateBatchWorkers(phrases, workers)
+			got := estimateAll(t, e, phrases, workers)
 			for i := range got {
 				if s := fmt.Sprintf("%+v", got[i]); s != want[i] {
 					t.Fatalf("%s workers=%d: phrase %q diverged:\n got: %s\nwant: %s",
@@ -102,7 +103,7 @@ func TestShardedBatchStorm32(t *testing.T) {
 
 	ref := NewDefault()
 	want := make([]string, len(phrases))
-	for i, r := range ref.EstimateBatchWorkers(phrases, 1) {
+	for i, r := range estimateAll(t, ref, phrases, 1) {
 		want[i] = fmt.Sprintf("%+v", r)
 	}
 
@@ -116,7 +117,7 @@ func TestShardedBatchStorm32(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got := e.EstimateBatchWorkers(phrases, 1+g%4)
+			got := estimateAll(t, e, phrases, 1+g%4)
 			for i := range got {
 				if s := fmt.Sprintf("%+v", got[i]); s != want[i] {
 					t.Errorf("goroutine %d: phrase %q diverged:\n got: %s\nwant: %s", g, phrases[i], s, want[i])
@@ -138,7 +139,7 @@ func TestShardL1OwnershipInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 8} {
-		e.EstimateBatchWorkers(phrases, workers)
+		estimateAll(t, e, phrases, workers)
 	}
 	entries := 0
 	for i := range e.slots {
@@ -191,7 +192,7 @@ func TestShardStatsFlushTotals(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			e.EstimateBatchWorkers(phrases, workersPer)
+			estimateAll(t, e, phrases, workersPer)
 		}()
 	}
 	wg.Wait()
@@ -231,8 +232,8 @@ func TestSlotL1HitsFeedAdmissionSketch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.EstimateBatchWorkers(phrases, 4)
-	e.EstimateBatchWorkers(phrases, 4)
+	estimateAll(t, e, phrases, 4)
+	estimateAll(t, e, phrases, 4)
 
 	st := e.ShardStats()
 	if st.L1Hits == 0 {
@@ -257,7 +258,7 @@ func TestObserveUnitsInvalidatesSlotL1(t *testing.T) {
 
 	// Two copies so the parallel dispatcher has > 1 item per worker.
 	probe := []string{"garlic , minced", "garlic , minced"}
-	before := e.EstimateBatchWorkers(probe, 2)
+	before := estimateAll(t, e, probe, 2)
 	wantBefore := ref.EstimateIngredient(probe[0])
 	if fmt.Sprintf("%+v", before[0]) != fmt.Sprintf("%+v", wantBefore) {
 		t.Fatal("sharded estimator diverged before observation")
@@ -267,7 +268,7 @@ func TestObserveUnitsInvalidatesSlotL1(t *testing.T) {
 	e.ObserveUnits(teach)
 	ref.ObserveUnits(teach)
 
-	after := e.EstimateBatchWorkers(probe, 2)
+	after := estimateAll(t, e, probe, 2)
 	want := ref.EstimateIngredient(probe[0])
 	for i := range after {
 		if fmt.Sprintf("%+v", after[i]) != fmt.Sprintf("%+v", want) {
@@ -291,7 +292,7 @@ func TestEstimateRecipesSharedWorkers(t *testing.T) {
 	ref := NewDefault()
 	want := make([]string, len(inputs))
 	for i, in := range inputs {
-		rr, err := ref.EstimateRecipeCooked(in.Phrases, in.Servings, in.Method)
+		rr, err := ref.EstimateRecipe(context.Background(), in, 1)
 		want[i] = renderResult(rr, err)
 	}
 	e, err := New(usda.Seed(), nil, Options{CacheSize: 1 << 12})
@@ -328,7 +329,7 @@ func TestSlotL1BoundedByCacheSize(t *testing.T) {
 			// The salt keeps every phrase (and its token stream) distinct.
 			batch[i] = fmt.Sprintf("%d cups flour salt%d", 1+i%3, c*chunk+i)
 		}
-		e.EstimateBatchWorkers(batch, workers)
+		estimateAll(t, e, batch, workers)
 		if st := e.ShardStats(); st.L1Entries > cacheSize {
 			t.Fatalf("after %d distinct phrases the slot L1s hold %d results, want <= CacheSize %d",
 				(c+1)*chunk, st.L1Entries, cacheSize)
@@ -338,7 +339,7 @@ func TestSlotL1BoundedByCacheSize(t *testing.T) {
 	if before.L1Entries == 0 {
 		t.Fatal("L1Entries = 0: the sharded batches populated no slot L1")
 	}
-	e.EstimateBatchWorkers(batch, workers)
+	estimateAll(t, e, batch, workers)
 	after := e.ShardStats()
 	if after.L1Hits == before.L1Hits {
 		t.Error("repeating the last batch produced no L1 hits")

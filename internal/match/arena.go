@@ -15,17 +15,14 @@ const oovID = ^uint32(0)
 // Matcher's sync.Pool and all slices are re-sliced to length 0, never
 // freed.
 //
-// The accumulators are epoch-stamped: stamp[d] == epoch means document
-// d's counters belong to the current query, anything else is stale
-// garbage from an earlier query that costs nothing to "clear". The
+// The accumulators are epoch-stamped: acc[d].stamp == epoch means
+// document d's counters belong to the current query, anything else is
+// stale garbage from an earlier query that costs nothing to "clear". The
 // epoch counter bumping per query replaces an O(docs) memset; on the
 // (once per 4 billion queries) wraparound the stamps are actually
 // cleared once and the epoch restarts at 1.
 type arena struct {
 	epoch uint32
-	stamp []uint32 // stamp[d] == epoch ⇔ inter[d]/pri[d] are live
-	inter []int32  // |A ∩ doc| accumulator, by document index
-	pri   []int32  // Σ matched-term priorities (§II-B(h)), by document
 
 	touched []int32 // documents marked live this query (anchor hits)
 	cands   []cand  // selection buffer for the bounded top-k heap
@@ -62,19 +59,13 @@ type accEntry struct {
 }
 
 func newArena(docs int) *arena {
-	return &arena{
-		stamp: make([]uint32, docs),
-		inter: make([]int32, docs),
-		pri:   make([]int32, docs),
-		acc:   make([]accEntry, docs),
-	}
+	return &arena{acc: make([]accEntry, docs)}
 }
 
 // nextEpoch starts a new query's accumulator generation.
 func (a *arena) nextEpoch() uint32 {
 	a.epoch++
 	if a.epoch == 0 { // wraparound: invalidate stale stamps for real
-		clear(a.stamp)
 		clear(a.acc)
 		a.epoch = 1
 	}

@@ -58,14 +58,6 @@ type Options struct {
 	// MinScore is the score below which a query is reported unmatched.
 	// The paper treats any nonzero overlap as a (possibly poor) match.
 	MinScore float64
-	// DisablePruning selects the straight-line exhaustive scoring engine
-	// instead of the candidate-pruned one (prune.go): every scored
-	// term's posting list is walked in full and every touched document
-	// is scored. The two engines are byte-identical in results — the
-	// pruned engine's early termination is provably exact, and the
-	// golden/fuzz differentials pin it — so this switch is a pure
-	// performance ablation (threaded to the CLIs as -match-pruning).
-	DisablePruning bool
 	// ExplainMatched materializes Result.Matched — the sorted query
 	// words found in each returned description — for explain-style
 	// output (dbtool -search, examples/matcher). It is off by default:
@@ -474,105 +466,6 @@ func (m *Matcher) RankInto(q Query, k int, dst []Result) []Result {
 	return dst
 }
 
-// rankCands runs the scoring engine: prepare the query in ID space,
-// accumulate term-at-a-time over posting lists, then select and order
-// the top k (all, for k ≤ 0) under the total order. The returned slice
-// lives in the arena and is valid until putArena.
-//
-// Two engines implement this contract: the candidate-pruned engine
-// (prune.go — df-ordered scheduling, adaptive posting-vs-candidate
-// scoring, exact quit/continue early termination) and the exhaustive
-// engine below, which is retained as the executable specification the
-// differential suites compare against. They return byte-identical
-// results; Options.DisablePruning selects the spec engine.
-func (m *Matcher) rankCands(a *arena, q Query, k int) []cand {
-	if m.opts.DisablePruning {
-		return m.rankCandsExhaustive(a, q, k)
-	}
-	return m.rankCandsPruned(a, q, k)
-}
-
-// rankCandsExhaustive is the straight-line engine: a gather pass over
-// the anchor posting lists, a full scoring pass over every scored
-// term's posting list, then selection. No early termination, no
-// adaptive lookups — every equality below is trivially exact, which is
-// what makes it the spec the pruned engine is differential-tested
-// against (prune_test.go, golden_test.go).
-func (m *Matcher) rankCandsExhaustive(a *arena, q Query, k int) []cand {
-	if !a.prepare(m, q) {
-		return nil
-	}
-
-	// Gather-and-mark pass over the anchor terms' posting lists: under
-	// NameAnchoring, STATE/TEMP/DF words may strengthen a match but
-	// never create one.
-	epoch := a.nextEpoch()
-	touched := a.touched[:0]
-	for _, t := range a.anchorIDs {
-		for _, d := range m.postDocs[m.postOff[t]:m.postOff[t+1]] {
-			if a.stamp[d] != epoch {
-				a.stamp[d] = epoch
-				a.inter[d] = 0
-				a.pri[d] = 0
-				touched = append(touched, d)
-			}
-		}
-	}
-	a.touched = touched
-	if len(touched) == 0 {
-		return nil
-	}
-
-	// Scoring pass: every scored term contributes its posting list to
-	// the marked documents' accumulators.
-	for _, t := range a.ids {
-		off, end := m.postOff[t], m.postOff[t+1]
-		docs := m.postDocs[off:end]
-		pris := m.postPri[off:end]
-		for j, d := range docs {
-			if a.stamp[d] == epoch {
-				a.inter[d]++
-				a.pri[d] += pris[j]
-			}
-		}
-	}
-
-	// Score, filter and select. For bounded k the arena keeps a heap of
-	// the current k best with the WORST at the root, so each remaining
-	// candidate costs one comparison against the bar (plus a sift when
-	// it clears it). k ≤ 0 collects everything.
-	sel := a.cands[:0]
-	vanilla := m.opts.Metric == VanillaJaccard
-	scoredLen := float64(a.scoredLen)
-	for _, d := range a.touched {
-		inter := a.inter[d]
-		var score float64
-		if vanilla {
-			score = float64(inter) / (scoredLen + float64(m.docLen(d)) - float64(inter))
-		} else {
-			score = float64(inter) / scoredLen
-		}
-		if score < m.opts.MinScore {
-			continue
-		}
-		c := cand{score: score, pri: a.pri[d], doc: d, raw: a.rawEligible && m.hasRaw[d]}
-		if k <= 0 || len(sel) < k {
-			sel = append(sel, c)
-			if k > 0 && len(sel) == k {
-				heapifyWorst(sel, m)
-			}
-			continue
-		}
-		if m.better(c, sel[0]) {
-			sel[0] = c
-			siftWorst(sel, 0, len(sel), m)
-		}
-	}
-	a.cands = sel
-	sortCands(sel, m)
-	return sel
-}
-
 // fillResult materializes one selected candidate into a Result.
 func (m *Matcher) fillResult(a *arena, c cand, r *Result) {
 	food := m.db.At(int(c.doc))
@@ -639,9 +532,7 @@ type MatcherStats struct {
 	PoolGets       uint64 `json:"pool_gets"`       // arena checkouts (one per query)
 	PoolMisses     uint64 `json:"pool_misses"`     // checkouts that had to allocate a fresh arena
 
-	// Pruned-engine counters (prune.go); all zero when the matcher runs
-	// with Options.DisablePruning.
-	PruningEnabled       bool   `json:"pruning_enabled"`        // the candidate-pruned engine is active
+	// Pruned-engine counters (prune.go).
 	PruneTermsSkipped    uint64 `json:"prune_terms_skipped"`    // scored terms never applied (candidate set emptied)
 	PrunePostingsAvoided uint64 `json:"prune_postings_avoided"` // posting entries never sequentially scanned
 	PruneDocsDropped     uint64 `json:"prune_docs_dropped"`     // candidates dropped by bar compaction
@@ -675,7 +566,6 @@ func (m *Matcher) Stats() MatcherStats {
 		PostingEntries:       len(m.postDocs),
 		PoolGets:             m.poolGets.Load(),
 		PoolMisses:           m.poolMisses.Load(),
-		PruningEnabled:       !m.opts.DisablePruning,
 		PruneTermsSkipped:    m.pruneTermsSkipped.Load(),
 		PrunePostingsAvoided: m.prunePostingsAvoided.Load(),
 		PruneDocsDropped:     m.pruneDocsDropped.Load(),

@@ -88,24 +88,23 @@ var longPostingQueries = []Query{
 	{Name: "quail", State: "raw"},
 }
 
-// benchRankEngines runs one query set over both engines at k ∈ {1, 10}:
-// the pruned/exhaustive pairing is what the nightly bench gate tracks
-// and EXPERIMENTS.md quotes as the pruning speedup.
+// benchRankEngines runs one query set over the production matcher and
+// the exhaustive spec (spec_test.go) at k ∈ {1, 10}: the
+// pruned/exhaustive pairing is what the nightly bench gate tracks and
+// EXPERIMENTS.md quotes as the pruning speedup.
 func benchRankEngines(b *testing.B, db *usda.DB, queries []Query) {
+	m := NewDefault(db)
 	for _, eng := range []struct {
-		name    string
-		disable bool
-	}{{"pruned", false}, {"exhaustive", true}} {
-		opts := DefaultOptions()
-		opts.DisablePruning = eng.disable
-		m := New(db, opts)
+		name     string
+		rankInto func(Query, int, []Result) []Result
+	}{{"pruned", m.RankInto}, {"exhaustive", newSpec(m).RankInto}} {
 		for _, k := range []int{1, 10} {
 			b.Run(fmt.Sprintf("%s/k=%d", eng.name, k), func(b *testing.B) {
 				var buf []Result
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					buf = m.RankInto(queries[i%len(queries)], k, buf)
+					buf = eng.rankInto(queries[i%len(queries)], k, buf)
 					if len(buf) == 0 {
 						b.Fatal("no results")
 					}

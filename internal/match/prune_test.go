@@ -1,8 +1,8 @@
 package match
 
 // Differential suite for the candidate-pruned ranking engine. The
-// exhaustive engine behind Options.DisablePruning is the executable
-// specification (rankCandsExhaustive); every test here demands
+// exhaustive engine in spec_test.go is the executable specification;
+// every test here demands
 // reflect.DeepEqual-identical []Result slices from both engines — same
 // scores, same tie-breaks, same Matched materialization, same slice
 // nil-ness — across golden corpora, randomized databases, fuzzed
@@ -10,7 +10,6 @@ package match
 // hide behind "close enough": one divergent cell fails the suite.
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -20,18 +19,15 @@ import (
 	"nutriprofile/internal/usda"
 )
 
-// prunePair builds the two engines over one database with otherwise
-// identical options.
-func prunePair(db *usda.DB, opts Options) (pruned, exhaustive *Matcher) {
-	opts.DisablePruning = false
+// prunePair builds the production matcher over db and the exhaustive
+// spec over the same index and options.
+func prunePair(db *usda.DB, opts Options) (pruned *Matcher, exhaustive *spec) {
 	pruned = New(db, opts)
-	opts.DisablePruning = true
-	exhaustive = New(db, opts)
-	return pruned, exhaustive
+	return pruned, newSpec(pruned)
 }
 
 // diffCell compares one (query, k) cell across the engine pair.
-func diffCell(t testing.TB, pruned, exhaustive *Matcher, q Query, k int) {
+func diffCell(t testing.TB, pruned *Matcher, exhaustive *spec, q Query, k int) {
 	t.Helper()
 	got := pruned.Rank(q, k)
 	want := exhaustive.Rank(q, k)
@@ -244,27 +240,21 @@ func TestPruneGoldenSR26Corpus(t *testing.T) {
 	t.Logf("compared %d cells: %d NER queries over %d foods", cells, len(queries), db.Len())
 }
 
-// TestPruneCountersAccount pins the observability contract: the pruned
-// engine reports its work avoidance through MatcherStats, and the
-// exhaustive ablation reports none. The long-posting workload must
-// trigger every counter class the /metrics families export.
+// TestPruneCountersAccount pins the observability contract: the
+// matcher reports its work avoidance through MatcherStats. The
+// long-posting workload must trigger every counter class the /metrics
+// families export.
 func TestPruneCountersAccount(t *testing.T) {
-	db := usda.Merged(2000, 3)
-	pruned, exhaustive := prunePair(db, DefaultOptions())
-	for _, m := range []*Matcher{pruned, exhaustive} {
-		for _, q := range longPostingQueries {
-			for _, k := range []int{1, 10} {
-				if rs := m.Rank(q, k); len(rs) == 0 {
-					t.Fatalf("no results for %+v", q)
-				}
+	m := New(usda.Merged(2000, 3), DefaultOptions())
+	for _, q := range longPostingQueries {
+		for _, k := range []int{1, 10} {
+			if rs := m.Rank(q, k); len(rs) == 0 {
+				t.Fatalf("no results for %+v", q)
 			}
 		}
 	}
 
-	st := pruned.Stats()
-	if !st.PruningEnabled {
-		t.Error("pruned engine reports PruningEnabled=false")
-	}
+	st := m.Stats()
 	for name, v := range map[string]uint64{
 		"PrunePostingsAvoided": st.PrunePostingsAvoided,
 		"PruneDocsDropped":     st.PruneDocsDropped,
@@ -273,40 +263,6 @@ func TestPruneCountersAccount(t *testing.T) {
 	} {
 		if v == 0 {
 			t.Errorf("%s = 0 after the long-posting workload", name)
-		}
-	}
-
-	se := exhaustive.Stats()
-	if se.PruningEnabled {
-		t.Error("exhaustive engine reports PruningEnabled=true")
-	}
-	for name, v := range map[string]uint64{
-		"PruneTermsSkipped":    se.PruneTermsSkipped,
-		"PrunePostingsAvoided": se.PrunePostingsAvoided,
-		"PruneDocsDropped":     se.PruneDocsDropped,
-		"PruneCompactions":     se.PruneCompactions,
-		"PruneGatherExits":     se.PruneGatherExits,
-		"AdaptiveProbeTerms":   se.AdaptiveProbeTerms,
-	} {
-		if v != 0 {
-			t.Errorf("exhaustive engine moved prune counter %s = %d", name, v)
-		}
-	}
-}
-
-// TestPruneOptionDefault documents that pruning is the production
-// default and the ablation flag round-trips through Stats.
-func TestPruneOptionDefault(t *testing.T) {
-	if DefaultOptions().DisablePruning {
-		t.Fatal("DefaultOptions disables pruning; the pruned engine must be the default")
-	}
-	for _, disable := range []bool{false, true} {
-		opts := DefaultOptions()
-		opts.DisablePruning = disable
-		m := New(usda.Seed(), opts)
-		if got := m.Stats().PruningEnabled; got != !disable {
-			t.Errorf("DisablePruning=%v: Stats().PruningEnabled = %v, want %v",
-				disable, got, fmt.Sprint(!disable))
 		}
 	}
 }

@@ -229,7 +229,7 @@ func HashString(s string) uint64 {
 // Hash is HashString over a byte spelling; same algorithm, so a string
 // key and its byte spelling always land on the same shard. Exported so
 // callers that partition work by key hash (core's sharded batch
-// dispatch, the flight layer) compute the hash exactly once per key.
+// dispatch) compute the hash exactly once per key.
 func Hash(b []byte) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -262,8 +262,8 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 }
 
 // GetHash is Get with the key's hash (HashString(key)) precomputed, so
-// callers that already hashed the key for shard partitioning or the
-// flight layer don't pay for a second pass over its bytes.
+// callers that already hashed the key for shard partitioning don't pay
+// for a second pass over its bytes.
 func (c *Cache[V]) GetHash(h uint64, key string) (V, bool) {
 	s := &c.shards[h&c.mask]
 	s.mu.Lock()

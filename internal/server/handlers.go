@@ -22,7 +22,6 @@ import (
 	"strings"
 
 	"nutriprofile/internal/core"
-	"nutriprofile/internal/flight"
 	"nutriprofile/internal/jsonx"
 	"nutriprofile/internal/match"
 	"nutriprofile/internal/memo"
@@ -207,7 +206,7 @@ func (s *Server) recipeHot(sc *serveScratch, ctx context.Context, body io.Reader
 		}
 	}
 
-	res, err := s.est.EstimateRecipeCookedContext(ctx, req.ingredients, req.servings, method, s.cfg.Workers)
+	res, err := s.est.EstimateRecipe(ctx, core.RecipeInput{Phrases: req.ingredients, Servings: req.servings, Method: method}, s.cfg.Workers)
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 			return timeoutInto(sc, err)
@@ -269,7 +268,6 @@ type StatsResponse struct {
 		Phrase memo.Stats `json:"phrase"`
 		Match  memo.Stats `json:"match"`
 	} `json:"memo"`
-	Flight  flight.Stats         `json:"flight"`
 	Shard   core.ShardStats      `json:"shard"`
 	Scratch pipeline.PoolStats   `json:"scratch_pool"`
 	Matcher match.MatcherStats   `json:"matcher"`
@@ -300,7 +298,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	var out StatsResponse
 	out.Memo.Phrase, out.Memo.Match = s.est.CacheStats()
-	out.Flight = s.est.FlightStats()
 	out.Shard = s.est.ShardStats()
 	out.Scratch = pipeline.Stats()
 	out.Matcher = s.est.MatcherStats()

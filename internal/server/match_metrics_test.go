@@ -86,8 +86,8 @@ func parseMatchExposition(t *testing.T, text string) map[string]float64 {
 // TestMatchMetricsExposition drives cache-missing traffic through a
 // live server and checks the scraped nutriserve_match_* families
 // against the estimator's own MatcherStats snapshot: every family
-// present exactly once, values matching, pruning reported enabled, and
-// the prune counters actually moving under ranking traffic.
+// present exactly once, values matching, and the prune counters
+// actually moving under ranking traffic.
 func TestMatchMetricsExposition(t *testing.T) {
 	s := newTestServer(t, nil)
 	// Distinct multi-word phrases: every one is a phrase-cache miss that
@@ -117,7 +117,6 @@ func TestMatchMetricsExposition(t *testing.T) {
 		"nutriserve_match_prune_terms_skipped_total":    float64(st.PruneTermsSkipped),
 		"nutriserve_match_docs":                         float64(st.Docs),
 		"nutriserve_match_posting_entries":              float64(st.PostingEntries),
-		"nutriserve_match_pruning_enabled":              1,
 		"nutriserve_match_vocab_size":                   float64(st.VocabSize),
 	}
 	if len(samples) != len(want) {
