@@ -179,7 +179,12 @@ load-smoke:
 # Nightly sustained-load gate: a larger corpus with production-shaped
 # floors. The floors are far below the ~13k recipes/s a single dev core
 # sustains so shared-runner noise cannot flake the job; a regression
-# that halves throughput still trips them.
+# that halves throughput still trips them. After the run it prints the
+# server's peak RSS (VmHWM) and fails above LOAD_RSS_CEILING_MB: on a
+# 2-vCPU VM the server peaked at 29.9-30.4 MB (32.4-34.1 MB while the
+# slot L1s kept their own copies of cached results), and the ceiling
+# is 1.5x the higher figure, rounded up.
+LOAD_RSS_CEILING_MB = 48
 load-bench:
 	@set -e; \
 	$(GO) build -o /tmp/nutriserve ./cmd/nutriserve; \
@@ -192,6 +197,11 @@ load-bench:
 	[ "$$ok" = 1 ] || { echo "load-bench: server never became healthy" >&2; exit 1; }; \
 	/tmp/loadgen -addr http://$(LOAD_ADDR) -recipes 30000 -bulk 4 -interactive 8 \
 		-slo-p99 500ms -min-rps 2000 -max-shed-frac 0.2 -metrics-check; \
+	hwm_kb=$$(awk '/^VmHWM:/ {print $$2}' /proc/$$pid/status); \
+	echo "load-bench: server VmHWM $$hwm_kb kB ($$((hwm_kb / 1024)) MB), ceiling $(LOAD_RSS_CEILING_MB) MB"; \
+	if [ "$$hwm_kb" -gt $$(($(LOAD_RSS_CEILING_MB) * 1024)) ]; then \
+		echo "load-bench: server peak RSS above $(LOAD_RSS_CEILING_MB) MB" >&2; exit 1; \
+	fi; \
 	kill -TERM $$pid; wait $$pid; \
 	trap - EXIT; \
 	echo "load-bench: OK"

@@ -96,10 +96,12 @@ type Options struct {
 	// to their closest vocabulary word (extension; see match.MatchFuzzy).
 	FuzzyMatch bool
 	// CacheSize bounds the estimator's memoization tiers: a phrase-level
-	// cache (normalized phrase → full IngredientResult), a match-level
-	// cache (match.Query → description match), and the sharded batch
-	// path's slot L1s, which split it between them (shard.go). Each tier
-	// holds at most CacheSize results. Estimation
+	// cache (normalized phrase → the result's compact record, record.go),
+	// a match-level cache (match.Query → description match), and the
+	// sharded batch path's slot L1s, which split it between them and
+	// hold references to the phrase cache's records rather than copies
+	// (shard.go). Each tier holds at most CacheSize results; a phrase
+	// cached in both costs about 300 bytes plus its keys. Estimation
 	// is a pure function of phrase + options + frozen unit statistics,
 	// so memoization never changes results; it only skips recomputation
 	// for the "salt"/"olive oil" phrases that dominate real corpora.
@@ -153,9 +155,10 @@ type Estimator struct {
 	// the most-frequent-unit fallback. Populated by ObserveUnits.
 	unitStats map[int]map[string]int
 
-	// Memoization (nil when Options.CacheSize == 0). Cached values are
-	// shared across goroutines and treated as read-only.
-	phraseCache *memo.Cache[IngredientResult]
+	// Memoization (nil when Options.CacheSize == 0). The phrase cache
+	// holds each result once, as an immutable record the slot L1s
+	// point into (record.go).
+	phraseCache *memo.Cache[record]
 	matchCache  *memo.Cache[matchHit]
 
 	// shardState is the per-core sharded batch machinery: worker
@@ -207,7 +210,7 @@ func newEstimator(db *usda.DB, m *match.Matcher, tagger ner.Tagger, opts Options
 	}
 	e.snap.Store(&Snapshot{db: db, matcher: m, version: 1, gen: 0, source: source})
 	if opts.CacheSize > 0 {
-		e.phraseCache = memo.NewPolicy[IngredientResult](opts.CacheSize, memo.DefaultShards, opts.CachePolicy)
+		e.phraseCache = memo.NewPolicy[record](opts.CacheSize, memo.DefaultShards, opts.CachePolicy)
 		e.matchCache = memo.NewPolicy[matchHit](opts.CacheSize, memo.DefaultShards, opts.CachePolicy)
 	}
 	e.shardState.init(opts.CacheSize)
@@ -231,7 +234,12 @@ func (e *Estimator) Matcher() *match.Matcher { return e.snap.Load().matcher }
 // DB exposes the live snapshot's composition table.
 func (e *Estimator) DB() *usda.DB { return e.snap.Load().db }
 
-// IngredientResult is the pipeline output for one phrase.
+// IngredientResult is the pipeline output for one phrase. A result
+// served from cache is the caller's own copy, rebuilt from the
+// immutable record both cache tiers share (record.go); only its
+// reference-typed parts (Match.Matched) point into that record, so
+// they must not be written through. A new field must be carried by
+// the record or rebuilt from it, or cache hits would drop it.
 type IngredientResult struct {
 	Phrase     string
 	Extraction ner.Extraction
@@ -262,13 +270,12 @@ type RecipeResult struct {
 // EstimateIngredient runs the full pipeline over one phrase. With
 // Options.CacheSize > 0 the result is memoized under the normalized
 // (tokenized) phrase: two phrases with identical token streams share
-// one cached computation. Returned results must be treated as
-// read-only when caching is enabled — they are shared with every other
-// caller that hits the same entry.
+// one cached computation. Treat the result's reference-typed parts as
+// read-only (see IngredientResult).
 func (e *Estimator) EstimateIngredient(phrase string) IngredientResult {
 	sc := pipeline.Get()
 	defer pipeline.Put(sc)
-	r, _ := e.estimateCached(e.pin(), phrase, sc, nil)
+	r, _, _ := e.estimateCached(e.pin(), phrase, sc, nil)
 	return r
 }
 
@@ -288,33 +295,38 @@ func (e *Estimator) EstimateIngredient(phrase string) IngredientResult {
 // computed against a snapshot that a concurrent Install/ObserveUnits
 // has since retired is dropped instead of cached (snapshot.go).
 //
-// The second return is the phrase-cache key hash (0 when caching is
-// off): the slot-L1 tier above stores it alongside the result so its
-// hits can keep feeding the TinyLFU admission sketch (TouchHash)
-// without re-normalizing the phrase.
-func (e *Estimator) estimateCached(v view, phrase string, sc *pipeline.Scratch, sess *match.Session) (IngredientResult, uint64) {
+// Besides the result it returns the phrase cache's record of it and
+// the cache key hash (nil and 0 when caching is off): the slot-L1 tier
+// above keeps the record reference, so a phrase both tiers hold is
+// resident once, and replays the hash into the TinyLFU admission
+// sketch (TouchHash) on its hits without re-normalizing the phrase.
+func (e *Estimator) estimateCached(v view, phrase string, sc *pipeline.Scratch, sess *match.Session) (IngredientResult, *record, uint64) {
 	if e.phraseCache == nil {
-		return e.estimateIngredient(v, phrase, sc, sess), 0
+		r, _ := e.estimateIngredient(v, phrase, sc, sess)
+		return r, nil, 0
 	}
 	sc.Tokenize(phrase)
 	key := sc.PhraseKey()
 	h := memo.Hash(key)
-	if r, ok := e.phraseCache.GetBytesHash(h, key); ok {
+	if rec := e.phraseCache.GetBytesHashRef(h, key); rec != nil {
 		// The cached computation is keyed on the token stream; only the
 		// verbatim Phrase field can differ.
-		r.Phrase = phrase
-		return r, h
+		return rec.result(phrase), rec, h
 	}
-	r := e.estimateTokenized(v, phrase, sc, sess)
+	r, food := e.estimateTokenized(v, phrase, sc, sess)
 	// key still aliases the scratch (nothing downstream of Tokenize
 	// touches the phrase-key buffer); materialize it only on this miss
-	// path. Scrub the verbatim phrase from the stored copy: the cache is
+	// path. The record leaves out the verbatim phrase: the cache is
 	// keyed on the token stream, and the serving layer may pass phrases
 	// whose backing bytes it reuses after the call.
-	stored := r
-	stored.Phrase = ""
-	e.phraseCache.PutHashGen(h, string(key), stored, v.phraseGen)
-	return r, h
+	rec := e.phraseCache.PutHashGenRef(h, string(key), r.record(food), v.phraseGen)
+	if rec == nil {
+		// The generation moved while this miss computed, so the store
+		// was dropped; the caller's tier gets a record of its own.
+		rec = new(record)
+		*rec = r.record(food)
+	}
+	return r, rec, h
 }
 
 // EstimateIngredientScratch is EstimateIngredient on a caller-owned
@@ -324,7 +336,7 @@ func (e *Estimator) estimateCached(v view, phrase string, sc *pipeline.Scratch, 
 // same read-only contract as EstimateIngredient applies to the returned
 // result.
 func (e *Estimator) EstimateIngredientScratch(phrase string, sc *pipeline.Scratch) IngredientResult {
-	r, _ := e.estimateCached(e.pin(), phrase, sc, nil)
+	r, _, _ := e.estimateCached(e.pin(), phrase, sc, nil)
 	return r
 }
 
@@ -363,7 +375,7 @@ func (e *Estimator) rawMatch(v view, q match.Query, sess *match.Session) (match.
 }
 
 // estimateIngredient is the uncached pipeline.
-func (e *Estimator) estimateIngredient(v view, phrase string, sc *pipeline.Scratch, sess *match.Session) IngredientResult {
+func (e *Estimator) estimateIngredient(v view, phrase string, sc *pipeline.Scratch, sess *match.Session) (IngredientResult, *usda.Food) {
 	sc.Tokenize(phrase)
 	return e.estimateTokenized(v, phrase, sc, sess)
 }
@@ -371,11 +383,13 @@ func (e *Estimator) estimateIngredient(v view, phrase string, sc *pipeline.Scrat
 // estimateTokenized runs the pipeline over the phrase already tokenized
 // into sc (by estimateCached or estimateIngredient). Everything resolves
 // against v's snapshot: matcher and food lookup can never mix databases.
-func (e *Estimator) estimateTokenized(v view, phrase string, sc *pipeline.Scratch, sess *match.Session) IngredientResult {
+// It also returns the matched food (nil when unmatched), from which a
+// cached record rebuilds Profile.
+func (e *Estimator) estimateTokenized(v view, phrase string, sc *pipeline.Scratch, sess *match.Session) (IngredientResult, *usda.Food) {
 	res := IngredientResult{Phrase: phrase}
 	res.Extraction = sc.Extract(e.tagger)
 	if res.Extraction.Name == "" {
-		return res
+		return res, nil
 	}
 
 	q := match.Query{
@@ -386,7 +400,7 @@ func (e *Estimator) estimateTokenized(v view, phrase string, sc *pipeline.Scratc
 	}
 	m, ok := e.matchQuery(v, q, sc, sess)
 	if !ok {
-		return res
+		return res, nil
 	}
 	res.Match, res.Matched = m, true
 	food, _ := v.snap.db.ByNDB(m.NDB)
@@ -397,7 +411,7 @@ func (e *Estimator) estimateTokenized(v view, phrase string, sc *pipeline.Scratc
 		res.Profile = food.Per100g.ForGrams(res.Grams)
 		res.Mapped = true
 	}
-	return res
+	return res, food
 }
 
 // quantity normalizes the extracted quantity; missing or unparseable
@@ -608,7 +622,7 @@ func (e *Estimator) ObserveUnits(phrases []string) {
 		// Bypass the phrase cache: a cached most-frequent-unit result
 		// never contributes, and observation must not pollute the cache
 		// with entries that this very pass is about to invalidate.
-		r := e.estimateIngredient(v, phrases[i], w.env.sc, w.env.sess)
+		r, _ := e.estimateIngredient(v, phrases[i], w.env.sc, w.env.sess)
 		if !r.Matched || r.Unit == "" {
 			return
 		}

@@ -58,11 +58,13 @@ func TestParallelBatchZeroAllocPerPhrase(t *testing.T) {
 
 // TestPhraseMissAllocs pins the cost of a phrase-cache miss whose
 // description match is cached: each phrase carries a numeric salt token
-// that leaves its NER entities — and so its match query — unchanged
-// but makes it new to the phrase cache, as nutribench's bulk-cold
-// workload salts every pass. On the benchmark's database and cache
-// budget such a miss allocates exactly 3 times under either cache
-// policy.
+// that leaves its NER name — and so its match query — unchanged but
+// makes it new to the phrase cache, as nutribench's bulk-cold workload
+// salts every pass. On the benchmark's database and cache budget such
+// a miss allocates exactly 3 times under either cache policy: the NER
+// scratch's interned Quantity field (the salt joins it, "2 100123"),
+// the phrase-cache key string, and the memo entry that holds the
+// result's record by value.
 func TestPhraseMissAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")

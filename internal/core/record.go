@@ -1,0 +1,70 @@
+package core
+
+import (
+	"nutriprofile/internal/match"
+	"nutriprofile/internal/ner"
+	"nutriprofile/internal/usda"
+)
+
+// record is the compact, immutable form in which the cache tiers hold
+// one memoized phrase result. The phrase cache stores it by value
+// inside its memo entry and hands out a reference to that copy; the
+// slot L1s keep only the reference, so a phrase both tiers hold costs
+// its bytes once (DESIGN.md §12). A record is never written after it
+// is stored.
+//
+// It leaves out two IngredientResult fields. Phrase is the caller's
+// verbatim spelling, which a hit fills in. Profile is rebuilt on a hit
+// as food.Per100g.ForGrams(grams) — the miss path's own arithmetic on
+// the same inputs, so a hit stays byte-identical to recomputation.
+// TestRecordLayout pins the size: a new IngredientResult field lands
+// here too, and must not silently re-inflate both tiers.
+type record struct {
+	food       *usda.Food // the matched food; nil when unmatched
+	extraction ner.Extraction
+	match      match.Result
+	quantity   float64
+	unit       string
+	grams      float64
+	unitOrigin UnitOrigin
+	gramsVia   GramsVia
+	matched    bool
+	mapped     bool
+}
+
+// record compacts a miss path's result, computed against food.
+func (r *IngredientResult) record(food *usda.Food) record {
+	return record{
+		food:       food,
+		extraction: r.Extraction,
+		match:      r.Match,
+		quantity:   r.Quantity,
+		unit:       r.Unit,
+		grams:      r.Grams,
+		unitOrigin: r.UnitOrigin,
+		gramsVia:   r.GramsVia,
+		matched:    r.Matched,
+		mapped:     r.Mapped,
+	}
+}
+
+// result expands the record into the IngredientResult the miss path
+// returned, spelled as phrase.
+func (rec *record) result(phrase string) IngredientResult {
+	r := IngredientResult{
+		Phrase:     phrase,
+		Extraction: rec.extraction,
+		Match:      rec.match,
+		Matched:    rec.matched,
+		Quantity:   rec.quantity,
+		Unit:       rec.unit,
+		UnitOrigin: rec.unitOrigin,
+		GramsVia:   rec.gramsVia,
+		Grams:      rec.grams,
+		Mapped:     rec.mapped,
+	}
+	if rec.mapped {
+		r.Profile = rec.food.Per100g.ForGrams(rec.grams)
+	}
+	return r
+}

@@ -60,7 +60,7 @@ const (
 )
 
 // slot is one shard of the phrase-hash partition: a generation-gated L1
-// cache of full IngredientResults keyed by raw phrase. A slot is locked
+// cache of phrase results keyed by raw phrase. A slot is locked
 // for the whole duration of a sharded batch by the one worker that owns
 // it, so the L1 map is read and written without any per-phrase
 // synchronization. Padded so neighboring slots' locks never share a
@@ -75,15 +75,20 @@ type slot struct {
 	_        [64]byte
 }
 
-// l1Entry is one slot-L1 cached result plus the L2 phrase-cache key
-// hash it was stored under. L1 hits never reach the L2 cache, so the
+// l1Entry is one slot-L1 cached result: a reference to the phrase
+// cache's record of it, plus the L2 key hash the record was stored
+// under. Holding the reference rather than a copy keeps the entry at 16
+// bytes, stored inline in the map, and a phrase both tiers hold
+// resident once; the record stays valid after the L2 evicts it. A
+// record whose L2 store was dropped (a generation bump raced the miss)
+// is the L1's own copy. L1 hits never reach the L2 cache, so the
 // stored hash is replayed into the TinyLFU admission sketch
 // (memo.TouchHash) on every hit — without it, exactly the hottest
 // phrases (the ones the L1 absorbs) would stop accruing frequency and
 // lose admission duels to cold bulk-scan keys after a sketch reset.
 type l1Entry struct {
-	res IngredientResult
-	l2h uint64 // phrase-cache key hash; 0 when caching is disabled
+	rec *record
+	l2h uint64 // phrase-cache key hash
 }
 
 // env is one worker environment: the per-goroutine NLP scratch arena
@@ -254,34 +259,27 @@ func (e *Estimator) flushWorker(w *worker, stripe int) {
 }
 
 // estimateSlot estimates one phrase on a worker, consulting (and
-// populating) the owned slot's L1 when sl is non-nil. The L1 holds
-// full, immutable results keyed by raw phrase; keys are cloned because
-// callers (the serving layer) may reuse the phrase's backing bytes, and
-// the stored value drops the verbatim Phrase for the same reason the L2
-// copy does.
+// populating) the owned slot's L1 when sl is non-nil; slots exist only
+// on caching estimators. The L1 maps raw phrases to the phrase cache's
+// immutable records; keys are cloned because callers (the serving
+// layer) may reuse the phrase's backing bytes.
 func (e *Estimator) estimateSlot(v view, phrase string, w *worker, sl *slot) IngredientResult {
 	w.phrases++
 	if sl != nil {
 		if ent, ok := sl.l1[phrase]; ok {
 			w.l1Hits++
-			if e.phraseCache != nil {
-				e.phraseCache.TouchHash(ent.l2h)
-			}
-			r := ent.res
-			r.Phrase = phrase
-			return r
+			e.phraseCache.TouchHash(ent.l2h)
+			return ent.rec.result(phrase)
 		}
 	}
-	r, l2h := e.estimateCached(v, phrase, w.env.sc, w.env.sess)
+	r, rec, l2h := e.estimateCached(v, phrase, w.env.sc, w.env.sess)
 	if sl != nil {
-		stored := r
-		stored.Phrase = ""
 		if sl.l1 == nil {
 			sl.l1 = make(map[string]l1Entry, min(e.l1Cap, 64))
 		} else if len(sl.l1) >= e.l1Cap {
 			clear(sl.l1)
 		}
-		sl.l1[strings.Clone(phrase)] = l1Entry{res: stored, l2h: l2h}
+		sl.l1[strings.Clone(phrase)] = l1Entry{rec: rec, l2h: l2h}
 		sl.resident.Store(int64(len(sl.l1)))
 	}
 	return r

@@ -33,7 +33,10 @@ package core
 //
 //   - Slot L1s stamp their contents with the pinned snapshot's gen at
 //     claim time (claimSlot) and clear on mismatch, tying every cached
-//     entry to the generation that produced it.
+//     entry to the generation that produced it. Their entries reference
+//     the phrase cache's records (record.go), which point at the food
+//     they matched, so a retired database stays reachable until every
+//     slot holding its records has been claimed again.
 //
 // Every miss computes against the snapshot its own request pinned, so
 // no request ever returns a result computed against another snapshot.

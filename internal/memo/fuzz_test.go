@@ -11,7 +11,9 @@ import (
 // stored since the last Purge; the cache may evict or reject whatever
 // admission decides, but it must never fabricate, corrupt, or
 // resurrect a value, never exceed capacity, and its counters must
-// reconcile exactly with the op counts.
+// reconcile exactly with the op counts. Every reference the Ref
+// methods hand out is re-read after every later op and must still
+// hold the value it was handed out with.
 func FuzzMemoAdmission(f *testing.F) {
 	f.Add([]byte{2, 4, 0x00, 0x10, 0x21, 0x12, 0x30, 0x41})
 	f.Add([]byte{0, 1, 0x10, 0x00, 0x10, 0x00, 0x10, 0x00})
@@ -30,7 +32,17 @@ func FuzzMemoAdmission(f *testing.F) {
 	})
 }
 
-func checkModel(t *testing.T, p Policy, capacity, shards int, ops []byte) {
+// modelRun summarizes one checkModel op stream, so seeded tests can
+// assert which events their streams reached.
+type modelRun struct {
+	stats Stats
+	// refRefreshes counts puts to a key some reference was handed out
+	// for since its last put: the refreshes that must swap entries.
+	refRefreshes int
+	refs         int // references handed out
+}
+
+func checkModel(t *testing.T, p Policy, capacity, shards int, ops []byte) modelRun {
 	c := NewPolicy[uint16](capacity, shards, p)
 
 	// Reference model: last value stored per key, and whether the key
@@ -40,23 +52,48 @@ func checkModel(t *testing.T, p Policy, capacity, shards int, ops []byte) {
 	putSincePurge := map[string]bool{}
 	keyOf := func(b byte) string { return fmt.Sprintf("k%02d", b%48) }
 
+	// Every reference handed out, with the value it must keep reading
+	// through later refreshes, evictions, rejections and purges.
+	type heldRef struct {
+		key  string
+		ref  *uint16
+		want uint16
+	}
+	var held []heldRef
+	referenced := map[string]bool{} // a reference is out since the key's last put
+	var run modelRun
+	noteRef := func(key string, r *uint16, want uint16) {
+		held = append(held, heldRef{key, r, want})
+		referenced[key] = true
+		run.refs++
+	}
+	notePut := func(key string) {
+		if referenced[key] {
+			run.refRefreshes++
+			referenced[key] = false
+		}
+	}
+
 	var lookups, puts uint64
 	for i, op := range ops {
 		key := keyOf(op & 0x0f)
 		val := uint16(i)
 		switch op >> 4 {
 		case 1: // put
+			notePut(key)
 			lastVal[key] = val
 			putSincePurge[key] = true
 			c.Put(key, val)
 			puts++
 		case 3: // purge
 			putSincePurge = map[string]bool{}
+			referenced = map[string]bool{}
 			c.Purge()
 		case 4: // gen-checked put racing a purge
 			gen := c.Gen()
 			c.Purge()
 			putSincePurge = map[string]bool{}
+			referenced = map[string]bool{}
 			c.PutHashGen(HashString(key), key, val, gen)
 			// The stale store must drop; the model records nothing.
 		case 5: // byte-spelling lookup
@@ -69,7 +106,28 @@ func checkModel(t *testing.T, p Policy, capacity, shards int, ops []byte) {
 					t.Fatalf("%v: GetBytes(%q) = %d, want last-put %d", p, key, v, want)
 				}
 			}
-		default: // lookup (the dominant op: 11 of 16 opcodes)
+		case 6: // put keeping a reference
+			notePut(key)
+			r := c.PutHashGenRef(HashString(key), key, val, c.Gen())
+			if r == nil {
+				t.Fatalf("%v: PutHashGenRef(%q) at the current generation dropped", p, key)
+			}
+			lastVal[key] = val
+			putSincePurge[key] = true
+			noteRef(key, r, val)
+			puts++
+		case 7: // lookup keeping a reference
+			lookups++
+			if r := c.GetBytesHashRef(Hash([]byte(key)), []byte(key)); r != nil {
+				if !putSincePurge[key] {
+					t.Fatalf("%v: GetBytesHashRef(%q) hit resurrected a purged entry", p, key)
+				}
+				if want := lastVal[key]; *r != want {
+					t.Fatalf("%v: GetBytesHashRef(%q) = %d, want last-put %d", p, key, *r, want)
+				}
+				noteRef(key, r, *r)
+			}
+		default: // lookup (the dominant op: 9 of 16 opcodes)
 			lookups++
 			if v, ok := c.Get(key); ok {
 				if !putSincePurge[key] {
@@ -82,6 +140,12 @@ func checkModel(t *testing.T, p Policy, capacity, shards int, ops []byte) {
 		}
 		if c.Len() > c.Capacity() {
 			t.Fatalf("%v: Len %d exceeds Capacity %d after op %d", p, c.Len(), c.Capacity(), i)
+		}
+		for _, h := range held {
+			if *h.ref != h.want {
+				t.Fatalf("%v: reference for %q reads %d after op %d, want %d as handed out",
+					p, h.key, *h.ref, i, h.want)
+			}
 		}
 	}
 
@@ -96,6 +160,8 @@ func checkModel(t *testing.T, p Policy, capacity, shards int, ops []byte) {
 		t.Fatalf("%v: entries %d exceed capacity %d", p, st.Entries, st.Capacity)
 	}
 	verifyShardStructureF(t, c, p)
+	run.stats = st
+	return run
 }
 
 // verifyShardStructureF is verifyShardStructure for fatal fuzz use —

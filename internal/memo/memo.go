@@ -14,8 +14,17 @@
 // removes the per-lookup atomic increments on shared cache lines the
 // previous design paid — under a multi-core worker pool those three
 // shared counters were the only memory every worker wrote on every
-// phrase. Values must be treated as read-only by callers — a cached
-// value is shared by every goroutine that hits it.
+// phrase.
+//
+// Stored values are immutable. The by-value methods copy a value out
+// under the shard lock; the Ref methods (GetBytesHashRef,
+// PutHashGenRef) hand out a stable *V into the cache's own entry, so a
+// caller-side tier can keep one resident copy instead of its own.
+// Once a reference to an entry has been handed out, the entry's value
+// is never written again: refreshing its key swaps in a new entry, and
+// eviction, rejection and Purge only unlink it. A reference therefore
+// reads the value it was handed out with for as long as it is held.
+// Callers must not write through one.
 //
 // Shard ownership: the shard index of a key is a pure function of its
 // bytes (ShardIndex of Hash), exported so batch layers can partition
@@ -48,6 +57,7 @@ package memo
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // DefaultShards is the shard count used by New. 16 keeps per-shard
@@ -121,6 +131,9 @@ type entry[V any] struct {
 	prev, next *entry[V]
 	h          uint64
 	seg        uint8 // segMain (also all LRU entries) or segWindow
+	// shared is set once a reference to val has been handed out; from
+	// then on val is never written, and a refresh replaces the entry.
+	shared bool
 }
 
 const (
@@ -252,10 +265,6 @@ func (c *Cache[V]) ShardCount() int { return len(c.shards) }
 // with shard ownership.
 func (c *Cache[V]) ShardIndex(h uint64) int { return int(h & c.mask) }
 
-func (c *Cache[V]) shardFor(key string) *shard[V] {
-	return &c.shards[HashString(key)&c.mask]
-}
-
 // Get returns the cached value for key and marks it most-recently used.
 func (c *Cache[V]) Get(key string) (V, bool) {
 	return c.GetHash(HashString(key), key)
@@ -278,6 +287,8 @@ func (c *Cache[V]) GetHash(h uint64, key string) (V, bool) {
 		return zero, false
 	}
 	s.touchEntry(e)
+	// Copied under the lock: an entry no reference was handed out for
+	// is refreshed in place.
 	v := e.val
 	s.hits++
 	s.mu.Unlock()
@@ -285,33 +296,42 @@ func (c *Cache[V]) GetHash(h uint64, key string) (V, bool) {
 }
 
 // GetBytes is Get with the key spelled as bytes, so hot paths can probe
-// with a scratch-assembled key without materializing a string: the
-// string conversions in the map index expressions below are recognized
-// by the compiler and do not allocate. Identical hit/miss, LRU and
-// counter behavior to Get(string(key)).
+// with a scratch-assembled key without materializing a string.
+// Identical hit/miss, LRU and counter behavior to Get(string(key)).
 func (c *Cache[V]) GetBytes(key []byte) (V, bool) {
 	return c.GetBytesHash(Hash(key), key)
 }
 
 // GetBytesHash is GetBytes with the key's hash (Hash(key)) precomputed.
+// The key bytes are viewed as a string without copying: the lookup
+// only reads them, and nothing retains them past the call.
 func (c *Cache[V]) GetBytesHash(h uint64, key []byte) (V, bool) {
+	return c.GetHash(h, unsafe.String(unsafe.SliceData(key), len(key)))
+}
+
+// GetBytesHashRef is GetBytesHash returning a reference to the stored
+// value instead of a copy, or nil on a miss. The value behind it never
+// changes: see the package comment. It is GetHash's lookup with a
+// different ending, kept in one body because calls between generic
+// methods are not inlined and this is the phrase cache's hit path.
+func (c *Cache[V]) GetBytesHashRef(h uint64, key []byte) *V {
 	s := &c.shards[h&c.mask]
 	s.mu.Lock()
 	if s.policy == PolicyTinyLFU && s.capacity > 0 {
 		s.sk.touch(h)
 	}
+	// The compiler does not copy key for a map index expression.
 	e, ok := s.m[string(key)]
 	if !ok {
 		s.misses++
 		s.mu.Unlock()
-		var zero V
-		return zero, false
+		return nil
 	}
 	s.touchEntry(e)
-	v := e.val
+	e.shared = true
 	s.hits++
 	s.mu.Unlock()
-	return v, true
+	return &e.val
 }
 
 // TouchHash records one access to the key hashing to h for the TinyLFU
@@ -338,29 +358,20 @@ func (c *Cache[V]) Put(key string, val V) {
 	c.PutHash(HashString(key), key, val)
 }
 
-// PutHash is Put with the key's hash (HashString(key)) precomputed.
+// PutHash is Put with the key's hash (HashString(key)) precomputed. It
+// is PutHashGen at the current generation: a store that races a Purge
+// may drop, which is indistinguishable from landing just before it.
 func (c *Cache[V]) PutHash(h uint64, key string, val V) {
-	s := &c.shards[h&c.mask]
-	if s.capacity <= 0 {
-		return
-	}
-	s.mu.Lock()
-	if e, ok := s.m[key]; ok {
-		e.val = val
-		s.touchEntry(e)
-		s.mu.Unlock()
-		return
-	}
-	s.insert(h, key, val)
-	s.mu.Unlock()
+	c.store(h, key, val, c.gen.Load(), false)
 }
 
 // insert adds a new key under the shard lock, applying the shard's
-// eviction policy when full. The key must not already be present.
-func (s *shard[V]) insert(h uint64, key string, val V) {
+// eviction policy when full, and returns its entry (always resident:
+// the policy evicts or rejects some other entry). The key must not
+// already be present.
+func (s *shard[V]) insert(h uint64, key string, val V) *entry[V] {
 	if s.policy == PolicyTinyLFU {
-		s.insertTinyLFU(h, key, val)
-		return
+		return s.insertTinyLFU(h, key, val)
 	}
 	if len(s.m) >= s.capacity {
 		old := s.tail
@@ -371,6 +382,7 @@ func (s *shard[V]) insert(h uint64, key string, val V) {
 	e := &entry[V]{key: key, val: val, h: h}
 	s.m[key] = e
 	s.pushFront(e)
+	return e
 }
 
 // Gen returns the current purge generation. Writers that compute
@@ -388,23 +400,65 @@ func (c *Cache[V]) Gen() uint64 { return c.gen.Load() }
 // this shard's lock and is cleared by it. A stale value therefore
 // never outlives the Purge that invalidated it.
 func (c *Cache[V]) PutHashGen(h uint64, key string, val V, gen uint64) {
+	c.store(h, key, val, gen, false)
+}
+
+// PutHashGenRef is PutHashGen returning a reference to the value it
+// stored, or nil when the store was dropped. The value behind it never
+// changes: see the package comment.
+func (c *Cache[V]) PutHashGenRef(h uint64, key string, val V, gen uint64) *V {
+	return c.store(h, key, val, gen, true)
+}
+
+// store is the one write path behind every Put variant. A resident key
+// is refreshed in place unless a reference to its value is out, in
+// which case a new entry takes its place; a new key is inserted under
+// the shard's eviction policy. share marks the stored entry shared and
+// returns a reference to its value (nil when dropped).
+func (c *Cache[V]) store(h uint64, key string, val V, gen uint64, share bool) *V {
 	s := &c.shards[h&c.mask]
 	if s.capacity <= 0 {
-		return
+		return nil
 	}
 	s.mu.Lock()
 	if c.gen.Load() != gen {
 		s.mu.Unlock()
-		return
+		return nil
 	}
-	if e, ok := s.m[key]; ok {
+	e, ok := s.m[key]
+	switch {
+	case !ok:
+		e = s.insert(h, key, val)
+	case e.shared:
+		e = s.replace(e, val)
+	default:
 		e.val = val
 		s.touchEntry(e)
-		s.mu.Unlock()
-		return
 	}
-	s.insert(h, key, val)
+	var p *V
+	if share {
+		e.shared = true
+		p = &e.val
+	}
 	s.mu.Unlock()
+	return p
+}
+
+// replace refreshes the shared entry e by swapping a new entry holding
+// val into its map slot, at the front of e's segment. e leaves the
+// cache exactly as an evicted entry does — unlinked, its value intact
+// for the references already handed out.
+func (s *shard[V]) replace(e *entry[V], val V) *entry[V] {
+	n := &entry[V]{key: e.key, val: val, h: e.h, seg: e.seg}
+	if e.seg == segWindow {
+		s.wUnlink(e)
+		s.wPushFront(n)
+	} else {
+		s.unlink(e)
+		s.pushFront(n)
+	}
+	s.m[e.key] = n
+	return n
 }
 
 // Len returns the current entry count across all shards.
@@ -429,16 +483,31 @@ func (c *Cache[V]) Len() int {
 // does not change — only the cached values are stale. Keeping the
 // sketch means the hot head re-warms through admission immediately
 // after a reload instead of fighting one-hit wonders from scratch.
+//
+// Purged entries are unlinked from each other, as evicted ones are, so
+// a reference that outlives the Purge keeps only its own entry alive,
+// not the rest of its shard's former lists.
 func (c *Cache[V]) Purge() {
 	c.gen.Add(1)
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
 		s.m = make(map[string]*entry[V])
+		detach(s.head)
+		detach(s.whead)
 		s.head, s.tail = nil, nil
 		s.whead, s.wtail = nil, nil
 		s.windowLen, s.mainLen = 0, 0
 		s.mu.Unlock()
+	}
+}
+
+// detach clears the links of every entry on the list starting at e.
+func detach[V any](e *entry[V]) {
+	for e != nil {
+		next := e.next
+		e.prev, e.next = nil, nil
+		e = next
 	}
 }
 

@@ -1,0 +1,203 @@
+package memo
+
+import (
+	"fmt"
+	"math/rand"
+	"sync"
+	"testing"
+)
+
+// TestRefContract walks one reference through each way its entry can
+// leave or change in the cache — a refresh of its key, an LRU
+// eviction, a TinyLFU rejection and a Purge — and checks it still
+// reads the value it was handed out with, while lookups see the
+// cache's current state.
+func TestRefContract(t *testing.T) {
+	t.Run("refresh", func(t *testing.T) {
+		for _, p := range []Policy{PolicyLRU, PolicyTinyLFU} {
+			c := NewPolicy[int](64, 1, p)
+			h := HashString("a")
+			r1 := c.PutHashGenRef(h, "a", 1, c.Gen())
+			c.Put("a", 2) // the entry is shared: the refresh swaps it
+			r2 := c.GetBytesHashRef(h, []byte("a"))
+			c.PutHashGen(h, "a", 3, c.Gen())
+			if *r1 != 1 || *r2 != 2 {
+				t.Fatalf("%v: references read %d, %d after refreshes; want 1, 2", p, *r1, *r2)
+			}
+			if v, ok := c.Get("a"); !ok || v != 3 {
+				t.Fatalf("%v: Get(a) = %d, %v after refreshes; want 3, true", p, v, ok)
+			}
+			if n := c.Len(); n != 1 {
+				t.Fatalf("%v: Len = %d after refreshing one key; want 1", p, n)
+			}
+			verifyShardStructure(t, c)
+		}
+	})
+	t.Run("eviction", func(t *testing.T) {
+		c := NewSharded[int](2, 1)
+		r := c.PutHashGenRef(HashString("a"), "a", 1, c.Gen())
+		c.Put("b", 2)
+		c.Put("c", 3) // evicts a, the least recent
+		if _, ok := c.Get("a"); ok {
+			t.Fatal("a survived eviction")
+		}
+		if *r != 1 {
+			t.Fatalf("reference reads %d after eviction; want 1", *r)
+		}
+	})
+	t.Run("rejection", func(t *testing.T) {
+		// One shard of 100: a 1-entry window in front of 99 main slots,
+		// all held by keys seen often enough to win every duel.
+		c := NewPolicy[int](100, 1, PolicyTinyLFU)
+		for i := 0; i < 99; i++ {
+			k := fmt.Sprintf("hot-%d", i)
+			c.Put(k, i)
+			for j := 0; j < 3; j++ {
+				c.Get(k)
+			}
+		}
+		r := c.PutHashGenRef(HashString("cold"), "cold", -1, c.Gen())
+		c.Put("cold-2", -2) // window overflow: cold duels and loses
+		if st := c.Stats(); st.Rejections != 1 {
+			t.Fatalf("Rejections = %d; want 1 (cold's duel)", st.Rejections)
+		}
+		if _, ok := c.Get("cold"); ok {
+			t.Fatal("cold survived its rejection")
+		}
+		if *r != -1 {
+			t.Fatalf("reference reads %d after rejection; want -1", *r)
+		}
+	})
+	t.Run("purge", func(t *testing.T) {
+		for _, p := range []Policy{PolicyLRU, PolicyTinyLFU} {
+			c := NewPolicy[int](8, 1, p)
+			ra := c.PutHashGenRef(HashString("a"), "a", 1, c.Gen())
+			c.Put("b", 2)
+			rb := c.GetBytesHashRef(HashString("b"), []byte("b"))
+			c.Purge()
+			if *ra != 1 || *rb != 2 {
+				t.Fatalf("%v: references read %d, %d after Purge; want 1, 2", p, *ra, *rb)
+			}
+			if r := c.GetBytesHashRef(HashString("a"), []byte("a")); r != nil {
+				t.Fatalf("%v: purged key still resolves to %d", p, *r)
+			}
+			if r := c.PutHashGenRef(HashString("a"), "a", 9, c.Gen()-1); r != nil {
+				t.Fatalf("%v: a pre-purge generation's store returned a reference", p)
+			}
+		}
+	})
+}
+
+// TestRefModel drives checkModel with seeded random op streams over
+// both policies, so the reference contract is model-checked on every
+// test run and not only on FuzzMemoAdmission's seeds. The streams are
+// long and skewed enough to reach every event the contract names.
+func TestRefModel(t *testing.T) {
+	for _, p := range []Policy{PolicyLRU, PolicyTinyLFU} {
+		var total modelRun
+		purges := 0
+		for seed := int64(1); seed <= 40; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			ops := make([]byte, 400)
+			for i := range ops {
+				// Skewed keys: low nibbles 0-3 carry half the traffic,
+				// so TinyLFU sees both frequent and one-off keys.
+				key := byte(rng.Intn(16))
+				if rng.Intn(2) == 0 {
+					key &= 3
+				}
+				code := byte(rng.Intn(16))
+				if code == 3 && rng.Intn(8) != 0 {
+					code = 7 // purges rare, reference lookups common
+				}
+				if code == 3 || code == 4 {
+					purges++
+				}
+				ops[i] = code<<4 | key
+			}
+			run := checkModel(t, p, 2+int(seed%10), 1<<(seed%3), ops)
+			total.refs += run.refs
+			total.refRefreshes += run.refRefreshes
+			total.stats.Evictions += run.stats.Evictions
+			total.stats.Rejections += run.stats.Rejections
+		}
+		if total.refs == 0 || total.refRefreshes == 0 || total.stats.Evictions == 0 || purges == 0 {
+			t.Fatalf("%v: streams never exercised the contract: %d refs, %d refreshes of referenced keys, %d evictions, %d purges",
+				p, total.refs, total.refRefreshes, total.stats.Evictions, purges)
+		}
+		if p == PolicyTinyLFU && total.stats.Rejections == 0 {
+			t.Fatalf("%v: streams never reached an admission rejection", p)
+		}
+	}
+}
+
+// refPair is a value whose halves must always agree; a torn or
+// rewritten read shows as a mismatch, and under -race as a report.
+type refPair struct{ a, b uint64 }
+
+// TestRefStorm: readers hold references and keep dereferencing them
+// while writers refresh the same keys through both Put paths and purge
+// now and then. Run under -race, any write to a value a reference
+// points at is a reported data race; without it the readers still
+// check that each reference keeps the value it first read.
+func TestRefStorm(t *testing.T) {
+	for _, p := range []Policy{PolicyLRU, PolicyTinyLFU} {
+		c := NewPolicy[refPair](16, 4, p)
+		const nkeys = 24 // more keys than capacity: evictions too
+		keys := make([]string, nkeys)
+		for i := range keys {
+			keys[i] = fmt.Sprintf("storm-%d", i)
+		}
+		const writers, readers, iters = 4, 4, 3000
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < iters; i++ {
+					k := keys[(w*5+i)%nkeys]
+					n := uint64(w*iters + i)
+					v := refPair{n, ^n}
+					if i%2 == 0 {
+						c.PutHashGenRef(HashString(k), k, v, c.Gen())
+					} else {
+						c.PutHash(HashString(k), k, v)
+					}
+					if i%701 == 0 {
+						c.Purge()
+					}
+				}
+			}(w)
+		}
+		for r := 0; r < readers; r++ {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				type held struct {
+					ref  *refPair
+					want refPair
+				}
+				var ring [16]held
+				for i := 0; i < iters; i++ {
+					k := keys[(r*7+i)%nkeys]
+					if ref := c.GetBytesHashRef(HashString(k), []byte(k)); ref != nil {
+						v := *ref
+						if v.b != ^v.a {
+							t.Errorf("%v: %s reads torn value %+v", p, k, v)
+							return
+						}
+						ring[i%len(ring)] = held{ref, v}
+					}
+					for _, h := range ring {
+						if h.ref != nil && *h.ref != h.want {
+							t.Errorf("%v: reference changed from %+v to %+v", p, h.want, *h.ref)
+							return
+						}
+					}
+				}
+			}(r)
+		}
+		wg.Wait()
+		verifyShardStructure(t, c)
+	}
+}

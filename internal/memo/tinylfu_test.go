@@ -223,8 +223,9 @@ func TestTinyLFUGenPut(t *testing.T) {
 }
 
 // verifyShardStructure walks both intrusive lists of every shard and
-// reconciles them against the map and the segment bookkeeping. Caller
-// must guarantee quiescence.
+// reconciles them against the map and the segment bookkeeping: every
+// listed entry is the one its key maps to. Caller must guarantee
+// quiescence.
 func verifyShardStructure[V any](t *testing.T, c *Cache[V]) {
 	t.Helper()
 	for i := range c.shards {
@@ -235,12 +236,18 @@ func verifyShardStructure[V any](t *testing.T, c *Cache[V]) {
 			if e.seg != segWindow {
 				t.Errorf("shard %d: window list holds a seg=%d entry", i, e.seg)
 			}
+			if s.m[e.key] != e {
+				t.Errorf("shard %d: window entry %q is not the one its key maps to", i, e.key)
+			}
 			wn++
 		}
 		mn := 0
 		for e := s.head; e != nil; e = e.next {
 			if e.seg != segMain {
 				t.Errorf("shard %d: main list holds a seg=%d entry", i, e.seg)
+			}
+			if s.m[e.key] != e {
+				t.Errorf("shard %d: main entry %q is not the one its key maps to", i, e.key)
 			}
 			mn++
 		}

@@ -293,6 +293,37 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 }
 
+// TestRuntimeExposition: the runtime gauges render as two unlabelled
+// gauge families that parse under the same conformance rules as the
+// registry's, each carrying its RuntimeStats field.
+func TestRuntimeExposition(t *testing.T) {
+	rs := RuntimeStats{HeapAllocBytes: 13_100_000, NextGCBytes: 28_000_000, HeapSysBytes: 40 << 20}
+	var buf bytes.Buffer
+	if err := WriteRuntimePrometheus(&buf, rs); err != nil {
+		t.Fatal(err)
+	}
+	fams := parseExposition(t, buf.String())
+	want := map[string]uint64{
+		"nutriserve_go_heap_alloc_bytes": rs.HeapAllocBytes,
+		"nutriserve_go_next_gc_bytes":    rs.NextGCBytes,
+	}
+	if len(fams) != len(want) {
+		t.Errorf("exposition has %d families, want %d", len(fams), len(want))
+	}
+	for name, v := range want {
+		f := fams[name]
+		if f == nil {
+			t.Fatalf("family %s missing from exposition", name)
+		}
+		if f.typ != "gauge" || f.help == "" {
+			t.Errorf("%s: type %q help %q, want a gauge with HELP text", name, f.typ, f.help)
+		}
+		if got := sampleValue(t, fams, name, name, map[string]string{}); got != float64(v) {
+			t.Errorf("%s = %v, want %d", name, got, v)
+		}
+	}
+}
+
 // TestPrometheusHistogram pins the histogram contract: buckets are
 // rendered cumulative and monotone over ascending second-valued le
 // bounds, the terminal le="+Inf" bucket equals _count (so overflow

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"io"
 	"runtime"
 	"sync"
 	"time"
@@ -11,10 +12,20 @@ import (
 // allocation-free pipeline is actually running allocation-free in
 // production. Marshals directly to JSON for GET /v1/stats.
 type RuntimeStats struct {
-	// HeapAllocBytes is the live heap (runtime.MemStats.HeapAlloc).
+	// HeapAllocBytes is bytes of allocated heap objects
+	// (runtime.MemStats.HeapAlloc): the live heap plus garbage the
+	// collector has not yet swept, so between cycles it reads above
+	// the live heap.
 	HeapAllocBytes uint64 `json:"heap_alloc_bytes"`
 	// HeapInuseBytes is heap memory in in-use spans.
 	HeapInuseBytes uint64 `json:"heap_inuse_bytes"`
+	// HeapSysBytes is heap memory obtained from the OS, in use or idle
+	// (runtime.MemStats.HeapSys).
+	HeapSysBytes uint64 `json:"heap_sys_bytes"`
+	// NextGCBytes is the heap size at which the next GC cycle starts
+	// (runtime.MemStats.NextGC). Under GOGC=100 it is about twice the
+	// heap the last cycle found live, and peak RSS follows it.
+	NextGCBytes uint64 `json:"next_gc_bytes"`
 	// TotalAllocBytes is cumulative bytes allocated over the process
 	// lifetime (monotonic; the first derivative is the allocation rate).
 	TotalAllocBytes uint64 `json:"total_alloc_bytes"`
@@ -37,6 +48,8 @@ func ReadRuntime() RuntimeStats {
 	return RuntimeStats{
 		HeapAllocBytes:  m.HeapAlloc,
 		HeapInuseBytes:  m.HeapInuse,
+		HeapSysBytes:    m.HeapSys,
+		NextGCBytes:     m.NextGC,
 		TotalAllocBytes: m.TotalAlloc,
 		Mallocs:         m.Mallocs,
 		NumGC:           m.NumGC,
@@ -77,4 +90,21 @@ func (s *RuntimeSampler) Sample() RuntimeStats {
 		s.last = now
 	}
 	return s.snap
+}
+
+// WriteRuntimePrometheus renders rs's heap gauges in Prometheus text
+// format, for a /metrics handler to append after the registry's
+// families. Pass it a RuntimeSampler's snapshot, so scrapes stop the
+// world no more often than /v1/stats reads do.
+func WriteRuntimePrometheus(w io.Writer, rs RuntimeStats) error {
+	p := &promWriter{w: w, buf: make([]byte, 0, 512)}
+	p.header("nutriserve_go_heap_alloc_bytes", "Bytes of allocated heap objects, live and not yet swept (runtime.MemStats.HeapAlloc).", "gauge")
+	p.str("nutriserve_go_heap_alloc_bytes ")
+	p.uint(rs.HeapAllocBytes)
+	p.str("\n")
+	p.header("nutriserve_go_next_gc_bytes", "Heap size at which the next GC cycle starts (runtime.MemStats.NextGC); peak RSS follows it.", "gauge")
+	p.str("nutriserve_go_next_gc_bytes ")
+	p.uint(rs.NextGCBytes)
+	p.str("\n")
+	return p.flush()
 }

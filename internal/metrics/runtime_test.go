@@ -27,6 +27,12 @@ func TestReadRuntime(t *testing.T) {
 	if rs.GCPauseTotalMs < 0 {
 		t.Errorf("GCPauseTotalMs = %v", rs.GCPauseTotalMs)
 	}
+	if rs.HeapSysBytes < rs.HeapInuseBytes {
+		t.Errorf("HeapSysBytes %d < HeapInuseBytes %d", rs.HeapSysBytes, rs.HeapInuseBytes)
+	}
+	if rs.NextGCBytes == 0 {
+		t.Error("NextGCBytes = 0")
+	}
 }
 
 // TestReadRuntimeMonotonic: cumulative counters never decrease between
@@ -58,8 +64,8 @@ func TestRuntimeStatsJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, key := range []string{
-		"heap_alloc_bytes", "heap_inuse_bytes", "total_alloc_bytes",
-		"mallocs", "num_gc", "gc_pause_total_ms", "goroutines",
+		"heap_alloc_bytes", "heap_inuse_bytes", "heap_sys_bytes", "next_gc_bytes",
+		"total_alloc_bytes", "mallocs", "num_gc", "gc_pause_total_ms", "goroutines",
 	} {
 		if _, ok := m[key]; !ok {
 			t.Errorf("missing JSON key %q in %s", key, raw)

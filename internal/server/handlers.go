@@ -279,10 +279,11 @@ type StatsResponse struct {
 // handleMetrics serves the registry in Prometheus text format — the
 // same counters as /v1/stats HTTP section, rendered for scrape stacks
 // — followed by the estimator's memo-cache families (hits, misses,
-// evictions, admission outcomes, and the derived hit-ratio gauge) and
-// the matcher-engine families (index shape plus the pruned ranking
-// engine's work-avoidance counters), snapshotted at scrape time. See
-// memo_metrics.go and match_metrics.go.
+// evictions, admission outcomes, and the derived hit-ratio gauge), the
+// matcher-engine families (index shape plus the pruned ranking
+// engine's work-avoidance counters), snapshotted at scrape time, and
+// the Go heap gauges from the same 1 s runtime sampler /v1/stats
+// reads. See memo_metrics.go and match_metrics.go.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", metrics.PrometheusContentType())
 	if err := s.reg.WritePrometheus(w); err != nil {
@@ -292,7 +293,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if err := writeMemoMetrics(w, phrase, match); err != nil {
 		return
 	}
-	_ = writeMatchMetrics(w, s.est.MatcherStats())
+	if err := writeMatchMetrics(w, s.est.MatcherStats()); err != nil {
+		return
+	}
+	_ = metrics.WriteRuntimePrometheus(w, s.runtime.Sample())
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -299,8 +299,21 @@ func TestHealthzAndStatsShape(t *testing.T) {
 	if est.Latency.Count != 3 {
 		t.Fatalf("latency count %d, want 3", est.Latency.Count)
 	}
-	if st.Runtime.HeapAllocBytes == 0 || st.Runtime.TotalAllocBytes == 0 || st.Runtime.Goroutines <= 0 {
+	if st.Runtime.HeapAllocBytes == 0 || st.Runtime.TotalAllocBytes == 0 || st.Runtime.Goroutines <= 0 ||
+		st.Runtime.NextGCBytes == 0 || st.Runtime.HeapSysBytes == 0 {
 		t.Fatalf("runtime gauges empty: %+v", st.Runtime)
+	}
+	for _, key := range []string{`"next_gc_bytes":`, `"heap_sys_bytes":`} {
+		if !strings.Contains(w.Body.String(), key) {
+			t.Fatalf("stats runtime block lacks %s: %s", key, w.Body.String())
+		}
+	}
+	// /metrics carries the heap gauges from the same sampler.
+	w = getPath(t, h, "/metrics")
+	for _, fam := range []string{"nutriserve_go_heap_alloc_bytes ", "nutriserve_go_next_gc_bytes "} {
+		if !strings.Contains(w.Body.String(), "\n"+fam) {
+			t.Fatalf("/metrics lacks a %q sample:\n%s", fam, w.Body.String())
+		}
 	}
 }
 
