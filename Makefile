@@ -179,17 +179,20 @@ load-smoke:
 # Nightly sustained-load gate: a larger corpus with production-shaped
 # floors. The floors are far below the ~13k recipes/s a single dev core
 # sustains so shared-runner noise cannot flake the job; a regression
-# that halves throughput still trips them. After the run it prints the
+# that halves throughput still trips them. The server boots with -db on
+# a dbbake -synth 7500 image (8,214 foods, the table nutribench serves),
+# so the gate covers the image load path. After the run it prints the
 # server's peak RSS (VmHWM) and fails above LOAD_RSS_CEILING_MB: on a
-# 2-vCPU VM the server peaked at 29.9-30.4 MB (32.4-34.1 MB while the
-# slot L1s kept their own copies of cached results), and the ceiling
-# is 1.5x the higher figure, rounded up.
+# 2-vCPU VM the server peaked at 34.4-36.1 MB (38.6-40.3 MB while it
+# decoded the image into a second copy of the table).
 LOAD_RSS_CEILING_MB = 48
 load-bench:
 	@set -e; \
 	$(GO) build -o /tmp/nutriserve ./cmd/nutriserve; \
 	$(GO) build -o /tmp/loadgen ./cmd/loadgen; \
-	/tmp/nutriserve -addr $(LOAD_ADDR) -quiet & pid=$$!; \
+	$(GO) build -o /tmp/dbbake ./cmd/dbbake; \
+	/tmp/dbbake -synth 7500 -o /tmp/load-bench.img >/dev/null; \
+	/tmp/nutriserve -addr $(LOAD_ADDR) -quiet -db /tmp/load-bench.img & pid=$$!; \
 	trap 'kill $$pid 2>/dev/null || true' EXIT; \
 	ok=0; for i in $$(seq 1 50); do \
 		if curl -fsS http://$(LOAD_ADDR)/v1/healthz >/dev/null 2>&1; then ok=1; break; fi; sleep 0.1; \
@@ -204,6 +207,7 @@ load-bench:
 	fi; \
 	kill -TERM $$pid; wait $$pid; \
 	trap - EXIT; \
+	rm -f /tmp/load-bench.img; \
 	echo "load-bench: OK"
 
 clean:

@@ -103,7 +103,7 @@ func printInfo(path string) error {
 	}
 	weights := 0
 	for i := 0; i < ld.DB.Len(); i++ {
-		weights += len(ld.DB.At(i).Weights)
+		weights += ld.DB.At(i).NumWeights()
 	}
 	fmt.Printf("image:   %s\n", path)
 	fmt.Printf("bytes:   %d\n", ld.Bytes)

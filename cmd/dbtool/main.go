@@ -47,7 +47,7 @@ func main() {
 		ran = true
 		for i := 0; i < db.Len(); i++ {
 			f := db.At(i)
-			fmt.Printf("%6d  %s\n", f.NDB, f.Desc)
+			fmt.Printf("%6d  %s\n", f.NDB(), f.Desc())
 		}
 	}
 	if *search != "" {
@@ -70,11 +70,12 @@ func main() {
 	}
 	if *show != 0 {
 		ran = true
-		f, ok := db.ByNDB(*show)
+		row, ok := db.ByNDB(*show)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "dbtool: NDB %d not found\n", *show)
 			os.Exit(1)
 		}
+		f := row.Food()
 		fmt.Printf("%d — %s\n\nPer 100 g:\n%s\n", f.NDB, f.Desc, f.Per100g.Table())
 		if len(f.Weights) > 0 {
 			tb := report.NewTable("seq", "amount", "unit", "grams", "g/1")
@@ -140,10 +141,10 @@ func printStats(db *usda.DB) {
 	weights, unresolvable := 0, 0
 	for i := 0; i < db.Len(); i++ {
 		f := db.At(i)
-		groups[f.NDB/1000]++
-		weights += len(f.Weights)
-		for _, w := range f.Weights {
-			if _, known := units.Normalize(w.Unit); !known {
+		groups[f.NDB()/1000]++
+		weights += f.NumWeights()
+		for j := 0; j < f.NumWeights(); j++ {
+			if _, known := units.Normalize(f.Weight(j).Unit); !known {
 				unresolvable++
 			}
 		}

@@ -167,6 +167,15 @@ type Estimator struct {
 	shardState
 }
 
+// maxCachedKey bounds the key of any entry a cache tier stores: the
+// slot L1's raw phrase, the phrase cache's token stream and the match
+// cache's joined query. The tiers bound their entries in count, not
+// bytes, so without it a handful of pathological phrases near the
+// request-body limit would each stay resident at their full size in
+// every tier. Real ingredient phrases are well under 200 bytes; a
+// longer one is recomputed, which gives the same result.
+const maxCachedKey = 1 << 10
+
 // matchHit is the memoized outcome of one description-match query.
 type matchHit struct {
 	res match.Result
@@ -296,7 +305,8 @@ func (e *Estimator) EstimateIngredient(phrase string) IngredientResult {
 // has since retired is dropped instead of cached (snapshot.go).
 //
 // Besides the result it returns the phrase cache's record of it and
-// the cache key hash (nil and 0 when caching is off): the slot-L1 tier
+// the cache key hash (nil and 0 when caching is off or the key is over
+// maxCachedKey): the slot-L1 tier
 // above keeps the record reference, so a phrase both tiers hold is
 // resident once, and replays the hash into the TinyLFU admission
 // sketch (TouchHash) on its hits without re-normalizing the phrase.
@@ -307,24 +317,28 @@ func (e *Estimator) estimateCached(v view, phrase string, sc *pipeline.Scratch, 
 	}
 	sc.Tokenize(phrase)
 	key := sc.PhraseKey()
+	if len(key) > maxCachedKey {
+		r, _ := e.estimateTokenized(v, phrase, sc, sess)
+		return r, nil, 0
+	}
 	h := memo.Hash(key)
 	if rec := e.phraseCache.GetBytesHashRef(h, key); rec != nil {
 		// The cached computation is keyed on the token stream; only the
 		// verbatim Phrase field can differ.
 		return rec.result(phrase), rec, h
 	}
-	r, food := e.estimateTokenized(v, phrase, sc, sess)
+	r, per100g := e.estimateTokenized(v, phrase, sc, sess)
 	// key still aliases the scratch (nothing downstream of Tokenize
 	// touches the phrase-key buffer); materialize it only on this miss
 	// path. The record leaves out the verbatim phrase: the cache is
 	// keyed on the token stream, and the serving layer may pass phrases
 	// whose backing bytes it reuses after the call.
-	rec := e.phraseCache.PutHashGenRef(h, string(key), r.record(food), v.phraseGen)
+	rec := e.phraseCache.PutHashGenRef(h, string(key), r.record(per100g), v.phraseGen)
 	if rec == nil {
 		// The generation moved while this miss computed, so the store
 		// was dropped; the caller's tier gets a record of its own.
 		rec = new(record)
-		*rec = r.record(food)
+		*rec = r.record(per100g)
 	}
 	return r, rec, h
 }
@@ -350,6 +364,9 @@ func (e *Estimator) matchQuery(v view, q match.Query, sc *pipeline.Scratch, sess
 		return e.rawMatch(v, q, sess)
 	}
 	key := sc.JoinKey(q.Name, q.State, q.Temp, q.DryFresh)
+	if len(key) > maxCachedKey {
+		return e.rawMatch(v, q, sess)
+	}
 	kh := memo.Hash(key)
 	if h, ok := e.matchCache.GetBytesHash(kh, key); ok {
 		return h.res, h.ok
@@ -375,7 +392,7 @@ func (e *Estimator) rawMatch(v view, q match.Query, sess *match.Session) (match.
 }
 
 // estimateIngredient is the uncached pipeline.
-func (e *Estimator) estimateIngredient(v view, phrase string, sc *pipeline.Scratch, sess *match.Session) (IngredientResult, *usda.Food) {
+func (e *Estimator) estimateIngredient(v view, phrase string, sc *pipeline.Scratch, sess *match.Session) (IngredientResult, *nutrition.Profile) {
 	sc.Tokenize(phrase)
 	return e.estimateTokenized(v, phrase, sc, sess)
 }
@@ -383,9 +400,9 @@ func (e *Estimator) estimateIngredient(v view, phrase string, sc *pipeline.Scrat
 // estimateTokenized runs the pipeline over the phrase already tokenized
 // into sc (by estimateCached or estimateIngredient). Everything resolves
 // against v's snapshot: matcher and food lookup can never mix databases.
-// It also returns the matched food (nil when unmatched), from which a
-// cached record rebuilds Profile.
-func (e *Estimator) estimateTokenized(v view, phrase string, sc *pipeline.Scratch, sess *match.Session) (IngredientResult, *usda.Food) {
+// It also returns the matched food's per-100 g profile (nil when
+// unmatched), from which a cached record rebuilds Profile.
+func (e *Estimator) estimateTokenized(v view, phrase string, sc *pipeline.Scratch, sess *match.Session) (IngredientResult, *nutrition.Profile) {
 	res := IngredientResult{Phrase: phrase}
 	res.Extraction = sc.Extract(e.tagger)
 	if res.Extraction.Name == "" {
@@ -404,14 +421,15 @@ func (e *Estimator) estimateTokenized(v view, phrase string, sc *pipeline.Scratc
 	}
 	res.Match, res.Matched = m, true
 	food, _ := v.snap.db.ByNDB(m.NDB)
+	per100g := food.Per100g()
 
 	res.Quantity = e.quantity(res.Extraction.Quantity)
 	e.resolveUnit(&res, food, sc)
 	if res.Grams > 0 {
-		res.Profile = food.Per100g.ForGrams(res.Grams)
+		res.Profile = per100g.ForGrams(res.Grams)
 		res.Mapped = true
 	}
-	return res, food
+	return res, per100g
 }
 
 // quantity normalizes the extracted quantity; missing or unparseable
@@ -431,7 +449,7 @@ func (e *Estimator) quantity(raw string) float64 {
 // GramsVia and Grams. The phrase's tokens are already in sc; entity
 // fields resolve through their recorded first-word index and the
 // scratch's memoized unit lookups instead of re-tokenizing.
-func (e *Estimator) resolveUnit(res *IngredientResult, food *usda.Food, sc *pipeline.Scratch) {
+func (e *Estimator) resolveUnit(res *IngredientResult, food usda.Row, sc *pipeline.Scratch) {
 	try := func(unit string, origin UnitOrigin, qty float64) bool {
 		grams, via := e.gramsFor(food, unit, qty)
 		if grams <= 0 {
@@ -501,7 +519,7 @@ func (e *Estimator) resolveUnit(res *IngredientResult, food *usda.Food, sc *pipe
 	}
 	// 4. Most frequent unit for this ingredient.
 	if !e.opts.DisableMostFrequent {
-		if unit := e.mostFrequentUnit(food.NDB); unit != "" {
+		if unit := e.mostFrequentUnit(food.NDB()); unit != "" {
 			if try(unit, UnitMostFrequent, res.Quantity) {
 				return
 			}
@@ -510,8 +528,8 @@ func (e *Estimator) resolveUnit(res *IngredientResult, food *usda.Food, sc *pipe
 	// 5. The food's first RESOLVABLE weight row (SR rows with unit
 	// spellings outside the alias inventory are skipped).
 	if !e.opts.DisableDefaultRow {
-		for i := range food.Weights {
-			name, known := food.WeightUnit(i)
+		for j := 0; j < food.NumWeights(); j++ {
+			name, known := food.WeightUnit(j)
 			if !known {
 				continue
 			}
@@ -525,7 +543,7 @@ func (e *Estimator) resolveUnit(res *IngredientResult, food *usda.Food, sc *pipe
 
 // gramsFor turns (unit, qty) into grams for a food: exact weight row
 // first, then the conversion lattice.
-func (e *Estimator) gramsFor(food *usda.Food, unit string, qty float64) (float64, GramsVia) {
+func (e *Estimator) gramsFor(food usda.Row, unit string, qty float64) (float64, GramsVia) {
 	if gpu, ok := food.GramsForUnit(unit); ok {
 		return qty * gpu, GramsWeightRow
 	}
@@ -546,8 +564,8 @@ func (e *Estimator) gramsFor(food *usda.Food, unit string, qty float64) (float64
 	case units.Volume:
 		// Bridge through any volume row in the food's weight table
 		// (§II-C: add teaspoon for butter via the cup row).
-		for i, w := range food.Weights {
-			name, known := food.WeightUnit(i)
+		for j := 0; j < food.NumWeights(); j++ {
+			name, known := food.WeightUnit(j)
 			if !known {
 				continue
 			}
@@ -558,7 +576,7 @@ func (e *Estimator) gramsFor(food *usda.Food, unit string, qty float64) (float64
 			if err != nil {
 				continue
 			}
-			return qty * ratio * w.GramsPerOne(), GramsConverted
+			return qty * ratio * food.Weight(j).GramsPerOne(), GramsConverted
 		}
 	}
 	return 0, GramsNone
@@ -567,7 +585,7 @@ func (e *Estimator) gramsFor(food *usda.Food, unit string, qty float64) (float64
 // repair scans for adjacent (quantity, unit) token pairs and returns the
 // first pair that yields a plausible gram weight — the semi-automated
 // recovery for dual-unit phrases like "500 g or 1 cup".
-func (e *Estimator) repair(food *usda.Food, sc *pipeline.Scratch) (grams float64, unit string, qty float64, ok bool) {
+func (e *Estimator) repair(food usda.Row, sc *pipeline.Scratch) (grams float64, unit string, qty float64, ok bool) {
 	tokens := sc.Tokens()
 	for i := 0; i+1 < len(tokens); i++ {
 		q, err := units.ParseQuantity(tokens[i])

@@ -46,7 +46,7 @@ func refEstimateIngredient(e *Estimator, phrase string) IngredientResult {
 	res.Quantity = e.quantity(res.Extraction.Quantity)
 	refResolveUnit(e, &res, food)
 	if res.Grams > 0 {
-		res.Profile = food.Per100g.ForGrams(res.Grams)
+		res.Profile = food.Per100g().ForGrams(res.Grams)
 		res.Mapped = true
 	}
 	return res
@@ -54,7 +54,7 @@ func refEstimateIngredient(e *Estimator, phrase string) IngredientResult {
 
 // refResolveUnit is the old §II-C fallback chain, re-tokenizing the
 // phrase and normalizing entity fields from their joined strings.
-func refResolveUnit(e *Estimator, res *IngredientResult, food *usda.Food) {
+func refResolveUnit(e *Estimator, res *IngredientResult, food usda.Row) {
 	tokens := textutil.Tokenize(res.Phrase)
 
 	try := func(unit string, origin UnitOrigin, qty float64) bool {
@@ -103,14 +103,14 @@ func refResolveUnit(e *Estimator, res *IngredientResult, food *usda.Food) {
 		}
 	}
 	if !e.opts.DisableMostFrequent {
-		if unit := e.mostFrequentUnit(food.NDB); unit != "" {
+		if unit := e.mostFrequentUnit(food.NDB()); unit != "" {
 			if try(unit, UnitMostFrequent, res.Quantity) {
 				return
 			}
 		}
 	}
 	if !e.opts.DisableDefaultRow {
-		for _, wRow := range food.Weights {
+		for _, wRow := range food.Food().Weights {
 			name, known := units.Normalize(wRow.Unit)
 			if !known {
 				continue
@@ -124,7 +124,7 @@ func refResolveUnit(e *Estimator, res *IngredientResult, food *usda.Food) {
 }
 
 // refRepair is the old adjacent quantity+unit scan.
-func refRepair(e *Estimator, food *usda.Food, tokens []string) (grams float64, unit string, qty float64, ok bool) {
+func refRepair(e *Estimator, food usda.Row, tokens []string) (grams float64, unit string, qty float64, ok bool) {
 	for i := 0; i+1 < len(tokens); i++ {
 		q, err := units.ParseQuantity(tokens[i])
 		if err != nil || q <= 0 {

@@ -3,7 +3,7 @@ package core
 import (
 	"nutriprofile/internal/match"
 	"nutriprofile/internal/ner"
-	"nutriprofile/internal/usda"
+	"nutriprofile/internal/nutrition"
 )
 
 // record is the compact, immutable form in which the cache tiers hold
@@ -15,12 +15,14 @@ import (
 //
 // It leaves out two IngredientResult fields. Phrase is the caller's
 // verbatim spelling, which a hit fills in. Profile is rebuilt on a hit
-// as food.Per100g.ForGrams(grams) — the miss path's own arithmetic on
-// the same inputs, so a hit stays byte-identical to recomputation.
+// as per100g.ForGrams(grams) — the miss path's own arithmetic on the
+// same inputs, so a hit stays byte-identical to recomputation.
+// per100g points into the table's nutrient column (usda.Row.Per100g),
+// so a record holds no copy of the food.
 // TestRecordLayout pins the size: a new IngredientResult field lands
 // here too, and must not silently re-inflate both tiers.
 type record struct {
-	food       *usda.Food // the matched food; nil when unmatched
+	per100g    *nutrition.Profile // the matched food's; nil when unmatched
 	extraction ner.Extraction
 	match      match.Result
 	quantity   float64
@@ -32,10 +34,11 @@ type record struct {
 	mapped     bool
 }
 
-// record compacts a miss path's result, computed against food.
-func (r *IngredientResult) record(food *usda.Food) record {
+// record compacts a miss path's result, computed against the food
+// whose per-100 g profile is per100g.
+func (r *IngredientResult) record(per100g *nutrition.Profile) record {
 	return record{
-		food:       food,
+		per100g:    per100g,
 		extraction: r.Extraction,
 		match:      r.Match,
 		quantity:   r.Quantity,
@@ -64,7 +67,7 @@ func (rec *record) result(phrase string) IngredientResult {
 		Mapped:     rec.mapped,
 	}
 	if rec.mapped {
-		r.Profile = rec.food.Per100g.ForGrams(rec.grams)
+		r.Profile = rec.per100g.ForGrams(rec.grams)
 	}
 	return r
 }

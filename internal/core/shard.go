@@ -210,8 +210,11 @@ func (e *Estimator) getEnv(snap *Snapshot) *env {
 }
 
 // putEnv returns an environment; beyond maxFreeEnvs it is dismantled
-// (the session's arena goes back to the matcher pool) and dropped.
+// (the session's arena goes back to the matcher pool) and dropped. A
+// kept environment first drops what an oversized phrase grew.
 func (e *Estimator) putEnv(v *env) {
+	v.sc.Trim()
+	v.sess.Trim()
 	e.envMu.Lock()
 	if len(e.freeEnvs) < maxFreeEnvs {
 		e.freeEnvs = append(e.freeEnvs, v)
@@ -273,7 +276,7 @@ func (e *Estimator) estimateSlot(v view, phrase string, w *worker, sl *slot) Ing
 		}
 	}
 	r, rec, l2h := e.estimateCached(v, phrase, w.env.sc, w.env.sess)
-	if sl != nil {
+	if sl != nil && rec != nil && len(phrase) <= maxCachedKey {
 		if sl.l1 == nil {
 			sl.l1 = make(map[string]l1Entry, min(e.l1Cap, 64))
 		} else if len(sl.l1) >= e.l1Cap {

@@ -19,7 +19,7 @@ func scaledSeed(t testing.TB, factor float64) *usda.DB {
 	seed := usda.Seed()
 	foods := make([]usda.Food, seed.Len())
 	for i := range foods {
-		f := *seed.At(i)
+		f := seed.At(i).Food()
 		f.Per100g = f.Per100g.Scale(factor)
 		foods[i] = f
 	}

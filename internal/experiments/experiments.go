@@ -179,7 +179,7 @@ func TableII(db *usda.DB) TableIIResult {
 	}
 	have := map[string]bool{}
 	for i := 0; i < db.Len(); i++ {
-		have[db.At(i).Desc] = true
+		have[db.At(i).Desc()] = true
 	}
 	res := TableIIResult{Rows: TableIIDescriptions}
 	for _, d := range TableIIDescriptions {
@@ -315,8 +315,8 @@ func TableIV() (TableIVResult, error) {
 	e := core.NewDefault()
 	ir := e.EstimateIngredient("1 teaspoon butter")
 	return TableIVResult{
-		Desc:            butter.Desc,
-		Weights:         butter.Weights,
+		Desc:            butter.Desc(),
+		Weights:         butter.Food().Weights,
 		DerivedTeaspoon: ir.Grams,
 		TeaspoonKcal:    ir.Profile.EnergyKcal,
 	}, nil

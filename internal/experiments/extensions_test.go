@@ -86,18 +86,18 @@ func TestRegionalTableIntegrity(t *testing.T) {
 	}
 	for i := 0; i < reg.Len(); i++ {
 		f := reg.At(i)
-		if !usda.IsRegionalNDB(f.NDB) {
-			t.Errorf("regional food %q has out-of-range NDB %d", f.Desc, f.NDB)
+		if !usda.IsRegionalNDB(f.NDB()) {
+			t.Errorf("regional food %q has out-of-range NDB %d", f.Desc(), f.NDB())
 		}
-		if len(f.Weights) == 0 {
-			t.Errorf("regional food %q has no weight rows", f.Desc)
+		if f.NumWeights() == 0 {
+			t.Errorf("regional food %q has no weight rows", f.Desc())
 		}
 	}
 	// Sanity: the paper's flagship example must exist and be matched by
 	// the merged matcher.
 	found := false
 	for i := 0; i < reg.Len(); i++ {
-		if reg.At(i).Desc == "Spice blend, garam masala" {
+		if reg.At(i).Desc() == "Spice blend, garam masala" {
 			found = true
 		}
 	}

@@ -48,6 +48,8 @@ type arena struct {
 
 	scoredLen   int  // |A|, counting out-of-vocabulary words
 	rawEligible bool // §II-B(g) provision applies to this query
+
+	longest int // longest query, in bytes, since the arena was last reset
 }
 
 // accEntry is the pruned engine's per-document accumulator: the epoch
@@ -60,6 +62,23 @@ type accEntry struct {
 
 func newArena(docs int) *arena {
 	return &arena{acc: make([]accEntry, docs)}
+}
+
+// maxRetainedQuery is the longest query, in bytes, whose buffers an
+// arena keeps once released (trim). The query-preparation slices grow
+// to the longest query seen, and their stale entries view its words,
+// so one pathological phrase would otherwise stay pinned, with buffers
+// several times its size, by a pooled arena or a worker's session.
+// Ingredient queries are a handful of words.
+const maxRetainedQuery = 4 << 10
+
+// trim drops every query-sized buffer, keeping only the per-document
+// accumulators, when a query since the last reset was longer than
+// maxRetainedQuery.
+func (a *arena) trim() {
+	if a.longest > maxRetainedQuery {
+		*a = arena{epoch: a.epoch, acc: a.acc}
+	}
 }
 
 // nextEpoch starts a new query's accumulator generation.
@@ -80,6 +99,7 @@ func (a *arena) nextEpoch() uint32 {
 // has no matchable content, mirroring the anchor.Len() == 0 early return
 // of the string-space implementation.
 func (a *arena) prepare(m *Matcher, q Query) bool {
+	a.longest = max(a.longest, len(q.Name)+len(q.State)+len(q.Temp)+len(q.DryFresh))
 	a.norm, a.toks = appendNormalizedTokens(a.norm[:0], q.Name, a.toks)
 	nameLen := len(a.norm)
 	if q.State != "" {

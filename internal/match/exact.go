@@ -53,7 +53,7 @@ func (e *ExactMatcher) Match(q Query) (Result, bool) {
 	}
 	food := e.m.db.At(bestIdx)
 	return Result{
-		NDB: food.NDB, Desc: food.Desc, Score: 1.0,
+		NDB: food.NDB(), Desc: food.Desc(), Score: 1.0,
 		Matched: scored.Sorted(), index: bestIdx,
 	}, true
 }

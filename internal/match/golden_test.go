@@ -61,7 +61,7 @@ func newRefMatcher(db *usda.DB, opts Options) *refMatcher {
 		inverted: make(map[string][]int32),
 	}
 	for i := 0; i < db.Len(); i++ {
-		doc := refNormalizeDesc(db.At(i).Desc)
+		doc := refNormalizeDesc(db.At(i).Desc())
 		m.docs[i] = doc
 		for w := range doc.set {
 			m.inverted[w] = append(m.inverted[w], int32(i))
@@ -129,7 +129,7 @@ func (m *refMatcher) Rank(q Query, k int) []Result {
 		sort.Strings(matched)
 		food := m.db.At(int(i))
 		results = append(results, Result{
-			NDB: food.NDB, Desc: food.Desc, Score: score,
+			NDB: food.NDB(), Desc: food.Desc(), Score: score,
 			Priority: priority, RawBonus: rawEligible && doc.hasRaw,
 			Matched: matched, index: int(i),
 		})
@@ -165,7 +165,7 @@ func (m *refMatcher) Rank(q Query, k int) []Result {
 func goldenCorpus(db *usda.DB) []Query {
 	var corpus []Query
 	for i := 0; i < db.Len(); i++ {
-		terms := textutil.SplitCommaTerms(db.At(i).Desc)
+		terms := textutil.SplitCommaTerms(db.At(i).Desc())
 		q := Query{Name: terms[0]}
 		corpus = append(corpus, q)
 		if len(terms) > 1 {

@@ -200,7 +200,7 @@ func buildIndex(db *usda.DB) (*Index, *textutil.Interner) {
 	var norm, toks []string
 	for d := 0; d < n; d++ {
 		var doc []termPri
-		for termIdx, term := range textutil.SplitCommaTerms(db.At(d).Desc) {
+		for termIdx, term := range textutil.SplitCommaTerms(db.At(d).Desc()) {
 			norm, toks = appendNormalizedTokens(norm[:0], term, toks)
 			for _, w := range norm {
 				if w == "raw" {
@@ -305,6 +305,9 @@ func (idx *Index) validate(docs int) error {
 		if lo > hi {
 			return fmt.Errorf("%w: doc %d offsets decrease", ErrBadIndex, d)
 		}
+		if int(hi) > len(idx.DocTerms) {
+			return fmt.Errorf("%w: doc %d offsets run past %d doc terms", ErrBadIndex, d, len(idx.DocTerms))
+		}
 		for i := lo; i < hi; i++ {
 			if int(idx.DocTerms[i]) >= vocabLen {
 				return fmt.Errorf("%w: doc %d references term %d beyond vocabulary %d", ErrBadIndex, d, idx.DocTerms[i], vocabLen)
@@ -318,6 +321,9 @@ func (idx *Index) validate(docs int) error {
 		lo, hi := idx.PostOff[t], idx.PostOff[t+1]
 		if lo > hi {
 			return fmt.Errorf("%w: term %d posting offsets decrease", ErrBadIndex, t)
+		}
+		if int(hi) > len(idx.PostDocs) {
+			return fmt.Errorf("%w: term %d posting offsets run past %d postings", ErrBadIndex, t, len(idx.PostDocs))
 		}
 		for i := lo; i < hi; i++ {
 			if int(idx.PostDocs[i]) >= docs || idx.PostDocs[i] < 0 {
@@ -469,8 +475,8 @@ func (m *Matcher) RankInto(q Query, k int, dst []Result) []Result {
 // fillResult materializes one selected candidate into a Result.
 func (m *Matcher) fillResult(a *arena, c cand, r *Result) {
 	food := m.db.At(int(c.doc))
-	r.NDB = food.NDB
-	r.Desc = food.Desc
+	r.NDB = food.NDB()
+	r.Desc = food.Desc()
 	r.Score = c.score
 	r.Priority = int(c.pri)
 	r.RawBonus = c.raw
@@ -580,4 +586,7 @@ func (m *Matcher) getArena() *arena {
 	return m.arenas.Get().(*arena)
 }
 
-func (m *Matcher) putArena(a *arena) { m.arenas.Put(a) }
+func (m *Matcher) putArena(a *arena) {
+	a.trim()
+	m.arenas.Put(a)
+}

@@ -1,6 +1,7 @@
 package match
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -334,5 +335,33 @@ func BenchmarkMatchLargeDB(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Match(q)
+	}
+}
+
+// TestNewFromIndexRejectsOffsetsPastArrays: a CSR offset that runs past
+// its array mid-way, yet ends where the array does, must fail
+// validation rather than panic the validator (a case FuzzLoad found).
+func TestNewFromIndexRejectsOffsetsPastArrays(t *testing.T) {
+	db := usda.MustNewDB([]usda.Food{{NDB: 1, Desc: "a"}, {NDB: 2, Desc: "b"}})
+	valid := func() *Index {
+		return &Index{
+			Terms: []string{"a", "b"}, HasRaw: []bool{false, false},
+			DocTerms: []uint32{0, 1}, DocOff: []int32{0, 1, 2},
+			PostDocs: []int32{0, 1}, PostPri: []int32{1, 1}, PostOff: []int32{0, 1, 2},
+		}
+	}
+	if _, err := NewFromIndex(db, DefaultOptions(), valid()); err != nil {
+		t.Fatalf("valid index rejected: %v", err)
+	}
+	// Each tampered span stays sorted up to the array's end, so only the
+	// bound on the offset stops the validator reading past it.
+	docs := valid()
+	docs.DocOff[1] = 7
+	posts := valid()
+	posts.PostOff[1] = 7
+	for name, idx := range map[string]*Index{"doc offsets": docs, "posting offsets": posts} {
+		if _, err := NewFromIndex(db, DefaultOptions(), idx); !errors.Is(err, ErrBadIndex) {
+			t.Errorf("%s: err = %v, want %v", name, err, ErrBadIndex)
+		}
 	}
 }

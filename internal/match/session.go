@@ -34,6 +34,15 @@ func (s *Session) Close() {
 	}
 }
 
+// Trim drops the pinned arena's query-sized buffers if an oversized
+// query grew them; owners that keep a Session between batches call it
+// on release.
+func (s *Session) Trim() {
+	if s.a != nil {
+		s.a.trim()
+	}
+}
+
 // Match is Matcher.Match on the pinned arena.
 func (s *Session) Match(q Query) (Result, bool) {
 	cands := s.m.rankCands(s.a, q, 1)

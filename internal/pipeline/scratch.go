@@ -37,6 +37,15 @@ type unitHit struct {
 // entry-wise to keep the hot path branch-free.
 const maxScratchEntries = 4096
 
+// maxRetainedPhrase is the longest phrase whose state a Scratch keeps
+// once released (Trim). Its buffers grow to the longest phrase it has
+// seen (tokens, tags, lemmas, Viterbi rows: tens of bytes per token)
+// and its memo maps clone the tokens they key on, so one pathological
+// phrase near the request-body limit would otherwise pin several times
+// its own size for as long as the Scratch lives in a pool or a worker
+// environment. Real ingredient phrases are well under 200 bytes.
+const maxRetainedPhrase = 4 << 10
+
 // Scratch is the arena. The zero value is ready to use; buffers grow to
 // the corpus' longest phrase and then stop allocating. Not safe for
 // concurrent use.
@@ -55,6 +64,8 @@ type Scratch struct {
 
 	keyBuf  []byte // phrase-cache key scratch
 	qkeyBuf []byte // match-cache key scratch (distinct: both live at once)
+
+	longest int // longest phrase tokenized since the scratch was last reset
 }
 
 // Tokenize resets the scratch to a new phrase and returns its tokens.
@@ -65,6 +76,7 @@ type Scratch struct {
 // keeps, the rule that already covers phrases viewing a caller-reused
 // buffer.
 func (sc *Scratch) Tokenize(phrase string) []string {
+	sc.longest = max(sc.longest, len(phrase))
 	sc.tokens = textutil.AppendTokensFolded(sc.tokens[:0], phrase, &sc.folder)
 	sc.haveLemmas = false
 	return sc.tokens
@@ -222,6 +234,26 @@ func Stats() PoolStats {
 // Get checks a Scratch out of the pool.
 func Get() *Scratch { poolGets.Add(1); return pool.Get().(*Scratch) }
 
-// Put returns a Scratch to the pool. The caller must not retain any
-// alias into it afterwards.
-func Put(sc *Scratch) { pool.Put(sc) }
+// Put returns a Scratch to the pool, trimmed. The caller must not
+// retain any alias into it afterwards.
+func Put(sc *Scratch) {
+	sc.Trim()
+	pool.Put(sc)
+}
+
+// Trim readies the scratch to be kept between requests. It drops the
+// last phrase's token views, which would otherwise pin the buffer the
+// phrase was read into (a pooled batch buffer can be megabytes). If a
+// phrase longer than maxRetainedPhrase went through it since the last
+// reset, it resets the scratch to its zero value, dropping every buffer
+// and memo; otherwise the memos stay warm. Owners that keep a Scratch
+// across requests (the pool, worker environments, the serving layer's
+// per-request arenas) call it on release.
+func (sc *Scratch) Trim() {
+	if sc.longest > maxRetainedPhrase {
+		*sc = Scratch{}
+		return
+	}
+	clear(sc.tokens[:cap(sc.tokens)])
+	sc.tokens = sc.tokens[:0]
+}

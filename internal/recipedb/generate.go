@@ -240,7 +240,7 @@ func firstKey(m map[int]bool) int {
 
 // foodFor resolves the entry's food: the primary table for ordinary
 // entries, the FAO-style regional table for regional ones.
-func (g *generator) foodFor(e *catalogEntry) (*usda.Food, bool) {
+func (g *generator) foodFor(e *catalogEntry) (usda.Row, bool) {
 	if e.regional {
 		return usda.Regional().ByNDB(e.ndb)
 	}
@@ -253,7 +253,7 @@ func (g *generator) goldProfile(e *catalogEntry, grams float64) nutrition.Profil
 	if !ok {
 		return nutrition.Profile{}
 	}
-	return food.Per100g.ForGrams(grams)
+	return food.Per100g().ForGrams(grams)
 }
 
 // ingredient renders one catalog entry into a noisy phrase with gold
@@ -278,7 +278,8 @@ func (g *generator) pickWeight(e *catalogEntry, pred func(canonical string, kind
 		return nil
 	}
 	var cands []usda.Weight
-	for _, w := range food.Weights {
+	for j := 0; j < food.NumWeights(); j++ {
+		w := food.Weight(j)
 		name, known := units.Normalize(w.Unit)
 		if !known {
 			continue
@@ -312,8 +313,8 @@ func (g *generator) smallestWeight(e *catalogEntry, kind units.Kind) *usda.Weigh
 		return nil
 	}
 	var best *usda.Weight
-	for i := range food.Weights {
-		w := &food.Weights[i]
+	for j := 0; j < food.NumWeights(); j++ {
+		w := food.Weight(j)
 		name, known := units.Normalize(w.Unit)
 		if !known {
 			continue
@@ -322,14 +323,10 @@ func (g *generator) smallestWeight(e *catalogEntry, kind units.Kind) *usda.Weigh
 			continue
 		}
 		if best == nil || w.GramsPerOne() < best.GramsPerOne() {
-			best = w
+			best = &w
 		}
 	}
-	if best == nil {
-		return nil
-	}
-	cp := *best
-	return &cp
+	return best
 }
 
 // maxGoldGramsPerLine caps the true weight of one ingredient line so the
@@ -362,8 +359,8 @@ func (g *generator) countIngredient(e *catalogEntry) Ingredient {
 		// No usable count/size row: fall back to the food's first weight
 		// row for the TRUE weight (the pipeline may still fail to map
 		// the unit — that gap is exactly what Fig. 2 measures).
-		if food, ok := g.foodFor(e); ok && len(food.Weights) > 0 {
-			gramsPerOne = food.Weights[0].GramsPerOne()
+		if food, ok := g.foodFor(e); ok && food.NumWeights() > 0 {
+			gramsPerOne = food.Weight(0).GramsPerOne()
 		}
 		if gramsPerOne == 0 {
 			gramsPerOne = 50

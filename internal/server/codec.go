@@ -67,6 +67,7 @@ func putServeScratch(sc *serveScratch) {
 	if cap(sc.body)+cap(sc.out) > maxPooledScratch {
 		return
 	}
+	sc.pipe.Trim()
 	scratchPool.Put(sc)
 }
 

@@ -130,7 +130,7 @@ func TestReloadSwapsDatabase(t *testing.T) {
 	seed := usda.Seed()
 	foods := make([]usda.Food, seed.Len())
 	for i := range foods {
-		f := *seed.At(i)
+		f := seed.At(i).Food()
 		f.Per100g = f.Per100g.Scale(2)
 		foods[i] = f
 	}
@@ -185,7 +185,7 @@ func TestReloadUnderConcurrentTraffic(t *testing.T) {
 	seed := usda.Seed()
 	foods := make([]usda.Food, seed.Len())
 	for i := range foods {
-		f := *seed.At(i)
+		f := seed.At(i).Food()
 		f.Per100g = f.Per100g.Scale(3)
 		foods[i] = f
 	}

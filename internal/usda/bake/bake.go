@@ -22,16 +22,17 @@
 // precomputed canonical-unit resolutions, the interned vocabulary, and
 // the CSR document/posting arrays of match.Index. Every string lives
 // in one deduplicated blob and is referenced as (offset, length), so
-// the loader reconstructs the whole database from a single file read:
-// on a little-endian host each numeric section is a direct slice cast
-// into the image buffer and each string a view into the blob — about a
-// dozen allocations total, independent of food count (a copying
-// fallback keeps big-endian or misaligned hosts correct).
+// the loader adopts the whole database from a single file read: on a
+// little-endian host each section is a direct slice cast into the image
+// buffer and becomes a usda.DB column as it is, so the image is the
+// table's only resident copy and a load makes the same dozen
+// allocations whatever the food count (a copying fallback keeps
+// big-endian or misaligned hosts correct).
 //
 // Integrity is checked before any section is interpreted: bad magic,
 // unsupported version, truncation and checksum mismatch are rejected
 // with the structured sentinels below, and structural validation
-// (match.NewFromIndex, usda.AssembleBaked) rejects semantically
+// (usda.FromColumns, then match.NewFromIndex) rejects semantically
 // corrupt arrays — a baked image can fail to load, never panic.
 package bake
 
@@ -65,25 +66,6 @@ var (
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// blobBuilder accumulates the deduplicated string blob.
-type blobBuilder struct {
-	data []byte
-	offs map[string]uint32
-}
-
-// add returns the (offset, length) of s in the blob, appending it on
-// first sight. Unit spellings and canonical names repeat heavily
-// across foods, so dedup shrinks the blob severalfold.
-func (b *blobBuilder) add(s string) (uint32, uint32) {
-	if off, ok := b.offs[s]; ok {
-		return off, uint32(len(s))
-	}
-	off := uint32(len(b.data))
-	b.offs[s] = off
-	b.data = append(b.data, s...)
-	return off, uint32(len(s))
-}
 
 func pad8(b []byte) []byte {
 	for len(b)%8 != 0 {
@@ -129,7 +111,7 @@ func BakeBytes(db *usda.DB, idx *match.Index) ([]byte, error) {
 
 	// Gather the per-food and per-weight-row columns, interning every
 	// string into the blob.
-	blob := &blobBuilder{offs: make(map[string]uint32, 4096)}
+	var blob usda.BlobBuilder
 	foodNDB := make([]int32, n)
 	descOff := make([]uint32, n)
 	descLen := make([]uint32, n)
@@ -141,21 +123,22 @@ func BakeBytes(db *usda.DB, idx *match.Index) ([]byte, error) {
 	var wKnown []byte
 	for i := 0; i < n; i++ {
 		f := db.At(i)
-		foodNDB[i] = int32(f.NDB)
-		descOff[i], descLen[i] = blob.add(f.Desc)
-		p := f.Per100g
+		foodNDB[i] = int32(f.NDB())
+		descOff[i], descLen[i] = blob.Add(f.Desc())
+		p := f.Per100g()
 		nutrients = append(nutrients,
 			p.EnergyKcal, p.ProteinG, p.FatG, p.CarbsG, p.FiberG, p.SugarG,
 			p.CalciumMg, p.IronMg, p.SodiumMg, p.VitCMg, p.CholMg)
-		weightCount[i] = uint32(len(f.Weights))
-		for j, w := range f.Weights {
+		weightCount[i] = uint32(f.NumWeights())
+		for j := 0; j < f.NumWeights(); j++ {
+			w := f.Weight(j)
 			name, known := f.WeightUnit(j)
 			wSeq = append(wSeq, int32(w.Seq))
 			wAmount = append(wAmount, w.Amount)
 			wGrams = append(wGrams, w.Grams)
-			uo, ul := blob.add(w.Unit)
+			uo, ul := blob.Add(w.Unit)
 			wUnitOff, wUnitLen = append(wUnitOff, uo), append(wUnitLen, ul)
-			co, cl := blob.add(name)
+			co, cl := blob.Add(name)
 			wCanonOff, wCanonLen = append(wCanonOff, co), append(wCanonLen, cl)
 			k := byte(0)
 			if known {
@@ -167,7 +150,7 @@ func BakeBytes(db *usda.DB, idx *match.Index) ([]byte, error) {
 	termOff := make([]uint32, len(idx.Terms))
 	termLen := make([]uint32, len(idx.Terms))
 	for t, term := range idx.Terms {
-		termOff[t], termLen[t] = blob.add(term)
+		termOff[t], termLen[t] = blob.Add(term)
 	}
 	hasRaw := make([]byte, n)
 	for i, r := range idx.HasRaw {
@@ -177,11 +160,12 @@ func BakeBytes(db *usda.DB, idx *match.Index) ([]byte, error) {
 	}
 
 	// Counts block + sections, in the fixed order load.go mirrors.
-	payload := make([]byte, 0, 64+len(blob.data)+16*n)
+	blobData := blob.String()
+	payload := make([]byte, 0, 64+len(blobData)+16*n)
 	for _, c := range [countsLen]uint64{
 		uint64(n), uint64(len(wSeq)), uint64(len(idx.Terms)),
 		uint64(len(idx.DocTerms)), uint64(len(idx.PostDocs)),
-		uint64(len(blob.data)), 0, 0,
+		uint64(len(blobData)), 0, 0,
 	} {
 		payload = binary.LittleEndian.AppendUint64(payload, c)
 	}
@@ -206,7 +190,7 @@ func BakeBytes(db *usda.DB, idx *match.Index) ([]byte, error) {
 	payload = putI32s(payload, idx.PostDocs)
 	payload = putI32s(payload, idx.PostPri)
 	payload = putI32s(payload, idx.PostOff)
-	payload = pad8(append(payload, blob.data...))
+	payload = pad8(append(payload, blobData...))
 
 	img := make([]byte, 0, headerSize+len(payload))
 	img = append(img, magic...)

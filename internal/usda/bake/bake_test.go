@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"nutriprofile/internal/match"
@@ -59,8 +60,19 @@ func TestRoundTrip(t *testing.T) {
 				t.Fatalf("Len = %d, want %d", ld.DB.Len(), tc.db.Len())
 			}
 			for i := 0; i < tc.db.Len(); i++ {
-				if !reflect.DeepEqual(ld.DB.At(i), tc.db.At(i)) {
-					t.Fatalf("food %d differs:\n got %+v\nwant %+v", i, ld.DB.At(i), tc.db.At(i))
+				got, want := ld.DB.At(i), tc.db.At(i)
+				if g, w := got.Food(), want.Food(); !reflect.DeepEqual(g, w) {
+					t.Fatalf("food %d differs:\n got %+v\nwant %+v", i, g, w)
+				}
+				for j := 0; j < want.NumWeights(); j++ {
+					gn, gk := got.WeightUnit(j)
+					wn, wk := want.WeightUnit(j)
+					if gn != wn || gk != wk {
+						t.Fatalf("food %d weight %d unit (%q,%v), want (%q,%v)", i, j, gn, gk, wn, wk)
+					}
+				}
+				if r, ok := ld.DB.ByNDB(want.NDB()); !ok || r.Desc() != want.Desc() {
+					t.Fatalf("ByNDB(%d) misses food %d", want.NDB(), i)
 				}
 			}
 
@@ -175,7 +187,7 @@ func TestLoadRejectsSemanticCorruption(t *testing.T) {
 	img, _ := bakeSeed(t)
 
 	// The foodNDB section starts right after the counts block. Zeroing
-	// the first NDB violates AssembleBaked's ascending-positive invariant.
+	// the first NDB violates usda.FromColumns' ascending-positive invariant.
 	off := headerSize + countsLen*8
 	bad := bytes.Clone(img)
 	binary.LittleEndian.PutUint32(bad[off:], 0)
@@ -215,5 +227,55 @@ func TestLoadedIndexFailsMatcherValidationWhenTampered(t *testing.T) {
 	idx.DocTerms = tampered
 	if _, err := match.NewFromIndex(ld.DB, match.DefaultOptions(), &idx); !errors.Is(err, match.ErrBadIndex) {
 		t.Fatalf("err = %v, want %v", err, match.ErrBadIndex)
+	}
+}
+
+// TestLoadResidentSize pins what a loaded table costs: the image is its
+// only resident copy. Load makes the same number of allocations at 1.2k
+// and 8.2k foods, and a LoadFile'd table keeps at most the image's
+// bytes, plus 8 B per food, plus 64 KiB live after a collection.
+func TestLoadResidentSize(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	liveHeap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	allocs := map[int]float64{}
+	for _, extra := range []int{500, 7500} {
+		db := usda.Merged(extra, 1)
+		foods := db.Len()
+		img, err := BakeBytes(db, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs[extra] = testing.AllocsPerRun(20, func() {
+			if _, err := Load(img); err != nil {
+				t.Fatal(err)
+			}
+		})
+		path := filepath.Join(t.TempDir(), "db.img")
+		if err := os.WriteFile(path, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		size := len(img)
+		db, img = nil, nil
+
+		before := liveHeap()
+		ld, err := LoadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		retained := int(liveHeap()) - int(before)
+		runtime.KeepAlive(ld)
+		if limit := size + 8*foods + 64<<10; retained > limit {
+			t.Errorf("%d foods: LoadFile retains %d B for a %d B image, want at most %d", foods, retained, size, limit)
+		}
+	}
+	if allocs[500] != allocs[7500] {
+		t.Errorf("Load allocates %v times at Merged(500) but %v at Merged(7500)", allocs[500], allocs[7500])
 	}
 }

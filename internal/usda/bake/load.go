@@ -1,18 +1,30 @@
 package bake
 
-// Image decoding. The hot property is that load cost does not scale
-// with food count: on a little-endian host every numeric section is an
-// unsafe.Slice view into the image buffer and every string an
-// unsafe.String view into the blob, so the only O(n) work is filling
-// the flat Food/Weight arrays from the column views and presizing the
-// NDB map — no parsing, no unit normalization, no re-interning, no
-// re-indexing. Misaligned or big-endian hosts transparently take a
+// Image decoding. Load does no per-food work: on a little-endian host
+// every numeric section is an unsafe.Slice view into the image buffer
+// and the string blob an unsafe.String view of it, and the sections
+// become the usda.DB's columns as they are (usda.FromColumns) — the
+// image is the table's only resident copy, and a pointer-free []byte
+// the garbage collector never scans. The only per-food allocations
+// are the DB's weight-row offsets and the index's HasRaw flags, each
+// one array. Misaligned or big-endian hosts transparently take a
 // copying path with identical results.
+//
+// Every range and offset an accessor follows is checked once, here,
+// before Load returns: the CRC, section bounds, the weight-count sum,
+// NDB order, and the blob range of every description, unit,
+// canonical-unit and term string. The matcher index's own structure
+// (CSR offsets, term and document IDs) is checked by
+// match.NewFromIndex, which every consumer of a Loaded runs to build
+// its matcher.
 //
 // Everything returned by Load aliases the image buffer; callers must
 // treat the buffer as immutable for the lifetime of the returned DB
 // and Index (LoadFile owns its buffer privately, so this only concerns
-// direct Load callers).
+// direct Load callers). LoadFile reads the file into the Go heap rather
+// than mapping it: strings a DB hands out (descriptions, units) may
+// outlive the snapshot after an /admin/reload, and a heap buffer stays
+// valid for as long as any of them does.
 
 import (
 	"encoding/binary"
@@ -33,6 +45,15 @@ var hostLittle = func() bool {
 	x := uint16(0x0102)
 	return *(*byte)(unsafe.Pointer(&x)) == 0x02
 }()
+
+// The nutrient section stores 11 float64s per food in nutrition.Profile
+// field order, so Load views it as []nutrition.Profile. These fail to
+// compile if Profile stops being exactly 11 float64s; TestRoundTrip
+// pins the field order.
+var (
+	_ [unsafe.Sizeof(nutrition.Profile{}) - 11*8]byte
+	_ [11*8 - unsafe.Sizeof(nutrition.Profile{})]byte
+)
 
 // Loaded is a decoded image: the database, the matcher index, and the
 // image identity (size + checksum) for observability.
@@ -137,18 +158,6 @@ func (c *cursor) float64s(n int) ([]float64, error) {
 		return nil, err
 	}
 	return unsafe.Slice((*float64)(unsafe.Pointer(&us[0])), n), nil
-}
-
-// blobString views (off, ln) into the blob; zero-length strings avoid
-// touching the blob so empty blobs stay valid.
-func blobString(blob []byte, off, ln uint32) (string, error) {
-	if uint64(off)+uint64(ln) > uint64(len(blob)) {
-		return "", fmt.Errorf("%w: string (%d,%d) beyond blob of %d bytes", ErrCorrupt, off, ln, len(blob))
-	}
-	if ln == 0 {
-		return "", nil
-	}
-	return unsafe.String(&blob[off], int(ln)), nil
 }
 
 // Load decodes an image. data must stay immutable while the returned
@@ -296,64 +305,33 @@ func Load(data []byte) (*Loaded, error) {
 		return nil, fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, len(payload)-c.off)
 	}
 
-	// Assemble the database: flat backing arrays, subsliced per food.
-	weightSum := 0
-	for _, wc := range weightCount {
-		weightSum += int(wc)
-		if weightSum > nWeights {
-			return nil, fmt.Errorf("%w: weight counts exceed %d rows", ErrCorrupt, nWeights)
-		}
+	// Adopt the sections as the table's columns: no per-food copy.
+	// FromColumns checks the weight-count sum, NDB order and every
+	// description and unit range before anything reads them.
+	var blobStr string
+	if len(blob) > 0 {
+		blobStr = unsafe.String(&blob[0], len(blob))
 	}
-	if weightSum != nWeights {
-		return nil, fmt.Errorf("%w: weight counts sum to %d, image carries %d rows", ErrCorrupt, weightSum, nWeights)
+	var per100g []nutrition.Profile
+	if nFoods > 0 {
+		per100g = unsafe.Slice((*nutrition.Profile)(unsafe.Pointer(&nutrients[0])), nFoods)
 	}
-	weights := make([]usda.Weight, nWeights)
-	canon := make([]usda.BakedUnit, nWeights)
-	for i := range weights {
-		unit, err := blobString(blob, wUnitOff[i], wUnitLen[i])
-		if err != nil {
-			return nil, err
-		}
-		cname, err := blobString(blob, wCanonOff[i], wCanonLen[i])
-		if err != nil {
-			return nil, err
-		}
-		weights[i] = usda.Weight{
-			Seq: int(wSeq[i]), Amount: wAmount[i], Unit: unit, Grams: wGrams[i],
-		}
-		canon[i] = usda.BakedUnit{Name: cname, Known: wKnown[i] != 0}
-	}
-	foods := make([]usda.Food, nFoods)
-	woff := 0
-	for i := range foods {
-		desc, err := blobString(blob, descOff[i], descLen[i])
-		if err != nil {
-			return nil, err
-		}
-		nv := nutrients[i*11 : i*11+11]
-		wn := int(weightCount[i])
-		foods[i] = usda.Food{
-			NDB:  int(foodNDB[i]),
-			Desc: desc,
-			Per100g: nutrition.Profile{
-				EnergyKcal: nv[0], ProteinG: nv[1], FatG: nv[2], CarbsG: nv[3],
-				FiberG: nv[4], SugarG: nv[5], CalciumMg: nv[6], IronMg: nv[7],
-				SodiumMg: nv[8], VitCMg: nv[9], CholMg: nv[10],
-			},
-			Weights: weights[woff : woff+wn : woff+wn],
-		}
-		woff += wn
-	}
-	db, err := usda.AssembleBaked(foods, canon)
+	db, err := usda.FromColumns(usda.Columns{
+		NDB: foodNDB, DescOff: descOff, DescLen: descLen, Per100g: per100g, WeightCount: weightCount,
+		Seq: wSeq, Amount: wAmount, Grams: wGrams, UnitOff: wUnitOff, UnitLen: wUnitLen,
+		CanonOff: wCanonOff, CanonLen: wCanonLen, Known: wKnown, Blob: blobStr,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 
 	terms := make([]string, nTerms)
 	for t := range terms {
-		if terms[t], err = blobString(blob, termOff[t], termLen[t]); err != nil {
-			return nil, err
+		off, ln := termOff[t], termLen[t]
+		if uint64(off)+uint64(ln) > uint64(len(blobStr)) {
+			return nil, fmt.Errorf("%w: term (%d,%d) beyond blob of %d bytes", ErrCorrupt, off, ln, len(blobStr))
 		}
+		terms[t] = blobStr[off : off+ln]
 	}
 	hasRaw := make([]bool, nFoods)
 	for i, b := range hasRawBytes {

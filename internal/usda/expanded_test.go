@@ -15,7 +15,7 @@ func TestNoDuplicateDescriptions(t *testing.T) {
 	db := Seed()
 	seen := map[string]int{}
 	for i := 0; i < db.Len(); i++ {
-		f := db.At(i)
+		f := db.At(i).Food()
 		if prev, dup := seen[f.Desc]; dup {
 			t.Errorf("description %q duplicated at NDB %d and %d", f.Desc, prev, f.NDB)
 		}
@@ -43,7 +43,7 @@ func TestSRGroupConventions(t *testing.T) {
 	}
 	db := Seed()
 	for i := 0; i < db.Len(); i++ {
-		f := db.At(i)
+		f := db.At(i).Food()
 		if f.NDB >= 40000 {
 			continue // SR's "added foods" range has no group convention
 		}
@@ -71,7 +71,7 @@ func TestCollisionFamiliesGrewSafely(t *testing.T) {
 	}
 	counts := map[string]int{}
 	for i := 0; i < db.Len(); i++ {
-		head := strings.SplitN(db.At(i).Desc, ",", 2)[0]
+		head := strings.SplitN(db.At(i).Desc(), ",", 2)[0]
 		counts[head]++
 	}
 	for head, min := range families {
@@ -88,7 +88,7 @@ func TestEveryFoodHasUsableWeightOrIsPer100g(t *testing.T) {
 	db := Seed()
 	unusable := 0
 	for i := 0; i < db.Len(); i++ {
-		f := db.At(i)
+		f := db.At(i).Food()
 		ok := false
 		for _, w := range f.Weights {
 			if _, known := normalizeUnit(w.Unit); known {

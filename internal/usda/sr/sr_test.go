@@ -98,10 +98,11 @@ func TestParseMinimalRelease(t *testing.T) {
 		t.Fatalf("report = %+v, want %+v", *rep, want)
 	}
 
-	butter, ok := db.ByNDB(1001)
+	row, ok := db.ByNDB(1001)
 	if !ok {
 		t.Fatal("NDB 1001 missing")
 	}
+	butter := row.Food()
 	if butter.Desc != "Butter, salted" {
 		t.Fatalf("desc %q", butter.Desc)
 	}
@@ -113,8 +114,8 @@ func TestParseMinimalRelease(t *testing.T) {
 	}
 
 	creme, _ := db.ByNDB(1002)
-	if creme.Desc != "Crème fraîche" {
-		t.Fatalf("Latin-1 transcoding: desc %q", creme.Desc)
+	if creme.Desc() != "Crème fraîche" {
+		t.Fatalf("Latin-1 transcoding: desc %q", creme.Desc())
 	}
 }
 
@@ -244,8 +245,8 @@ func TestRoundTrip(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got, tc.db) {
 				for i := 0; i < tc.db.Len() && i < got.Len(); i++ {
-					if !reflect.DeepEqual(got.At(i), tc.db.At(i)) {
-						t.Fatalf("food %d differs:\n got %+v\nwant %+v", i, got.At(i), tc.db.At(i))
+					if a, b := got.At(i).Food(), tc.db.At(i).Food(); !reflect.DeepEqual(a, b) {
+						t.Fatalf("food %d differs:\n got %+v\nwant %+v", i, a, b)
 					}
 				}
 				t.Fatal("databases differ")

@@ -52,7 +52,7 @@ func Write(foodDes, nutData, weight io.Writer, db *usda.DB) error {
 
 	for i := 0; i < db.Len(); i++ {
 		f := db.At(i)
-		ndb := fmt.Sprintf("%05d", f.NDB)
+		ndb := fmt.Sprintf("%05d", f.NDB())
 
 		// FOOD_DES: NDB_No^FdGrp_Cd^Long_Desc^Shrt_Desc^ComName^
 		// ManufacName^Survey^Ref_desc^Refuse^SciName^N_Factor^
@@ -62,9 +62,9 @@ func Write(foodDes, nutData, weight io.Writer, db *usda.DB) error {
 		line = append(line, '^')
 		line = appendQuoted(line, "0100")
 		line = append(line, '^')
-		line = appendQuoted(line, f.Desc)
+		line = appendQuoted(line, f.Desc())
 		line = append(line, '^')
-		line = appendQuoted(line, f.Desc)
+		line = appendQuoted(line, f.Desc())
 		line = append(line, "^~~^~~^~~^~~^0^~~^^^^"...) // blank optional fields
 		line = append(line, "\r\n"...)
 		if _, err := fd.Write(line); err != nil {
@@ -74,11 +74,10 @@ func Write(foodDes, nutData, weight io.Writer, db *usda.DB) error {
 		// NUT_DATA: NDB_No^Nutr_No^Nutr_Val^Num_Data_Pts^Std_Error^
 		// Src_Cd^Deriv_Cd^Ref_NDB_No^Add_Nutr_Mark^Num_Studies^Min^Max^
 		// DF^Low_EB^Up_EB^Stat_cmt^AddMod_Date^CC
+		p := f.Per100g()
 		vals := [11]float64{
-			f.Per100g.EnergyKcal, f.Per100g.ProteinG, f.Per100g.FatG,
-			f.Per100g.CarbsG, f.Per100g.FiberG, f.Per100g.SugarG,
-			f.Per100g.CalciumMg, f.Per100g.IronMg, f.Per100g.SodiumMg,
-			f.Per100g.VitCMg, f.Per100g.CholMg,
+			p.EnergyKcal, p.ProteinG, p.FatG, p.CarbsG, p.FiberG, p.SugarG,
+			p.CalciumMg, p.IronMg, p.SodiumMg, p.VitCMg, p.CholMg,
 		}
 		for slot, no := range srNutrients {
 			v := vals[slot]
@@ -99,7 +98,8 @@ func Write(foodDes, nutData, weight io.Writer, db *usda.DB) error {
 		}
 
 		// WEIGHT: NDB_No^Seq^Amount^Msre_Desc^Gm_Wgt^Num_Data_Pts^Std_Dev
-		for _, w := range f.Weights {
+		for j := 0; j < f.NumWeights(); j++ {
+			w := f.Weight(j)
 			line = line[:0]
 			line = appendQuoted(line, ndb)
 			line = append(line, '^')

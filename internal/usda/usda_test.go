@@ -20,9 +20,9 @@ func TestSeedLoads(t *testing.T) {
 func TestSeedOrderedByNDB(t *testing.T) {
 	db := Seed()
 	for i := 1; i < db.Len(); i++ {
-		if db.At(i-1).NDB >= db.At(i).NDB {
+		if db.At(i-1).NDB() >= db.At(i).NDB() {
 			t.Fatalf("seed not NDB-ordered at %d: %d ≥ %d (%q / %q)",
-				i, db.At(i-1).NDB, db.At(i).NDB, db.At(i-1).Desc, db.At(i).Desc)
+				i, db.At(i-1).NDB(), db.At(i).NDB(), db.At(i-1).Desc(), db.At(i).Desc())
 		}
 	}
 }
@@ -54,7 +54,7 @@ func TestSeedTableII(t *testing.T) {
 	descs := map[string]bool{}
 	db := Seed()
 	for i := 0; i < db.Len(); i++ {
-		descs[db.At(i).Desc] = true
+		descs[db.At(i).Desc()] = true
 	}
 	for _, d := range wanted {
 		if !descs[d] {
@@ -88,7 +88,7 @@ func TestSeedTableIII(t *testing.T) {
 	descs := map[string]bool{}
 	db := Seed()
 	for i := 0; i < db.Len(); i++ {
-		descs[db.At(i).Desc] = true
+		descs[db.At(i).Desc()] = true
 	}
 	for _, d := range wanted {
 		if !descs[d] {
@@ -106,7 +106,7 @@ func TestTableIVButter(t *testing.T) {
 		t.Fatal("Butter, salted (NDB 1001) missing")
 	}
 	want := map[string]float64{"pat": 5.0, "tbsp": 14.2, "cup": 227.0, "stick": 113.0}
-	for _, wt := range butter.Weights {
+	for _, wt := range butter.Food().Weights {
 		first := strings.Fields(wt.Unit)[0]
 		if g, ok := want[first]; ok {
 			if wt.GramsPerOne() != g {
@@ -176,10 +176,10 @@ func TestNewDBSorts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if db.At(0).NDB != 10 || db.At(1).NDB != 20 || db.At(2).NDB != 30 {
+	if db.At(0).NDB() != 10 || db.At(1).NDB() != 20 || db.At(2).NDB() != 30 {
 		t.Error("NewDB did not sort by NDB")
 	}
-	if f, ok := db.ByNDB(20); !ok || f.Desc != "B" {
+	if f, ok := db.ByNDB(20); !ok || f.Desc() != "B" {
 		t.Error("ByNDB broken after sort")
 	}
 	if _, ok := db.ByNDB(999); ok {
@@ -201,7 +201,7 @@ func TestCSVRoundTrip(t *testing.T) {
 		t.Fatalf("round trip: %d foods, want %d", back.Len(), db.Len())
 	}
 	for i := 0; i < db.Len(); i++ {
-		a, b := db.At(i), back.At(i)
+		a, b := db.At(i).Food(), back.At(i).Food()
 		if a.NDB != b.NDB || a.Desc != b.Desc || a.Per100g != b.Per100g {
 			t.Fatalf("food %d mismatch after round trip:\n%+v\n%+v", i, a, b)
 		}
@@ -237,7 +237,7 @@ func TestReadCSVErrors(t *testing.T) {
 func TestSeedProfilesPlausible(t *testing.T) {
 	db := Seed()
 	for i := 0; i < db.Len(); i++ {
-		f := db.At(i)
+		f := db.At(i).Food()
 		if !f.Per100g.Valid() {
 			t.Errorf("NDB %d %q: invalid profile", f.NDB, f.Desc)
 		}
@@ -259,9 +259,9 @@ func TestSeedProfilesPlausible(t *testing.T) {
 func TestSeedDescriptionsCommaStructured(t *testing.T) {
 	db := Seed()
 	for i := 0; i < db.Len(); i++ {
-		d := db.At(i).Desc
+		d := db.At(i).Desc()
 		if strings.TrimSpace(d) != d || d == "" {
-			t.Errorf("NDB %d: badly trimmed description %q", db.At(i).NDB, d)
+			t.Errorf("NDB %d: badly trimmed description %q", db.At(i).NDB(), d)
 		}
 	}
 }
@@ -274,7 +274,7 @@ func TestSynthetic(t *testing.T) {
 	// Deterministic for the same seed.
 	db2 := Synthetic(500, 42)
 	for i := 0; i < db.Len(); i++ {
-		if db.At(i).Desc != db2.At(i).Desc {
+		if db.At(i).Desc() != db2.At(i).Desc() {
 			t.Fatalf("Synthetic not deterministic at %d", i)
 		}
 	}
@@ -282,7 +282,7 @@ func TestSynthetic(t *testing.T) {
 	db3 := Synthetic(500, 43)
 	same := 0
 	for i := 0; i < db.Len(); i++ {
-		if db.At(i).Desc == db3.At(i).Desc {
+		if db.At(i).Desc() == db3.At(i).Desc() {
 			same++
 		}
 	}
@@ -292,10 +292,10 @@ func TestSynthetic(t *testing.T) {
 	// No duplicate descriptions.
 	seen := map[string]bool{}
 	for i := 0; i < db.Len(); i++ {
-		if seen[db.At(i).Desc] {
-			t.Fatalf("duplicate synthetic description %q", db.At(i).Desc)
+		if seen[db.At(i).Desc()] {
+			t.Fatalf("duplicate synthetic description %q", db.At(i).Desc())
 		}
-		seen[db.At(i).Desc] = true
+		seen[db.At(i).Desc()] = true
 	}
 }
 
@@ -315,7 +315,7 @@ func TestSyntheticProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		db := Synthetic(50, seed)
 		for i := 0; i < db.Len(); i++ {
-			fo := db.At(i)
+			fo := db.At(i).Food()
 			if !fo.Per100g.Valid() {
 				return false
 			}
