@@ -136,18 +136,19 @@ serve-smoke:
 
 # Run nutriprofile and dbtool end to end: nutriprofile -stats on three
 # phrases (its matcher lines print unconditionally), nutriprofile -batch
-# on two recipe files written to a temp dir, and dbtool -search. Each
-# must exit 0. CI runs this in the serve-smoke job.
+# -workers 2 on two recipe files written to a temp dir (two recipes on a
+# two-worker pool), and dbtool -search. Each must exit 0. CI runs this
+# in the serve-smoke job.
 cli-smoke:
 	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) build -o "$$dir/nutriprofile" ./cmd/nutriprofile; \
 	$(GO) build -o "$$dir/dbtool" ./cmd/dbtool; \
-	"$$dir/nutriprofile" -stats -workers 2 "2 cups flour" "1 cup sugar" "2 eggs" >"$$dir/stats.txt"; \
+	"$$dir/nutriprofile" -stats "2 cups flour" "1 cup sugar" "2 eggs" >"$$dir/stats.txt"; \
 	grep -q '^matcher prune:' "$$dir/stats.txt" || \
 		{ echo "cli-smoke: nutriprofile -stats printed no matcher prune line" >&2; exit 1; }; \
 	printf 'Pancakes\nServes 4\nIngredients:\n1 1/2 cups all-purpose flour\n2 eggs\n1 1/4 cups milk\nInstructions:\nWhisk and fry.\n' >"$$dir/pancakes.txt"; \
 	printf 'Garlic Butter\nServes 2\nIngredients:\n1/2 cup butter , softened\n2 cloves garlic , minced\nInstructions:\nMash together.\n' >"$$dir/butter.txt"; \
-	"$$dir/nutriprofile" -batch "$$dir/pancakes.txt" "$$dir/butter.txt" >/dev/null; \
+	"$$dir/nutriprofile" -batch -workers 2 "$$dir/pancakes.txt" "$$dir/butter.txt" >/dev/null; \
 	"$$dir/dbtool" -search "raw chicken" >/dev/null; \
 	echo "cli-smoke: nutriprofile -stats, nutriprofile -batch and dbtool -search OK"
 

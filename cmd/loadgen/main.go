@@ -113,9 +113,9 @@ func main() {
 		// -cold salts the wire copy only: every bulk phrase gets a
 		// globally unique (out-of-vocabulary) trailing token, so no two
 		// lines share a normalized token stream and every single phrase
-		// misses the phrase cache and the slot L1s — the matcher pays
-		// full ranking cost for the whole corpus. The interactive mix
-		// and samples keep the unsalted phrases.
+		// misses the phrase cache — the matcher pays full ranking cost
+		// for the whole corpus. The interactive mix and samples keep the
+		// unsalted phrases.
 		wire := line
 		if *cold {
 			salted := make([]string, len(line.Ingredients))

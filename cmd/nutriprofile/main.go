@@ -16,7 +16,8 @@
 // -batch switches to corpus mode: every argument is a plain-text recipe
 // file, estimated concurrently on a -workers-sized pool sharing one
 // memoized estimator (-cache entries); one summary line per recipe is
-// printed in argument order.
+// printed in argument order. Without -batch the recipe's lines run in
+// order on one goroutine.
 //
 // -stats appends the hot path's observability counters to either mode:
 // phrase/match memoization cache hit rates and the matcher engine's
@@ -46,8 +47,8 @@ func main() {
 	applyYield := flag.Bool("yield", false, "apply the cooking-yield correction (method from the recipe text)")
 	fuzzy := flag.Bool("fuzzy", false, "enable typo-tolerant matching")
 	batch := flag.Bool("batch", false, "treat every argument as a recipe file and estimate them concurrently")
-	workers := flag.Int("workers", 0, "worker pool size for -batch and ingredient estimation (default: one per CPU)")
-	cacheSize := flag.Int("cache", 8192, "result-cache budget in entries: bounds the phrase cache, the match cache and the batch slot L1s; 0 disables")
+	workers := flag.Int("workers", 0, "recipe worker pool size for -batch (default: one per CPU)")
+	cacheSize := flag.Int("cache", 8192, "result-cache budget in entries: bounds the phrase cache and the match cache; 0 disables")
 	cachePolicy := flag.String("cache-policy", "tinylfu", "memo cache admission policy: lru or tinylfu")
 	stats := flag.Bool("stats", false, "print memoization-cache and matcher-engine statistics after estimation")
 	flag.Parse()
@@ -105,7 +106,7 @@ func main() {
 	if !*applyYield {
 		method = yield.None
 	}
-	res, err := e.EstimateRecipe(context.Background(), core.RecipeInput{Phrases: phrases, Servings: *servings, Method: method}, *workers)
+	res, err := e.EstimateRecipe(context.Background(), core.RecipeInput{Phrases: phrases, Servings: *servings, Method: method})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "nutriprofile: %v\n", err)
 		os.Exit(1)

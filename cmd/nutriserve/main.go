@@ -22,7 +22,7 @@
 //
 // Usage:
 //
-//	nutriserve -addr :8080 -cache 8192 -workers 0 -max-in-flight 64
+//	nutriserve -addr :8080 -cache 8192 -max-in-flight 64
 package main
 
 import (
@@ -51,11 +51,10 @@ func main() {
 	maxBody := flag.Int64("max-body", 1<<20, "request body size limit in bytes")
 	drain := flag.Duration("drain", 15*time.Second, "graceful-shutdown drain window for in-flight requests")
 	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint on shed (429) responses")
-	workers := flag.Int("workers", 0, "ingredient worker pool per recipe (0: one per CPU)")
 	batchWindow := flag.Int("batch-window", 0, "NDJSON lines per /v1/batch pipeline window (0: default 64)")
 	batchWorkers := flag.Int("batch-workers", 0, "estimator workers per /v1/batch window (0: half the CPUs)")
 	maxBulkStreams := flag.Int("max-bulk-streams", 0, "concurrently open /v1/batch streams before shedding (0: max-in-flight/4)")
-	cacheSize := flag.Int("cache", 8192, "result-cache budget in entries: bounds the phrase cache, the match cache and the batch slot L1s; 0 disables")
+	cacheSize := flag.Int("cache", 8192, "result-cache budget in entries: bounds the phrase cache and the match cache; 0 disables")
 	cachePolicy := flag.String("cache-policy", "tinylfu", "memo cache admission policy: lru or tinylfu")
 	regional := flag.Bool("regional", false, "use the merged SR+FAO composition table")
 	dbImage := flag.String("db", "", "serve from a baked DB image (cmd/dbbake); enables POST /admin/reload")
@@ -100,7 +99,6 @@ func main() {
 		MaxInFlight:    *maxInFlight,
 		RequestTimeout: *timeout,
 		MaxBodyBytes:   *maxBody,
-		Workers:        *workers,
 		BatchWindow:    *batchWindow,
 		BatchWorkers:   *batchWorkers,
 		MaxBulkStreams: *maxBulkStreams,

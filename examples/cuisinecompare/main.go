@@ -41,7 +41,7 @@ func main() {
 		for j := range rec.Ingredients {
 			phrases[j] = rec.Ingredients[j].Phrase
 		}
-		res, err := estimator.EstimateRecipe(context.Background(), core.RecipeInput{Phrases: phrases, Servings: rec.Servings}, 1)
+		res, err := estimator.EstimateRecipe(context.Background(), core.RecipeInput{Phrases: phrases, Servings: rec.Servings})
 		if err != nil {
 			log.Fatalf("cuisinecompare: recipe %d: %v", rec.ID, err)
 		}

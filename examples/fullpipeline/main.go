@@ -76,7 +76,7 @@ func main() {
 			phrases[j] = rec.Ingredients[j].Phrase
 		}
 		method := instructions.InferMethod(rec.Instructions)
-		res, err := estimator.EstimateRecipe(context.Background(), core.RecipeInput{Phrases: phrases, Servings: servings, Method: method}, 1)
+		res, err := estimator.EstimateRecipe(context.Background(), core.RecipeInput{Phrases: phrases, Servings: servings, Method: method})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -85,7 +85,7 @@ func main() {
 	tb := report.NewTable("Dinner", "Mapped", "kcal/serving", "Protein g", "Fat g", "Carbs g")
 	var weekly nutrition.Profile
 	for _, d := range week {
-		res, err := estimator.EstimateRecipe(context.Background(), core.RecipeInput{Phrases: d.ingredients, Servings: d.servings}, 1)
+		res, err := estimator.EstimateRecipe(context.Background(), core.RecipeInput{Phrases: d.ingredients, Servings: d.servings})
 		if err != nil {
 			log.Fatalf("mealplan: %s: %v", d.name, err)
 		}

@@ -34,7 +34,7 @@ func main() {
 	const servings = 6
 
 	estimator := core.NewDefault()
-	result, err := estimator.EstimateRecipe(context.Background(), core.RecipeInput{Phrases: ingredients, Servings: servings}, 1)
+	result, err := estimator.EstimateRecipe(context.Background(), core.RecipeInput{Phrases: ingredients, Servings: servings})
 	if err != nil {
 		log.Fatalf("quickstart: %v", err)
 	}

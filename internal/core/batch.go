@@ -1,28 +1,25 @@
 package core
 
-// Concurrent batch estimation. A single Estimator is shared by a
-// bounded worker pool; output is always input-ordered and byte-identical
-// to the sequential path, so callers can parallelize corpus-scale runs
+// Batch estimation (DESIGN.md §12). A single Estimator is shared by
+// every caller; output is always input-ordered and byte-identical to
+// the sequential path, so callers can parallelize corpus-scale runs
 // without giving up determinism.
 //
-// Two dispatch strategies exist, each the only path for its job (see
-// shard.go for the why):
+// There is one dispatcher. Parallel work runs on a work-stealing pool
+// (forEachIndexCtx): workers claim indices from an atomic counter, which
+// balances skewed per-item costs (cache hits against full matches). An
+// interactive recipe is not fanned out at all: its handful of lines run
+// in order on the caller's goroutine (EstimateRecipe), which finishes
+// no later than a fan-out and spends no goroutines on it.
 //
-//   - Sharded (parallel batches on a caching estimator): phrases are
-//     hash-partitioned onto slots, workers own disjoint slot subsets,
-//     and repeats are served from per-slot L1 caches with no shared
-//     writes on the hot path.
-//
-//   - Work-stealing (sequential batches, uncached estimators, and the
-//     recipe-corpus pool): indices are handed out by an atomic counter,
-//     which balances skewed per-item costs but funnels every repeat
-//     through the shared L2.
-//
-// Both strategies run on estimator-owned worker environments (scratch +
-// pinned match session) rather than sync.Pool scratches: pool per-P
-// caches drain under GC and goroutine migration, and every drained
-// checkout re-warms a cold scratch — the measured allocs/op inflation
-// of the oversubscribed parallel path.
+// Every worker runs on an estimator-owned environment (NLP scratch +
+// pinned match session) held in a bounded LIFO free list rather than a
+// sync.Pool: pool per-P caches drain under GC and goroutine migration,
+// and every drained checkout re-warms a cold scratch — the measured
+// allocs/op inflation of the oversubscribed parallel path. Per-worker
+// stats accumulate in plain locals and flush to cache-line-striped
+// aggregates (metrics.Striped) once per batch, instead of per-phrase
+// atomics on shared counters.
 
 import (
 	"context"
@@ -34,8 +31,136 @@ import (
 
 	"nutriprofile/internal/match"
 	"nutriprofile/internal/memo"
+	"nutriprofile/internal/metrics"
+	"nutriprofile/internal/pipeline"
 	"nutriprofile/internal/yield"
 )
+
+const (
+	// maxFreeEnvs bounds the worker-environment free list: more
+	// environments than this can exist transiently (concurrent batches
+	// each holding several), but only this many are retained.
+	maxFreeEnvs = 64
+
+	// statStripes is the stripe count of the batched stats aggregates.
+	statStripes = 16
+)
+
+// env is one worker environment: the per-goroutine NLP scratch arena
+// plus a match session pinned to one matcher (its own scoring arena).
+// Environments are checked out once per worker per batch and returned
+// warm; m records which matcher the session belongs to so a checkout
+// after a snapshot swap re-pins instead of scoring against the retired
+// index.
+type env struct {
+	sc   *pipeline.Scratch
+	sess *match.Session
+	m    *match.Matcher
+}
+
+// worker is the per-batch-worker state: its environment and the
+// batch-local stat accumulator that flushes on release.
+type worker struct {
+	env     *env
+	phrases uint64 // phrases estimated by this worker this batch
+}
+
+// batchState is the Estimator's batch machinery: the worker-environment
+// free list and the batched-flush stat aggregates.
+type batchState struct {
+	envMu    sync.Mutex
+	freeEnvs []*env
+	envsMade uint64 // lifetime environments created, under envMu
+
+	// Batched-flush aggregates: workers accumulate locally and Add once
+	// per batch, striped so concurrent flushes don't share lines.
+	phrasesDone *metrics.Striped
+	flushes     *metrics.Striped
+}
+
+func (s *batchState) init() {
+	s.phrasesDone = metrics.NewStriped(statStripes)
+	s.flushes = metrics.NewStriped(statStripes)
+}
+
+// ShardStats is the observability snapshot of the batch layer's
+// workers. nutriserve's GET /v1/stats exposes it as its "shard" block,
+// the name its readers parse.
+type ShardStats struct {
+	Phrases       uint64 `json:"phrases"`        // phrases estimated on worker environments
+	WorkerFlushes uint64 `json:"worker_flushes"` // per-worker batched stat flushes
+	Envs          uint64 `json:"envs"`           // worker environments ever created
+}
+
+// ShardStats reports the batch layer's counters. Totals are exact once
+// in-flight batches drain (each worker flushes exactly once).
+func (e *Estimator) ShardStats() ShardStats {
+	e.envMu.Lock()
+	envs := e.envsMade
+	e.envMu.Unlock()
+	return ShardStats{
+		Phrases:       e.phrasesDone.Sum(),
+		WorkerFlushes: e.flushes.Sum(),
+		Envs:          envs,
+	}
+}
+
+// getEnv checks a worker environment out of the estimator-owned free
+// list, creating one when the list is empty. LIFO: the most recently
+// returned (warmest) environment is reused first. snap is the batch's
+// pinned snapshot; an environment whose session was pinned to a
+// now-retired matcher is re-pinned before reuse, so a worker never
+// scores against a different index than the snapshot it estimates with.
+func (e *Estimator) getEnv(snap *Snapshot) *env {
+	e.envMu.Lock()
+	if n := len(e.freeEnvs); n > 0 {
+		v := e.freeEnvs[n-1]
+		e.freeEnvs[n-1] = nil
+		e.freeEnvs = e.freeEnvs[:n-1]
+		e.envMu.Unlock()
+		if v.m != snap.matcher {
+			v.sess.Close()
+			v.sess = snap.matcher.NewSession()
+			v.m = snap.matcher
+		}
+		return v
+	}
+	e.envsMade++
+	e.envMu.Unlock()
+	return &env{sc: new(pipeline.Scratch), sess: snap.matcher.NewSession(), m: snap.matcher}
+}
+
+// putEnv returns an environment; beyond maxFreeEnvs it is dismantled
+// (the session's arena goes back to the matcher pool) and dropped. A
+// kept environment first drops what an oversized phrase grew.
+func (e *Estimator) putEnv(v *env) {
+	v.sc.Trim()
+	v.sess.Trim()
+	e.envMu.Lock()
+	if len(e.freeEnvs) < maxFreeEnvs {
+		e.freeEnvs = append(e.freeEnvs, v)
+		e.envMu.Unlock()
+		return
+	}
+	e.envMu.Unlock()
+	v.sess.Close()
+}
+
+// flushWorker performs the batched stats flush: one striped Add per
+// counter per worker per batch, then returns the environment.
+func (e *Estimator) flushWorker(w *worker, stripe int) {
+	if w.phrases != 0 {
+		e.phrasesDone.Add(stripe, w.phrases)
+	}
+	e.flushes.Add(stripe, 1)
+	e.putEnv(w.env)
+}
+
+// estimateWorker estimates one phrase on w's environment.
+func (e *Estimator) estimateWorker(v view, phrase string, w *worker) IngredientResult {
+	w.phrases++
+	return e.estimateCached(v, phrase, w.env.sc, w.env.sess)
+}
 
 // normWorkers clamps a requested worker count: <= 0 selects
 // GOMAXPROCS, and the pool never exceeds the number of work items.
@@ -76,7 +201,7 @@ func (e *Estimator) forEachIndexCtx(ctx context.Context, snap *Snapshot, n, work
 			}
 			fn(i, &w)
 		}
-		return nil
+		return ctx.Err()
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -104,30 +229,6 @@ func (e *Estimator) forEachIndexCtx(ctx context.Context, snap *Snapshot, n, work
 	return ctx.Err()
 }
 
-// batchInto estimates every phrase into out[i]. Parallel batches on a
-// caching estimator take the sharded path (phrase-hash partition,
-// per-slot L1s, zero shared writes on repeats); everything else runs on
-// the work-stealing pool. Results are identical either way.
-func (e *Estimator) batchInto(ctx context.Context, phrases []string, workers int, out []IngredientResult) error {
-	// One pin per batch: every phrase in the batch — and every worker's
-	// match session — resolves against the same snapshot, even if a
-	// reload lands mid-batch.
-	v := e.pin()
-	workers = normWorkers(workers, len(phrases))
-	if workers > 1 && e.phraseCache != nil {
-		if workers > numSlots {
-			workers = numSlots
-		}
-		return e.estimateShardedCtx(ctx, v, phrases, workers, out)
-	}
-	return e.forEachIndexCtx(ctx, v.snap, len(phrases), workers, func(i int, w *worker) {
-		// nil slot: no L1 on the work-stealing path (indices are claimed
-		// dynamically, so no worker owns a stable phrase subset), but the
-		// per-worker phrase counting still applies.
-		out[i] = e.estimateSlot(v, phrases[i], w, nil)
-	})
-}
-
 // EstimateBatch estimates every phrase on a bounded worker pool sharing
 // this Estimator and returns the results in input order, identical to
 // calling EstimateIngredient in a loop. workers <= 0 selects
@@ -142,25 +243,30 @@ func (e *Estimator) EstimateBatch(ctx context.Context, phrases []string, workers
 		return nil, nil
 	}
 	out := make([]IngredientResult, len(phrases))
-	if err := e.batchInto(ctx, phrases, workers, out); err != nil {
+	// One pin per batch: every phrase in the batch — and every worker's
+	// match session — resolves against the same snapshot, even if a
+	// reload lands mid-batch.
+	v := e.pin()
+	err := e.forEachIndexCtx(ctx, v.snap, len(phrases), workers, func(i int, w *worker) {
+		out[i] = e.estimateWorker(v, phrases[i], w)
+	})
+	if err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// EstimateRecipe estimates one recipe, its ingredient lines on a worker
-// pool as in EstimateBatch, and aggregates them into totals corrected
-// for r.Method. The error is the recipe's validation error or, on
-// cancellation, ctx.Err().
-func (e *Estimator) EstimateRecipe(ctx context.Context, r RecipeInput, workers int) (RecipeResult, error) {
-	if err := r.validate(); err != nil {
-		return RecipeResult{}, err
-	}
-	ingredients, err := e.EstimateBatch(ctx, r.Phrases, workers)
-	if err != nil {
-		return RecipeResult{}, err
-	}
-	return r.aggregate(ingredients), nil
+// EstimateRecipe estimates one recipe and aggregates its lines into
+// totals corrected for r.Method. The lines run in order on the calling
+// goroutine, on one worker environment. The error is the recipe's
+// validation error or, when ctx is done before the last line,
+// ctx.Err().
+func (e *Estimator) EstimateRecipe(ctx context.Context, r RecipeInput) (RecipeResult, error) {
+	v := e.pin()
+	w := worker{env: e.getEnv(v.snap)}
+	defer e.flushWorker(&w, 0)
+	o := e.estimateRecipeWorker(ctx, v, &r, &w, make([]IngredientResult, len(r.Phrases)))
+	return o.Result, o.Err
 }
 
 // RecipeInput is one recipe to estimate.
@@ -210,18 +316,24 @@ type RecipeOutcome struct {
 	Err    error
 }
 
-// estimateRecipeWorker runs one recipe sequentially on an already-held
-// worker environment: EstimateRecipesInto parallelizes across recipes,
-// so nesting another pool per recipe would only multiply goroutines.
-// Slot L1s are skipped (nil slot) — recipe workers don't own slots;
-// repeats still hit the shared L2. ingredients is the caller-provided
-// result destination, len(r.Phrases) long.
-func (e *Estimator) estimateRecipeWorker(v view, r *RecipeInput, w *worker, ingredients []IngredientResult) RecipeOutcome {
+// estimateRecipeWorker runs one recipe's lines in order on an
+// already-held worker environment: all of EstimateRecipe, and the unit
+// of work EstimateRecipesInto's pool hands out, which parallelizes
+// across recipes rather than within one. ctx is checked before every
+// line; once it is done the outcome's Err is ctx.Err(). ingredients is
+// the caller-provided result destination, len(r.Phrases) long.
+func (e *Estimator) estimateRecipeWorker(ctx context.Context, v view, r *RecipeInput, w *worker, ingredients []IngredientResult) RecipeOutcome {
 	if err := r.validate(); err != nil {
 		return RecipeOutcome{Err: err}
 	}
+	done := ctx.Done()
 	for i, p := range r.Phrases {
-		ingredients[i] = e.estimateSlot(v, p, w, nil)
+		select {
+		case <-done:
+			return RecipeOutcome{Err: ctx.Err()}
+		default:
+		}
+		ingredients[i] = e.estimateWorker(v, p, w)
 	}
 	return RecipeOutcome{Result: r.aggregate(ingredients)}
 }
@@ -299,13 +411,15 @@ func (e *Estimator) EstimateRecipesInto(ctx context.Context, recipes []RecipeInp
 			default:
 			}
 			dst := out[i].Result.Ingredients
-			out[i] = e.estimateRecipeWorker(v, &recipes[i], &w, dst[:len(recipes[i].Phrases)])
+			out[i] = e.estimateRecipeWorker(ctx, v, &recipes[i], &w, dst[:len(recipes[i].Phrases)])
 		}
-		return nil
+		// A recipe cut short by ctx carries ctx.Err() in its outcome, and
+		// the call reports it even when that recipe was the last.
+		return ctx.Err()
 	}
 	return e.forEachIndexCtx(ctx, v.snap, len(recipes), workers, func(i int, w *worker) {
 		dst := out[i].Result.Ingredients
-		out[i] = e.estimateRecipeWorker(v, &recipes[i], w, dst[:len(recipes[i].Phrases)])
+		out[i] = e.estimateRecipeWorker(ctx, v, &recipes[i], w, dst[:len(recipes[i].Phrases)])
 	})
 }
 

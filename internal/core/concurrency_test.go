@@ -64,7 +64,7 @@ func TestSharedEstimatorStress(t *testing.T) {
 	ref.ObserveUnits(corpus.Phrases())
 	want := make([]string, len(phrases))
 	for i := range phrases {
-		rr, err := ref.EstimateRecipe(context.Background(), RecipeInput{Phrases: phrases[i], Servings: corpus.Recipes[i].Servings}, 1)
+		rr, err := ref.EstimateRecipe(context.Background(), RecipeInput{Phrases: phrases[i], Servings: corpus.Recipes[i].Servings})
 		want[i] = renderResult(rr, err)
 	}
 
@@ -89,7 +89,7 @@ func TestSharedEstimatorStress(t *testing.T) {
 			// hit from different positions simultaneously.
 			for k := 0; k < len(phrases); k++ {
 				i := (k + g*7) % len(phrases)
-				rr, err := shared.EstimateRecipe(context.Background(), RecipeInput{Phrases: phrases[i], Servings: corpus.Recipes[i].Servings}, 1)
+				rr, err := shared.EstimateRecipe(context.Background(), RecipeInput{Phrases: phrases[i], Servings: corpus.Recipes[i].Servings})
 				got[g][i] = renderResult(rr, err)
 			}
 		}()
@@ -265,10 +265,10 @@ func matchSequential(t *testing.T, only ...string) {
 			}
 			return out
 		}},
-		{"EstimateRecipe", func(e *Estimator, workers int) []RecipeOutcome {
+		{"EstimateRecipe", func(e *Estimator, _ int) []RecipeOutcome {
 			out := make([]RecipeOutcome, len(inputs))
 			for i, in := range inputs {
-				out[i].Result, out[i].Err = e.EstimateRecipe(ctx, in, workers)
+				out[i].Result, out[i].Err = e.EstimateRecipe(ctx, in)
 			}
 			return out
 		}},

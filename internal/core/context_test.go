@@ -63,10 +63,10 @@ func TestEstimateBatchContextCancelMidway(t *testing.T) {
 
 func TestEstimateRecipeContextValidation(t *testing.T) {
 	e := NewDefault()
-	if _, err := e.EstimateRecipe(context.Background(), RecipeInput{Servings: 4}, 0); err == nil {
+	if _, err := e.EstimateRecipe(context.Background(), RecipeInput{Servings: 4}); err == nil {
 		t.Fatal("expected error for empty recipe")
 	}
-	if _, err := e.EstimateRecipe(context.Background(), RecipeInput{Phrases: []string{"salt"}}, 0); err == nil {
+	if _, err := e.EstimateRecipe(context.Background(), RecipeInput{Phrases: []string{"salt"}}); err == nil {
 		t.Fatal("expected error for zero servings")
 	}
 }
@@ -80,7 +80,7 @@ func TestEstimateRecipeContextDeadline(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
-	_, err := e.EstimateRecipe(ctx, RecipeInput{Phrases: phrases, Servings: 4}, 0)
+	_, err := e.EstimateRecipe(ctx, RecipeInput{Phrases: phrases, Servings: 4})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err %v, want context.DeadlineExceeded", err)
 	}

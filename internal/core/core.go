@@ -95,13 +95,11 @@ type Options struct {
 	// no description are retried with out-of-vocabulary words corrected
 	// to their closest vocabulary word (extension; see match.MatchFuzzy).
 	FuzzyMatch bool
-	// CacheSize bounds the estimator's memoization tiers: a phrase-level
-	// cache (normalized phrase → the result's compact record, record.go),
-	// a match-level cache (match.Query → description match), and the
-	// sharded batch path's slot L1s, which split it between them and
-	// hold references to the phrase cache's records rather than copies
-	// (shard.go). Each tier holds at most CacheSize results; a phrase
-	// cached in both costs about 300 bytes plus its keys. Estimation
+	// CacheSize bounds the estimator's two memoization tiers: a
+	// phrase-level cache (normalized phrase → the result's compact
+	// record, record.go) and a match-level cache (match.Query →
+	// description match). Each tier holds at most CacheSize results; a
+	// cached phrase costs about 300 bytes plus its key. Estimation
 	// is a pure function of phrase + options + frozen unit statistics,
 	// so memoization never changes results; it only skips recomputation
 	// for the "salt"/"olive oil" phrases that dominate real corpora.
@@ -141,8 +139,8 @@ type Estimator struct {
 	// snapshot.go for the hot-swap protocol. Every request pins it once
 	// and computes entirely against the pinned value.
 	snap atomic.Pointer[Snapshot]
-	// swapMu serializes snapshot writers (Install, ObserveUnits' gen
-	// bump) so version/gen stay strictly monotonic. Readers never take it.
+	// swapMu serializes snapshot writers (Install) so version stays
+	// strictly monotonic. Readers never take it.
 	swapMu sync.Mutex
 
 	tagger ner.Tagger
@@ -156,24 +154,22 @@ type Estimator struct {
 	unitStats map[int]map[string]int
 
 	// Memoization (nil when Options.CacheSize == 0). The phrase cache
-	// holds each result once, as an immutable record the slot L1s
-	// point into (record.go).
+	// holds each result as an immutable record (record.go).
 	phraseCache *memo.Cache[record]
 	matchCache  *memo.Cache[matchHit]
 
-	// shardState is the per-core sharded batch machinery: worker
-	// environments, the phrase-hash slot partition with per-slot L1
-	// caches, and the striped batched-flush stat aggregates (shard.go).
-	shardState
+	// batchState is the batch machinery: worker environments and the
+	// striped batched-flush stat aggregates (batch.go).
+	batchState
 }
 
 // maxCachedKey bounds the key of any entry a cache tier stores: the
-// slot L1's raw phrase, the phrase cache's token stream and the match
-// cache's joined query. The tiers bound their entries in count, not
-// bytes, so without it a handful of pathological phrases near the
-// request-body limit would each stay resident at their full size in
-// every tier. Real ingredient phrases are well under 200 bytes; a
-// longer one is recomputed, which gives the same result.
+// phrase cache's token stream and the match cache's joined query. The
+// tiers bound their entries in count, not bytes, so without it a
+// handful of pathological phrases near the request-body limit would
+// each stay resident at their full size in every tier. Real ingredient
+// phrases are well under 200 bytes; a longer one is recomputed, which
+// gives the same result.
 const maxCachedKey = 1 << 10
 
 // matchHit is the memoized outcome of one description-match query.
@@ -217,12 +213,12 @@ func newEstimator(db *usda.DB, m *match.Matcher, tagger ner.Tagger, opts Options
 		opts:      opts,
 		unitStats: map[int]map[string]int{},
 	}
-	e.snap.Store(&Snapshot{db: db, matcher: m, version: 1, gen: 0, source: source})
+	e.snap.Store(&Snapshot{db: db, matcher: m, version: 1, source: source})
 	if opts.CacheSize > 0 {
 		e.phraseCache = memo.NewPolicy[record](opts.CacheSize, memo.DefaultShards, opts.CachePolicy)
 		e.matchCache = memo.NewPolicy[matchHit](opts.CacheSize, memo.DefaultShards, opts.CachePolicy)
 	}
-	e.shardState.init(opts.CacheSize)
+	e.batchState.init()
 	return e, nil
 }
 
@@ -245,7 +241,7 @@ func (e *Estimator) DB() *usda.DB { return e.snap.Load().db }
 
 // IngredientResult is the pipeline output for one phrase. A result
 // served from cache is the caller's own copy, rebuilt from the
-// immutable record both cache tiers share (record.go); only its
+// phrase cache's immutable record (record.go); only its
 // reference-typed parts (Match.Matched) point into that record, so
 // they must not be written through. A new field must be carried by
 // the record or rebuilt from it, or cache hits would drop it.
@@ -284,8 +280,7 @@ type RecipeResult struct {
 func (e *Estimator) EstimateIngredient(phrase string) IngredientResult {
 	sc := pipeline.Get()
 	defer pipeline.Put(sc)
-	r, _, _ := e.estimateCached(e.pin(), phrase, sc, nil)
-	return r
+	return e.estimateCached(e.pin(), phrase, sc, nil)
 }
 
 // estimateCached is EstimateIngredient on a caller-owned scratch: the
@@ -303,29 +298,22 @@ func (e *Estimator) EstimateIngredient(phrase string) IngredientResult {
 // PutHashGen with the generation captured at pin time, so a result
 // computed against a snapshot that a concurrent Install/ObserveUnits
 // has since retired is dropped instead of cached (snapshot.go).
-//
-// Besides the result it returns the phrase cache's record of it and
-// the cache key hash (nil and 0 when caching is off or the key is over
-// maxCachedKey): the slot-L1 tier
-// above keeps the record reference, so a phrase both tiers hold is
-// resident once, and replays the hash into the TinyLFU admission
-// sketch (TouchHash) on its hits without re-normalizing the phrase.
-func (e *Estimator) estimateCached(v view, phrase string, sc *pipeline.Scratch, sess *match.Session) (IngredientResult, *record, uint64) {
+func (e *Estimator) estimateCached(v view, phrase string, sc *pipeline.Scratch, sess *match.Session) IngredientResult {
 	if e.phraseCache == nil {
 		r, _ := e.estimateIngredient(v, phrase, sc, sess)
-		return r, nil, 0
+		return r
 	}
 	sc.Tokenize(phrase)
 	key := sc.PhraseKey()
 	if len(key) > maxCachedKey {
 		r, _ := e.estimateTokenized(v, phrase, sc, sess)
-		return r, nil, 0
+		return r
 	}
 	h := memo.Hash(key)
 	if rec := e.phraseCache.GetBytesHashRef(h, key); rec != nil {
 		// The cached computation is keyed on the token stream; only the
 		// verbatim Phrase field can differ.
-		return rec.result(phrase), rec, h
+		return rec.result(phrase)
 	}
 	r, per100g := e.estimateTokenized(v, phrase, sc, sess)
 	// key still aliases the scratch (nothing downstream of Tokenize
@@ -333,14 +321,8 @@ func (e *Estimator) estimateCached(v view, phrase string, sc *pipeline.Scratch, 
 	// path. The record leaves out the verbatim phrase: the cache is
 	// keyed on the token stream, and the serving layer may pass phrases
 	// whose backing bytes it reuses after the call.
-	rec := e.phraseCache.PutHashGenRef(h, string(key), r.record(per100g), v.phraseGen)
-	if rec == nil {
-		// The generation moved while this miss computed, so the store
-		// was dropped; the caller's tier gets a record of its own.
-		rec = new(record)
-		*rec = r.record(per100g)
-	}
-	return r, rec, h
+	e.phraseCache.PutHashGen(h, string(key), r.record(per100g), v.phraseGen)
+	return r
 }
 
 // EstimateIngredientScratch is EstimateIngredient on a caller-owned
@@ -350,8 +332,7 @@ func (e *Estimator) estimateCached(v view, phrase string, sc *pipeline.Scratch, 
 // same read-only contract as EstimateIngredient applies to the returned
 // result.
 func (e *Estimator) EstimateIngredientScratch(phrase string, sc *pipeline.Scratch) IngredientResult {
-	r, _, _ := e.estimateCached(e.pin(), phrase, sc, nil)
-	return r
+	return e.estimateCached(e.pin(), phrase, sc, nil)
 }
 
 // matchQuery runs the configured description match, memoized when the
@@ -666,17 +647,12 @@ func (e *Estimator) ObserveUnits(phrases []string) {
 
 	if e.phraseCache != nil {
 		// Unit statistics changed, so cached most-frequent-unit results
-		// are stale. Retire the current generation the same way Install
-		// does: publish a snapshot copy with gen bumped (same db/matcher),
-		// then purge — the publish-before-purge order plus the gen-guarded
-		// stores make the invalidation race-free even against estimates
-		// running concurrently with this pass (snapshot.go). The slot L1s
-		// (shard.go) are gen-stamped, so they clear on next claim.
-		e.swapMu.Lock()
-		ns := *e.snap.Load()
-		ns.gen++
-		e.snap.Store(&ns)
+		// are stale. The counts landed before this Purge bumps the phrase
+		// cache's generation, so an estimate that pins the bumped
+		// generation reads the new counts, and one that pinned the old
+		// generation has its store dropped or cleared by the purge
+		// (snapshot.go). The database did not change: the snapshot and
+		// the match cache stay.
 		e.phraseCache.Purge()
-		e.swapMu.Unlock()
 	}
 }

@@ -13,11 +13,11 @@ import (
 func TestEstimateRecipeCooked(t *testing.T) {
 	e := NewDefault()
 	phrases := []string{"2 cups broccoli florets", "1 tablespoon olive oil"}
-	raw, err := e.EstimateRecipe(context.Background(), RecipeInput{Phrases: phrases, Servings: 2}, 1)
+	raw, err := e.EstimateRecipe(context.Background(), RecipeInput{Phrases: phrases, Servings: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	boiled, err := e.EstimateRecipe(context.Background(), RecipeInput{Phrases: phrases, Servings: 2, Method: yield.Boiled}, 1)
+	boiled, err := e.EstimateRecipe(context.Background(), RecipeInput{Phrases: phrases, Servings: 2, Method: yield.Boiled})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -151,7 +151,7 @@ func TestEstimateRecipe(t *testing.T) {
 		"1 teaspoon vanilla extract",
 		"1/2 teaspoon salt",
 	}
-	res, err := e.EstimateRecipe(context.Background(), RecipeInput{Phrases: phrases, Servings: 4}, 1)
+	res, err := e.EstimateRecipe(context.Background(), RecipeInput{Phrases: phrases, Servings: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,10 +175,10 @@ func TestEstimateRecipe(t *testing.T) {
 
 func TestEstimateRecipeValidation(t *testing.T) {
 	e := NewDefault()
-	if _, err := e.EstimateRecipe(context.Background(), RecipeInput{Servings: 4}, 1); err == nil {
+	if _, err := e.EstimateRecipe(context.Background(), RecipeInput{Servings: 4}); err == nil {
 		t.Error("empty recipe accepted")
 	}
-	if _, err := e.EstimateRecipe(context.Background(), RecipeInput{Phrases: []string{"1 cup milk"}}, 1); err == nil {
+	if _, err := e.EstimateRecipe(context.Background(), RecipeInput{Phrases: []string{"1 cup milk"}}); err == nil {
 		t.Error("zero servings accepted")
 	}
 }
@@ -251,7 +251,7 @@ func TestCorpusEndToEnd(t *testing.T) {
 				unmappableGold++
 			}
 		}
-		res, err := e.EstimateRecipe(context.Background(), RecipeInput{Phrases: phrases, Servings: rec.Servings}, 1)
+		res, err := e.EstimateRecipe(context.Background(), RecipeInput{Phrases: phrases, Servings: rec.Servings})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,7 +18,7 @@ import (
 )
 
 // TestParallelBatchZeroAllocPerPhrase: after one warming sweep, a
-// 4-worker sharded batch must stay under a small fixed allocation
+// 4-worker parallel batch must stay under a small fixed allocation
 // budget regardless of batch size — i.e. zero allocations per phrase.
 // A re-warming regression costs multiple allocations per phrase and
 // blows the budget by orders of magnitude.
@@ -38,7 +38,7 @@ func TestParallelBatchZeroAllocPerPhrase(t *testing.T) {
 	}
 
 	const workers = 4
-	estimateAll(t, e, phrases, workers) // warm caches, L1s, environments
+	estimateAll(t, e, phrases, workers) // warm caches and environments
 
 	allocs := testing.AllocsPerRun(20, func() {
 		if got := estimateAll(t, e, phrases, workers); len(got) != len(phrases) {

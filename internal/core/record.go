@@ -6,12 +6,11 @@ import (
 	"nutriprofile/internal/nutrition"
 )
 
-// record is the compact, immutable form in which the cache tiers hold
-// one memoized phrase result. The phrase cache stores it by value
-// inside its memo entry and hands out a reference to that copy; the
-// slot L1s keep only the reference, so a phrase both tiers hold costs
-// its bytes once (DESIGN.md §12). A record is never written after it
-// is stored.
+// record is the compact, immutable form in which the phrase cache holds
+// one memoized phrase result. The cache stores it by value inside its
+// memo entry, and a hit expands it through the reference the cache hands
+// out rather than copying it out first (DESIGN.md §12). A record is never
+// written after it is stored.
 //
 // It leaves out two IngredientResult fields. Phrase is the caller's
 // verbatim spelling, which a hit fills in. Profile is rebuilt on a hit
@@ -20,7 +19,7 @@ import (
 // per100g points into the table's nutrient column (usda.Row.Per100g),
 // so a record holds no copy of the food.
 // TestRecordLayout pins the size: a new IngredientResult field lands
-// here too, and must not silently re-inflate both tiers.
+// here too, and must not silently re-inflate the cache.
 type record struct {
 	per100g    *nutrition.Profile // the matched food's; nil when unmatched
 	extraction ner.Extraction

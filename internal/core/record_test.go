@@ -9,64 +9,16 @@ import (
 
 	"nutriprofile/internal/memo"
 	"nutriprofile/internal/nutrition"
-	"nutriprofile/internal/pipeline"
 	"nutriprofile/internal/usda"
 )
 
-// TestRecordLayout pins the bytes each cached phrase costs. The slot
-// L1 entry is a reference plus a hash, small enough for the map to
-// store inline; the record is IngredientResult without Phrase and
-// Profile. A new IngredientResult field must either stay out of the
-// record or be paid for here, not silently re-inflate both tiers.
+// TestRecordLayout pins the bytes each cached phrase costs: the record
+// is IngredientResult without Phrase and Profile. A new
+// IngredientResult field must either stay out of the record or be paid
+// for here, not silently re-inflate the phrase cache.
 func TestRecordLayout(t *testing.T) {
-	if n := unsafe.Sizeof(l1Entry{}); n != 16 {
-		t.Errorf("l1Entry is %d bytes, want 16", n)
-	}
 	if n := unsafe.Sizeof(record{}); n > 240 {
 		t.Errorf("record is %d bytes, want at most 240", n)
-	}
-}
-
-// TestOneResidentRecordPerPhrase: after sharded 4-worker batches, every
-// slot-L1 entry references the very record the phrase cache holds for
-// its key, so a phrase both tiers hold is resident once.
-func TestOneResidentRecordPerPhrase(t *testing.T) {
-	phrases := stormPhrases(t)
-	for _, policy := range []memo.Policy{memo.PolicyLRU, memo.PolicyTinyLFU} {
-		// Room for every distinct phrase in both tiers: nothing is
-		// evicted, so every L1 record must still be the L2's.
-		e, err := New(usda.Seed(), nil, Options{CacheSize: 1 << 13, CachePolicy: policy})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 3; i++ {
-			estimateAll(t, e, phrases, 4)
-		}
-		sc := new(pipeline.Scratch)
-		entries := 0
-		for i := range e.slots {
-			sl := &e.slots[i]
-			sl.mu.Lock()
-			for phrase, ent := range sl.l1 {
-				entries++
-				sc.Tokenize(phrase)
-				key := sc.PhraseKey()
-				h := memo.Hash(key)
-				if ent.l2h != h {
-					t.Errorf("%v: L1 entry %q carries L2 hash %x, want %x", policy, phrase, ent.l2h, h)
-				}
-				switch l2 := e.phraseCache.GetBytesHashRef(h, key); {
-				case l2 == nil:
-					t.Errorf("%v: L1 entry %q has no phrase-cache record", policy, phrase)
-				case l2 != ent.rec:
-					t.Errorf("%v: L1 entry %q holds its own record, not the phrase cache's", policy, phrase)
-				}
-			}
-			sl.mu.Unlock()
-		}
-		if entries == 0 {
-			t.Fatalf("%v: sharded batches populated no L1 entries", policy)
-		}
 	}
 }
 
@@ -97,9 +49,8 @@ func TestCachedProfileFollowsSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// serve runs every tier: the first sharded batch fills the slot L1s
-	// (their misses hit the warm L2), the second hits them, and the
-	// sequential pass reads the phrase cache directly.
+	// serve runs both entry shapes: the first parallel batch refills the
+	// phrase cache, the second and the sequential pass hit it.
 	serve := func() [][]IngredientResult {
 		return [][]IngredientResult{
 			estimateAll(t, e, phrases, 4),

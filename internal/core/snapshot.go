@@ -10,33 +10,31 @@ package core
 // state off to the side and publish it with one store — in-flight
 // requests simply finish on the snapshot they pinned.
 //
-// Cache consistency across a swap is the subtle part. Three caches hold
-// snapshot-derived results: the phrase and match memo caches and the
-// per-slot L1s (shard.go). The invalidation protocol:
-//
-//   - Snapshot.gen is the invalidation generation, carried INSIDE the
-//     snapshot so (state, generation) are read atomically together.
-//     Install bumps gen and version; ObserveUnits installs a copy of
-//     the current snapshot with only gen bumped (same db/matcher —
-//     unit statistics changed, not the database).
+// Cache consistency across a swap is the subtle part. Two caches hold
+// snapshot-derived results: the phrase and match memo caches. The
+// invalidation protocol:
 //
 //   - pin() snapshots the memo caches' purge generations BEFORE the
 //     atomic pointer load, and results are stored with PutHashGen.
-//     Writers publish the new snapshot pointer FIRST, then Purge. With
-//     Go's sequentially consistent atomics, a reader that captured a
-//     post-purge cache generation must observe the post-swap pointer
-//     on its subsequent load; a reader that captured a pre-purge
-//     generation has its store either dropped (generation mismatch,
-//     checked under the shard lock) or landed before the purge clears
-//     that shard. Either way no result computed against snapshot N is
-//     readable from a cache after the purge that retired N.
+//     Install publishes the new snapshot pointer FIRST, then purges
+//     both caches. With Go's sequentially consistent atomics, a reader
+//     that captured a post-purge cache generation must observe the
+//     post-swap pointer on its subsequent load; a reader that captured
+//     a pre-purge generation has its store either dropped (generation
+//     mismatch, checked under the shard lock) or landed before the
+//     purge clears that shard. Either way no result computed against
+//     snapshot N is readable from a cache after the purge that retired
+//     N.
 //
-//   - Slot L1s stamp their contents with the pinned snapshot's gen at
-//     claim time (claimSlot) and clear on mismatch, tying every cached
-//     entry to the generation that produced it. Their entries reference
-//     the phrase cache's records (record.go), which point at the food
-//     they matched, so a retired database stays reachable until every
-//     slot holding its records has been claimed again.
+//   - ObserveUnits changes the unit statistics, not the database, so it
+//     publishes nothing: it applies its counts, then purges the phrase
+//     cache. The same generation argument, with the counts in place of
+//     the pointer, keeps a result computed from the old counts out of
+//     the cache.
+//
+// Cached records point at the nutrient column of the food they matched
+// (record.go), so a retired database stays reachable until the purged
+// entries holding its records are collected.
 //
 // Every miss computes against the snapshot its own request pinned, so
 // no request ever returns a result computed against another snapshot.
@@ -59,9 +57,6 @@ type Snapshot struct {
 	// version counts database swaps (Install), starting at 1 for the
 	// boot database. Monotonic; /v1/stats and /admin/reload expose it.
 	version uint64
-	// gen counts cache invalidations: every Install AND every
-	// ObserveUnits pass bumps it. The slot L1s key their contents on it.
-	gen uint64
 	// source describes where the database came from (boot flag, image
 	// path) for observability.
 	source string
@@ -111,7 +106,6 @@ func (e *Estimator) Current() *Snapshot { return e.snap.Load() }
 // (nutriserve GET /v1/stats, POST /admin/reload).
 type SnapshotStats struct {
 	Version uint64 `json:"version"`
-	Gen     uint64 `json:"gen"`
 	Foods   int    `json:"foods"`
 	Source  string `json:"source"`
 }
@@ -119,7 +113,7 @@ type SnapshotStats struct {
 // SnapshotStats reports the live snapshot's identity.
 func (e *Estimator) SnapshotStats() SnapshotStats {
 	s := e.snap.Load()
-	return SnapshotStats{Version: s.version, Gen: s.gen, Foods: s.db.Len(), Source: s.source}
+	return SnapshotStats{Version: s.version, Foods: s.db.Len(), Source: s.source}
 }
 
 // Install atomically replaces the estimator's database under live
@@ -149,7 +143,6 @@ func (e *Estimator) Install(db *usda.DB, idx *match.Index, source string) (Snaps
 	ns := &Snapshot{
 		db: db, matcher: m,
 		version: old.version + 1,
-		gen:     old.gen + 1,
 		source:  source,
 	}
 	// Publish first, purge second: a reader that observes a post-purge
@@ -160,5 +153,5 @@ func (e *Estimator) Install(db *usda.DB, idx *match.Index, source string) (Snaps
 		e.matchCache.Purge()
 	}
 	e.swapMu.Unlock()
-	return SnapshotStats{Version: ns.version, Gen: ns.gen, Foods: db.Len(), Source: source}, nil
+	return SnapshotStats{Version: ns.version, Foods: db.Len(), Source: source}, nil
 }

@@ -100,19 +100,28 @@ func TestInstallRejectsNilDB(t *testing.T) {
 	}
 }
 
+// TestObserveUnitsBumpsGenNotVersion: an observation pass retires the
+// phrase cache's generation, which is what fences stale stores, and
+// leaves the snapshot alone: same version, same database, same matcher.
 func TestObserveUnitsBumpsGenNotVersion(t *testing.T) {
 	e, err := New(usda.Seed(), nil, Options{CacheSize: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := e.SnapshotStats()
+	before, snap := e.SnapshotStats(), e.Current()
+	phraseGen, matchGen := e.phraseCache.Gen(), e.matchCache.Gen()
 	e.ObserveUnits([]string{"1 cup butter", "2 cups flour"})
-	after := e.SnapshotStats()
-	if after.Version != before.Version {
-		t.Fatalf("ObserveUnits moved version %d -> %d", before.Version, after.Version)
+	if after := e.SnapshotStats(); after != before {
+		t.Fatalf("ObserveUnits moved the snapshot %+v -> %+v", before, after)
 	}
-	if after.Gen <= before.Gen {
-		t.Fatalf("ObserveUnits did not bump gen (%d -> %d)", before.Gen, after.Gen)
+	if e.Current() != snap {
+		t.Fatal("ObserveUnits published a new snapshot")
+	}
+	if g := e.phraseCache.Gen(); g <= phraseGen {
+		t.Fatalf("ObserveUnits did not bump the phrase cache's gen (%d -> %d)", phraseGen, g)
+	}
+	if g := e.matchCache.Gen(); g != matchGen {
+		t.Fatalf("ObserveUnits purged the match cache (gen %d -> %d); matches do not depend on unit statistics", matchGen, g)
 	}
 }
 

@@ -11,9 +11,9 @@ import (
 // stored since the last Purge; the cache may evict or reject whatever
 // admission decides, but it must never fabricate, corrupt, or
 // resurrect a value, never exceed capacity, and its counters must
-// reconcile exactly with the op counts. Every reference the Ref
-// methods hand out is re-read after every later op and must still
-// hold the value it was handed out with.
+// reconcile exactly with the op counts. Every reference
+// GetBytesHashRef hands out is re-read after every later op and must
+// still hold the value it was handed out with.
 func FuzzMemoAdmission(f *testing.F) {
 	f.Add([]byte{2, 4, 0x00, 0x10, 0x21, 0x12, 0x30, 0x41})
 	f.Add([]byte{0, 1, 0x10, 0x00, 0x10, 0x00, 0x10, 0x00})
@@ -106,16 +106,18 @@ func checkModel(t *testing.T, p Policy, capacity, shards int, ops []byte) modelR
 					t.Fatalf("%v: GetBytes(%q) = %d, want last-put %d", p, key, v, want)
 				}
 			}
-		case 6: // put keeping a reference
+		case 6: // put, then take a reference to it (a miss, then a hit)
 			notePut(key)
-			r := c.PutHashGenRef(HashString(key), key, val, c.Gen())
-			if r == nil {
-				t.Fatalf("%v: PutHashGenRef(%q) at the current generation dropped", p, key)
-			}
+			c.PutHashGen(HashString(key), key, val, c.Gen())
 			lastVal[key] = val
 			putSincePurge[key] = true
-			noteRef(key, r, val)
 			puts++
+			lookups++
+			r := c.GetBytesHashRef(HashString(key), []byte(key))
+			if r == nil {
+				t.Fatalf("%v: %q missed right after its put at the current generation", p, key)
+			}
+			noteRef(key, r, val)
 		case 7: // lookup keeping a reference
 			lookups++
 			if r := c.GetBytesHashRef(Hash([]byte(key)), []byte(key)); r != nil {

@@ -17,9 +17,9 @@
 // phrase.
 //
 // Stored values are immutable. The by-value methods copy a value out
-// under the shard lock; the Ref methods (GetBytesHashRef,
-// PutHashGenRef) hand out a stable *V into the cache's own entry, so a
-// caller-side tier can keep one resident copy instead of its own.
+// under the shard lock; GetBytesHashRef hands out a stable *V into the
+// cache's own entry, so a caller can read a large value after the lock
+// is released without copying it out first.
 // Once a reference to an entry has been handed out, the entry's value
 // is never written again: refreshing its key swaps in a new entry, and
 // eviction, rejection and Purge only unlink it. A reference therefore
@@ -27,11 +27,7 @@
 // Callers must not write through one.
 //
 // Shard ownership: the shard index of a key is a pure function of its
-// bytes (ShardIndex of Hash), exported so batch layers can partition
-// work by key hash and give each worker exclusive traffic to "its"
-// shards — the same phrase always lands on the same shard, so a
-// partition-aligned worker pool generates no cross-shard lock traffic
-// on the hot path (DESIGN.md §12).
+// bytes (ShardIndex of Hash), stable for the cache's lifetime.
 //
 // Memoization here can never change results: both memoized functions
 // are pure (a fixed database, matcher configuration, and frozen unit
@@ -83,11 +79,6 @@ type Stats struct {
 	// frequency duel (or found the main segment not yet full) and
 	// moved window → main (always 0 under PolicyLRU).
 	Admissions uint64 `json:"admissions"`
-	// Touches counts out-of-band TouchHash frequency notifications —
-	// hits served by caller-side tiers (e.g. the estimator's per-worker
-	// slot L1s) that fed the admission sketch without probing the cache
-	// (always 0 under PolicyLRU).
-	Touches uint64 `json:"touches"`
 	// SketchResets counts frequency-sketch aging events (all counters
 	// halved, doorkeeper cleared) across shards.
 	SketchResets uint64 `json:"sketch_resets"`
@@ -167,7 +158,6 @@ type shard[V any] struct {
 	evictions  uint64
 	rejections uint64
 	admissions uint64
-	touchCount uint64
 
 	// Pad shards apart so two workers hammering adjacent shards never
 	// false-share a line. One full line of slack keeps the next
@@ -241,8 +231,8 @@ func HashString(s string) uint64 {
 
 // Hash is HashString over a byte spelling; same algorithm, so a string
 // key and its byte spelling always land on the same shard. Exported so
-// callers that partition work by key hash (core's sharded batch
-// dispatch) compute the hash exactly once per key.
+// callers (core's phrase and match caches) hash a key once for both its
+// probe and its store.
 func Hash(b []byte) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -261,8 +251,7 @@ func (c *Cache[V]) ShardCount() int { return len(c.shards) }
 
 // ShardIndex maps a key hash (Hash/HashString of the key) to the index
 // of the shard that owns it — a pure function of the key bytes, stable
-// for the cache's lifetime, so batch layers can align worker ownership
-// with shard ownership.
+// for the cache's lifetime.
 func (c *Cache[V]) ShardIndex(h uint64) int { return int(h & c.mask) }
 
 // Get returns the cached value for key and marks it most-recently used.
@@ -334,23 +323,6 @@ func (c *Cache[V]) GetBytesHashRef(h uint64, key []byte) *V {
 	return &e.val
 }
 
-// TouchHash records one access to the key hashing to h for the TinyLFU
-// admission sketch without probing (or perturbing) the cache itself: no
-// entry is looked up, no LRU list moves, no hit/miss counter changes.
-// It exists for caller-side cache tiers sitting above this one — their
-// hits never reach Get, which would otherwise starve the frequency
-// signal for exactly the hottest keys and let cold bulk scans evict
-// them. Under PolicyLRU (no sketch) it is a no-op beyond the counter.
-func (c *Cache[V]) TouchHash(h uint64) {
-	s := &c.shards[h&c.mask]
-	s.mu.Lock()
-	if s.policy == PolicyTinyLFU && s.capacity > 0 {
-		s.sk.touch(h)
-		s.touchCount++
-	}
-	s.mu.Unlock()
-}
-
 // Put inserts or refreshes key, evicting the least-recently-used entry
 // of its shard when the shard is full. On a zero-capacity cache Put is
 // a no-op.
@@ -362,16 +334,17 @@ func (c *Cache[V]) Put(key string, val V) {
 // is PutHashGen at the current generation: a store that races a Purge
 // may drop, which is indistinguishable from landing just before it.
 func (c *Cache[V]) PutHash(h uint64, key string, val V) {
-	c.store(h, key, val, c.gen.Load(), false)
+	c.store(h, key, val, c.gen.Load())
 }
 
 // insert adds a new key under the shard lock, applying the shard's
-// eviction policy when full, and returns its entry (always resident:
-// the policy evicts or rejects some other entry). The key must not
-// already be present.
-func (s *shard[V]) insert(h uint64, key string, val V) *entry[V] {
+// eviction policy when full (the new key stays resident: the policy
+// evicts or rejects some other entry). The key must not already be
+// present.
+func (s *shard[V]) insert(h uint64, key string, val V) {
 	if s.policy == PolicyTinyLFU {
-		return s.insertTinyLFU(h, key, val)
+		s.insertTinyLFU(h, key, val)
+		return
 	}
 	if len(s.m) >= s.capacity {
 		old := s.tail
@@ -382,7 +355,6 @@ func (s *shard[V]) insert(h uint64, key string, val V) *entry[V] {
 	e := &entry[V]{key: key, val: val, h: h}
 	s.m[key] = e
 	s.pushFront(e)
-	return e
 }
 
 // Gen returns the current purge generation. Writers that compute
@@ -400,55 +372,41 @@ func (c *Cache[V]) Gen() uint64 { return c.gen.Load() }
 // this shard's lock and is cleared by it. A stale value therefore
 // never outlives the Purge that invalidated it.
 func (c *Cache[V]) PutHashGen(h uint64, key string, val V, gen uint64) {
-	c.store(h, key, val, gen, false)
-}
-
-// PutHashGenRef is PutHashGen returning a reference to the value it
-// stored, or nil when the store was dropped. The value behind it never
-// changes: see the package comment.
-func (c *Cache[V]) PutHashGenRef(h uint64, key string, val V, gen uint64) *V {
-	return c.store(h, key, val, gen, true)
+	c.store(h, key, val, gen)
 }
 
 // store is the one write path behind every Put variant. A resident key
 // is refreshed in place unless a reference to its value is out, in
 // which case a new entry takes its place; a new key is inserted under
-// the shard's eviction policy. share marks the stored entry shared and
-// returns a reference to its value (nil when dropped).
-func (c *Cache[V]) store(h uint64, key string, val V, gen uint64, share bool) *V {
+// the shard's eviction policy.
+func (c *Cache[V]) store(h uint64, key string, val V, gen uint64) {
 	s := &c.shards[h&c.mask]
 	if s.capacity <= 0 {
-		return nil
+		return
 	}
 	s.mu.Lock()
 	if c.gen.Load() != gen {
 		s.mu.Unlock()
-		return nil
+		return
 	}
 	e, ok := s.m[key]
 	switch {
 	case !ok:
-		e = s.insert(h, key, val)
+		s.insert(h, key, val)
 	case e.shared:
-		e = s.replace(e, val)
+		s.replace(e, val)
 	default:
 		e.val = val
 		s.touchEntry(e)
 	}
-	var p *V
-	if share {
-		e.shared = true
-		p = &e.val
-	}
 	s.mu.Unlock()
-	return p
 }
 
 // replace refreshes the shared entry e by swapping a new entry holding
 // val into its map slot, at the front of e's segment. e leaves the
 // cache exactly as an evicted entry does — unlinked, its value intact
 // for the references already handed out.
-func (s *shard[V]) replace(e *entry[V], val V) *entry[V] {
+func (s *shard[V]) replace(e *entry[V], val V) {
 	n := &entry[V]{key: e.key, val: val, h: e.h, seg: e.seg}
 	if e.seg == segWindow {
 		s.wUnlink(e)
@@ -458,7 +416,6 @@ func (s *shard[V]) replace(e *entry[V], val V) *entry[V] {
 		s.pushFront(n)
 	}
 	s.m[e.key] = n
-	return n
 }
 
 // Len returns the current entry count across all shards.
@@ -538,7 +495,6 @@ func (c *Cache[V]) Stats() Stats {
 		st.Evictions += s.evictions
 		st.Rejections += s.rejections
 		st.Admissions += s.admissions
-		st.Touches += s.touchCount
 		st.SketchResets += s.sk.resets
 		st.Entries += len(s.m)
 		s.mu.Unlock()

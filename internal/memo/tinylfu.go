@@ -101,14 +101,14 @@ func (s *shard[V]) initTinyLFU(perShard int) {
 
 // insertTinyLFU adds a new key to the window segment and, on window
 // overflow, runs the admission duel. Caller holds the shard mutex and
-// has verified the key is absent. Returns the new key's entry.
-func (s *shard[V]) insertTinyLFU(h uint64, key string, val V) *entry[V] {
+// has verified the key is absent.
+func (s *shard[V]) insertTinyLFU(h uint64, key string, val V) {
 	e := &entry[V]{key: key, val: val, h: h, seg: segWindow}
 	s.m[key] = e
 	s.wPushFront(e)
 	s.windowLen++
 	if s.windowLen <= s.windowCap {
-		return e
+		return
 	}
 
 	// Window overflow: the window's LRU tail is the admission
@@ -124,11 +124,11 @@ func (s *shard[V]) insertTinyLFU(h uint64, key string, val V) *entry[V] {
 		// whole cache and behaves as plain LRU.
 		delete(s.m, cand.key)
 		s.evictions++
-		return e
+		return
 	}
 	if s.mainLen < s.mainCap {
 		s.admit(cand)
-		return e
+		return
 	}
 	// The candidate's side of the duel deliberately excludes the
 	// doorkeeper bonus: a key seen once this aging period has sketch
@@ -144,14 +144,13 @@ func (s *shard[V]) insertTinyLFU(h uint64, key string, val V) *entry[V] {
 		s.mainLen--
 		s.evictions++
 		s.admit(cand)
-		return e
+		return
 	}
 	// The candidate is no more frequent than the main segment's
 	// coldest entry — a one-hit wonder or scan key. Drop it; its
 	// sketch counts survive, so if it comes back it can win later.
 	delete(s.m, cand.key)
 	s.rejections++
-	return e
 }
 
 func (s *shard[V]) admit(e *entry[V]) {

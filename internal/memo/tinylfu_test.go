@@ -390,23 +390,31 @@ func TestGetBytesHashProbeMisses(t *testing.T) {
 	}
 }
 
-// TestTinyLFUByteProbesBuildFrequency: GetBytesHash misses must feed
-// the sketch exactly like string misses — a key probed repeatedly as
-// bytes before first insertion should out-duel a one-hit wonder.
+// TestTinyLFUByteProbesBuildFrequency: byte-spelled probes — by value
+// and by reference, the latter being every phrase-cache lookup the
+// estimator makes — must feed the sketch exactly like string misses: a
+// key probed repeatedly as bytes before first insertion should
+// out-duel a one-hit wonder.
 func TestTinyLFUByteProbesBuildFrequency(t *testing.T) {
-	c := NewPolicy[int](64, 1, PolicyTinyLFU)
-	s := &c.shards[0]
-	key := []byte("repeat-offender")
-	h := Hash(key)
-	for i := 0; i < 10; i++ {
-		c.GetBytesHash(h, key)
+	probes := map[string]func(c *Cache[int], h uint64, key []byte){
+		"GetBytesHash":    func(c *Cache[int], h uint64, key []byte) { c.GetBytesHash(h, key) },
+		"GetBytesHashRef": func(c *Cache[int], h uint64, key []byte) { c.GetBytesHashRef(h, key) },
 	}
-	s.mu.Lock()
-	freq := s.sk.estimate(h)
-	cold := s.sk.estimate(Hash([]byte("never-seen")))
-	s.mu.Unlock()
-	if freq <= cold {
-		t.Fatalf("10 byte-probes left estimate %d, cold key %d", freq, cold)
+	for name, probe := range probes {
+		c := NewPolicy[int](64, 1, PolicyTinyLFU)
+		s := &c.shards[0]
+		key := []byte("repeat-offender")
+		h := Hash(key)
+		for i := 0; i < 10; i++ {
+			probe(c, h, key)
+		}
+		s.mu.Lock()
+		freq := s.sk.estimate(h)
+		cold := s.sk.estimate(Hash([]byte("never-seen")))
+		s.mu.Unlock()
+		if freq <= cold {
+			t.Fatalf("%s: 10 byte-probes left estimate %d, cold key %d", name, freq, cold)
+		}
 	}
 }
 

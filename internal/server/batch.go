@@ -612,8 +612,8 @@ func (st *batchStream) decodeLine(sp *lineSpan) {
 	})
 }
 
-// estimateWindow runs the window's decoded inputs through the sharded
-// batch estimator into the stream-owned outcome/result arenas.
+// estimateWindow runs the window's decoded inputs through the
+// estimator's recipe pool into the stream-owned outcome/result arenas.
 func (st *batchStream) estimateWindow() error {
 	bs := st.bs
 	if len(bs.inputs) == 0 {

@@ -45,10 +45,10 @@ func hugePhrase(i, n int) string {
 // phrases through /v1/estimate and /v1/batch leaves the live heap
 // within 1 MiB of its level before the burst. Every cache tier bounds
 // its entries in count, not bytes, so without a key-length cap each
-// such phrase would stay resident in the phrase, match and slot-L1
-// tiers; and a pipeline scratch grows its buffers to the longest
-// phrase it has seen, so without a cap on what it keeps when released
-// the worker environments would keep them too.
+// such phrase would stay resident in the phrase and match tiers; and
+// a pipeline scratch grows its buffers to the longest phrase it has
+// seen, so without a cap on what it keeps when released the worker
+// environments would keep them too.
 func TestPathologicalPhrasesDoNotPinHeap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pushes ~10 MB of phrases through the pipeline")

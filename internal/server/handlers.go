@@ -206,7 +206,7 @@ func (s *Server) recipeHot(sc *serveScratch, ctx context.Context, body io.Reader
 		}
 	}
 
-	res, err := s.est.EstimateRecipe(ctx, core.RecipeInput{Phrases: req.ingredients, Servings: req.servings, Method: method}, s.cfg.Workers)
+	res, err := s.est.EstimateRecipe(ctx, core.RecipeInput{Phrases: req.ingredients, Servings: req.servings, Method: method})
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 			return timeoutInto(sc, err)

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"testing"
 )
@@ -35,5 +36,49 @@ func TestServeEstimateHotZeroAllocs(t *testing.T) {
 	run() // warm the scratch buffers, pipeline memos, and phrase cache
 	if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
 		t.Errorf("warm estimate hot path allocates: %v allocs/run, want 0", allocs)
+	}
+}
+
+// TestServeRecipeHotAllocs pins the allocations of a warm /v1/recipe
+// over the golden corpus at exactly one per recipe: the per-ingredient
+// result slice core.EstimateRecipe returns in RecipeResult.Ingredients.
+// Nothing else allocates. The recipe's lines run in order on the calling
+// goroutine, so there is no goroutine, pool closure or per-worker state
+// to allocate; the worker environment comes off the estimator's free
+// list; every line is a phrase-cache hit expanded into that slice; and
+// decode, validation and encode run in the pooled scratch.
+func TestServeRecipeHotAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates; AllocsPerRun is meaningless under -race")
+	}
+	s := newTestServer(t, nil)
+	recipes := loadCorpus(t)
+	bodies := make([][]byte, len(recipes))
+	for i, r := range recipes {
+		body, err := json.Marshal(RecipeRequest{Ingredients: r.Ingredients, Servings: r.Servings, Method: r.Method})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies[i] = body
+	}
+	rd := bytes.NewReader(nil)
+	sc := getServeScratch()
+	defer putServeScratch(sc)
+	ctx := context.Background()
+
+	next := 0
+	run := func() {
+		rd.Reset(bodies[next%len(bodies)])
+		next++
+		status, out := s.recipeHot(sc, ctx, rd)
+		if status != http.StatusOK || len(out) == 0 {
+			t.Fatalf("recipeHot: status %d, %d body bytes", status, len(out))
+		}
+	}
+	for range bodies {
+		run() // warm the scratch buffers, pipeline memos and phrase cache
+	}
+	if allocs := testing.AllocsPerRun(20*len(bodies), run); allocs != 1 {
+		t.Errorf("warm recipe hot path: %v allocs per recipe, want 1", allocs)
 	}
 }

@@ -40,8 +40,6 @@ var memoFamilies = []struct {
 		func(st memo.Stats) float64 { return float64(st.Rejections) }},
 	{"nutriserve_memo_sketch_resets_total", "Frequency-sketch aging resets (counters halved, doorkeeper cleared).", "counter",
 		func(st memo.Stats) float64 { return float64(st.SketchResets) }},
-	{"nutriserve_memo_touches_total", "Out-of-band frequency touches from caller-side cache tiers (slot L1 hits).", "counter",
-		func(st memo.Stats) float64 { return float64(st.Touches) }},
 	{"nutriserve_memo_entries", "Entries currently resident in the memo cache.", "gauge",
 		func(st memo.Stats) float64 { return float64(st.Entries) }},
 	{"nutriserve_memo_hit_ratio", "Lifetime hit ratio, hits/(hits+misses), computed at scrape.", "gauge",

@@ -1,0 +1,94 @@
+package server
+
+import (
+	"io"
+	"log"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+
+	"nutriprofile/internal/core"
+	"nutriprofile/internal/ner"
+	"nutriprofile/internal/usda"
+)
+
+// panicMarker is the token on which panicTagger panics.
+const panicMarker = "zqpanic"
+
+// panicTagger is the rule tagger, except that it panics on a phrase
+// holding panicMarker: a stand-in for a defect in the NER stage. It
+// implements only ner.Tagger, so every pipeline pass calls Tag.
+type panicTagger struct{ inner ner.RuleTagger }
+
+func (p panicTagger) Tag(tokens []string) []ner.Label {
+	for _, tok := range tokens {
+		if tok == panicMarker {
+			panic("panicTagger: marker token")
+		}
+	}
+	return p.inner.Tag(tokens)
+}
+
+// TestRecipePanicContained: a stage that panics while a /v1/recipe
+// request is estimated costs that request its connection, not the
+// process. The recipe's lines run on the request goroutine, where
+// net/http recovers a handler panic and closes the connection; the
+// middleware's deferred accounting still runs, so the in-flight gauge
+// and the admission semaphore drain, and the server keeps answering
+// correctly on a fresh connection.
+func TestRecipePanicContained(t *testing.T) {
+	est, err := core.New(usda.Seed(), panicTagger{}, core.Options{CacheSize: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Estimator: est})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewUnstartedServer(s.Handler())
+	ts.Config.ErrorLog = log.New(io.Discard, "", 0) // the recovered panic's stack
+	ts.Start()
+	defer ts.Close()
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	defer client.CloseIdleConnections()
+
+	post := func(body string) (*http.Response, error) {
+		return client.Post(ts.URL+"/v1/recipe", "application/json", strings.NewReader(body))
+	}
+	poisoned := `{"ingredients":["2 cups flour","1 ` + panicMarker + ` onion , chopped","2 eggs"],"servings":4}`
+	if resp, err := post(poisoned); err == nil {
+		resp.Body.Close()
+		t.Fatalf("poisoned recipe answered %d, want a transport error", resp.StatusCode)
+	}
+	if n := s.reg.InFlight(); n != 0 {
+		t.Errorf("in-flight gauge = %d after the panic, want 0", n)
+	}
+	if n := len(s.sem); n != 0 {
+		t.Errorf("%d admission slots held after the panic, want 0", n)
+	}
+
+	good := `{"ingredients":["2 cups flour","1 onion , chopped","2 eggs"],"servings":4}`
+	resp, err := post(good)
+	if err != nil {
+		t.Fatalf("recipe after the panic: %v", err)
+	}
+	got, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("recipe after the panic: status %d: %s", resp.StatusCode, got)
+	}
+	want := postJSON(t, newTestServer(t, nil).Handler(), "/v1/recipe", good)
+	if want.Code != http.StatusOK || string(got) != want.Body.String() {
+		t.Fatalf("recipe after the panic served\n %s\nwant the rule tagger's\n %s", got, want.Body.String())
+	}
+	if n := s.reg.InFlight(); n != 0 {
+		t.Errorf("in-flight gauge = %d after the last request, want 0", n)
+	}
+	if n := len(s.sem); n != 0 {
+		t.Errorf("%d admission slots held after the last request, want 0", n)
+	}
+}

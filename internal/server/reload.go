@@ -29,7 +29,7 @@ type ReloadRequest struct {
 }
 
 // The response body is the installed snapshot's identity —
-// core.SnapshotStats: {"version":…,"gen":…,"foods":…,"source":…}.
+// core.SnapshotStats: {"version":…,"foods":…,"source":…}.
 
 // isLoopback reports whether the peer address is a loopback socket.
 // Anything unparseable counts as non-loopback: fail closed.

@@ -45,15 +45,13 @@ type Config struct {
 	// 429. Default 64.
 	MaxInFlight int
 	// RequestTimeout is the per-request deadline; it propagates through
-	// the request context into core's batch workers, so an expired
-	// recipe stops consuming pipeline capacity. Default 5s.
+	// the request context into core, which checks it between a recipe's
+	// lines, so an expired recipe stops consuming pipeline capacity.
+	// Default 5s.
 	RequestTimeout time.Duration
 	// MaxBodyBytes caps request bodies; larger bodies get 413.
 	// Default 1 MiB.
 	MaxBodyBytes int64
-	// Workers is the per-recipe ingredient worker pool size passed to
-	// core (0: one per CPU).
-	Workers int
 	// RetryAfter is the hint sent with 429 responses. Default 1s.
 	RetryAfter time.Duration
 	// EnableReload exposes POST /admin/reload (loopback-only hot swap of
@@ -65,10 +63,10 @@ type Config struct {
 	// yield to interactive traffic more often; larger windows amortize
 	// the per-window dispatch. Default 64.
 	BatchWindow int
-	// BatchWorkers bounds the estimator workers one bulk window runs on,
-	// independent of Workers (interactive recipes): bulk is throughput
-	// traffic and must leave cores for latency traffic. Default
-	// GOMAXPROCS/2, minimum 1.
+	// BatchWorkers bounds the estimator workers one bulk window runs on
+	// (an interactive recipe always runs on its request goroutine): bulk
+	// is throughput traffic and must leave cores for latency traffic.
+	// Default GOMAXPROCS/2, minimum 1.
 	BatchWorkers int
 	// MaxBulkStreams bounds concurrently admitted /v1/batch streams.
 	// Each stream also holds one MaxInFlight admission slot for its

@@ -289,8 +289,8 @@ func TestHealthzAndStatsShape(t *testing.T) {
 	if st.Memo.Phrase.Capacity <= 0 || st.Memo.Phrase.Shards <= 0 {
 		t.Fatalf("memo snapshot missing shape: %+v", st.Memo.Phrase)
 	}
-	if !strings.Contains(w.Body.String(), `"l1_entries":`) {
-		t.Fatalf("stats shard block lacks the slot-L1 resident count: %s", w.Body.String())
+	if !strings.Contains(w.Body.String(), `"shard":{"phrases":`) {
+		t.Fatalf("stats body lacks the shard block's phrase count: %s", w.Body.String())
 	}
 	est := st.HTTP.Routes["/v1/estimate"]
 	if est.Requests != 3 || est.ByClass["2xx"] != 2 || est.ByClass["4xx"] != 1 {
