@@ -61,7 +61,8 @@ experiments:
 	$(GO) run ./cmd/experiments -run all
 
 # Short fuzzing pass over every parser surface, including the HTTP
-# request decoders (arbitrary bodies through the full serving path).
+# request decoder (arbitrary bodies through the full serving path, and
+# the same bodies on every route that shares it).
 fuzz:
 	$(GO) test -fuzz FuzzParseQuantity -fuzztime 15s ./internal/units/
 	$(GO) test -fuzz FuzzParseServings -fuzztime 15s ./internal/units/
@@ -77,6 +78,7 @@ fuzz:
 	$(GO) test -fuzz FuzzEstimateHandler -fuzztime 15s -run xxx ./internal/server/
 	$(GO) test -fuzz FuzzRecipeHandler -fuzztime 15s -run xxx ./internal/server/
 	$(GO) test -fuzz FuzzBatchHandler -fuzztime 15s -run xxx ./internal/server/
+	$(GO) test -fuzz FuzzRouteLineParity -fuzztime 15s -run xxx ./internal/server/
 
 # Per-package coverage floors for the packages whose regressions hurt
 # most in production. The serving layer carries the pooled codec — every

@@ -1,9 +1,8 @@
-// Package jsonx is the serving layer's pooled JSON codec: append-style
-// encoders whose output is byte-for-byte identical to encoding/json's
-// default (HTML-escaping) marshaler, a zero-allocation pull decoder for
-// the small request shapes the API accepts, and a buffer pool so a warm
-// handler neither allocates a response buffer nor walks reflection
-// metadata per request.
+// Package jsonx is the serving layer's JSON codec: append-style encoders
+// whose output is byte-for-byte identical to encoding/json's default
+// (HTML-escaping) marshaler, and a zero-allocation pull decoder for the
+// small request shapes the API accepts, so a warm handler renders into
+// its pooled arena without walking reflection metadata per request.
 //
 // encoding/json is the executable specification: every primitive here is
 // pinned to it by differential tests (strings across the escaping
@@ -19,7 +18,6 @@ package jsonx
 import (
 	"math"
 	"strconv"
-	"sync"
 	"unicode/utf8"
 )
 
@@ -111,33 +109,4 @@ func AppendBool(b []byte, v bool) []byte {
 		return append(b, "true"...)
 	}
 	return append(b, "false"...)
-}
-
-// Buffer is a pooled byte buffer. Use B with the append-style encoders
-// and store the grown slice back before Put, so capacity survives the
-// round trip through the pool.
-type Buffer struct {
-	B []byte
-}
-
-// maxPooledBuffer caps the capacity a buffer may carry back into the
-// pool; one pathological response must not pin megabytes forever.
-const maxPooledBuffer = 1 << 20
-
-var bufPool = sync.Pool{New: func() any { return &Buffer{B: make([]byte, 0, 4096)} }}
-
-// GetBuffer checks a buffer out of the pool with length reset to zero.
-func GetBuffer() *Buffer {
-	buf := bufPool.Get().(*Buffer)
-	buf.B = buf.B[:0]
-	return buf
-}
-
-// PutBuffer returns a buffer to the pool. Oversized buffers are dropped
-// instead of pooled.
-func PutBuffer(buf *Buffer) {
-	if cap(buf.B) > maxPooledBuffer {
-		return
-	}
-	bufPool.Put(buf)
 }

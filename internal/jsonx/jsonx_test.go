@@ -371,23 +371,6 @@ func TestDecodeZeroAllocsWarm(t *testing.T) {
 	}
 }
 
-// TestBufferPool exercises the checkout/return cycle and the oversize
-// drop policy.
-func TestBufferPool(t *testing.T) {
-	buf := GetBuffer()
-	if len(buf.B) != 0 {
-		t.Fatalf("fresh buffer has len %d", len(buf.B))
-	}
-	buf.B = append(buf.B, "hello"...)
-	PutBuffer(buf)
-	buf2 := GetBuffer()
-	if len(buf2.B) != 0 {
-		t.Errorf("recycled buffer not reset: len %d", len(buf2.B))
-	}
-	buf2.B = make([]byte, 0, maxPooledBuffer+1)
-	PutBuffer(buf2) // must not panic; oversize is dropped
-}
-
 // TestResetKeepPreservesViews pins the NDJSON-window contract: views
 // returned before a ResetKeep stay intact while the decoder moves on to
 // later lines, and a plain Reset is the point where they die (the

@@ -31,15 +31,24 @@ func (g *Registry) WritePrometheus(w io.Writer) error {
 	return writePrometheus(w, g.Snapshot())
 }
 
-// promWriter accumulates the exposition, capturing the first write error
-// so the render code stays linear.
-type promWriter struct {
+// PromWriter accumulates one exposition and writes it on Flush, keeping
+// the first write error so the render code stays linear. The registry's
+// families render through it, and so do the families a /metrics handler
+// snapshots at scrape time from outside the registry.
+type PromWriter struct {
 	w   io.Writer
 	buf []byte
 	err error
 }
 
-func (p *promWriter) flush() error {
+// NewPromWriter returns a PromWriter that flushes to w.
+func NewPromWriter(w io.Writer) *PromWriter {
+	return &PromWriter{w: w, buf: make([]byte, 0, 4096)}
+}
+
+// Flush writes what has been rendered so far and returns the first
+// write error.
+func (p *PromWriter) Flush() error {
 	if p.err == nil && len(p.buf) > 0 {
 		_, p.err = p.w.Write(p.buf)
 		p.buf = p.buf[:0]
@@ -47,15 +56,15 @@ func (p *promWriter) flush() error {
 	return p.err
 }
 
-func (p *promWriter) str(s string)  { p.buf = append(p.buf, s...) }
-func (p *promWriter) int(v int64)   { p.buf = strconv.AppendInt(p.buf, v, 10) }
-func (p *promWriter) uint(v uint64) { p.buf = strconv.AppendUint(p.buf, v, 10) }
-func (p *promWriter) float(v float64) {
+func (p *PromWriter) str(s string)  { p.buf = append(p.buf, s...) }
+func (p *PromWriter) int(v int64)   { p.buf = strconv.AppendInt(p.buf, v, 10) }
+func (p *PromWriter) uint(v uint64) { p.buf = strconv.AppendUint(p.buf, v, 10) }
+func (p *PromWriter) float(v float64) {
 	p.buf = strconv.AppendFloat(p.buf, v, 'g', -1, 64)
 }
 
-// header emits the HELP and TYPE lines for one metric family.
-func (p *promWriter) header(name, help, typ string) {
+// Header emits the HELP and TYPE lines for one metric family.
+func (p *PromWriter) Header(name, help, typ string) {
 	p.str("# HELP ")
 	p.str(name)
 	p.str(" ")
@@ -69,7 +78,7 @@ func (p *promWriter) header(name, help, typ string) {
 
 // label appends one escaped label pair; Prometheus label values escape
 // backslash, double quote and newline.
-func (p *promWriter) label(first bool, key, val string) {
+func (p *PromWriter) label(first bool, key, val string) {
 	if !first {
 		p.buf = append(p.buf, ',')
 	}
@@ -90,8 +99,22 @@ func (p *promWriter) label(first bool, key, val string) {
 	p.buf = append(p.buf, '"')
 }
 
+// Sample emits one sample line in the shortest 'g' float form: name
+// value, or name{key="val"} value when key is not empty.
+func (p *PromWriter) Sample(name, key, val string, v float64) {
+	p.str(name)
+	if key != "" {
+		p.str("{")
+		p.label(true, key, val)
+		p.str("}")
+	}
+	p.str(" ")
+	p.float(v)
+	p.str("\n")
+}
+
 func writePrometheus(w io.Writer, s Snapshot) error {
-	p := &promWriter{w: w, buf: make([]byte, 0, 4096)}
+	p := NewPromWriter(w)
 
 	routes := make([]string, 0, len(s.Routes))
 	for name := range s.Routes {
@@ -99,7 +122,7 @@ func writePrometheus(w io.Writer, s Snapshot) error {
 	}
 	sort.Strings(routes)
 
-	p.header("nutriserve_http_requests_total", "Requests received, by route.", "counter")
+	p.Header("nutriserve_http_requests_total", "Requests received, by route.", "counter")
 	for _, rt := range routes {
 		p.str("nutriserve_http_requests_total{")
 		p.label(true, "route", rt)
@@ -108,7 +131,7 @@ func writePrometheus(w io.Writer, s Snapshot) error {
 		p.str("\n")
 	}
 
-	p.header("nutriserve_http_responses_total", "Responses sent, by route and status class.", "counter")
+	p.Header("nutriserve_http_responses_total", "Responses sent, by route and status class.", "counter")
 	for _, rt := range routes {
 		classes := make([]string, 0, len(s.Routes[rt].ByClass))
 		for c := range s.Routes[rt].ByClass {
@@ -125,7 +148,7 @@ func writePrometheus(w io.Writer, s Snapshot) error {
 		}
 	}
 
-	p.header("nutriserve_http_request_duration_seconds", "Request latency, by route.", "histogram")
+	p.Header("nutriserve_http_request_duration_seconds", "Request latency, by route.", "histogram")
 	for _, rt := range routes {
 		lat := s.Routes[rt].Latency
 		var cum uint64
@@ -157,35 +180,35 @@ func writePrometheus(w io.Writer, s Snapshot) error {
 		p.str("\n")
 	}
 
-	p.header("nutriserve_http_in_flight", "Requests currently being served.", "gauge")
+	p.Header("nutriserve_http_in_flight", "Requests currently being served.", "gauge")
 	p.str("nutriserve_http_in_flight ")
 	p.int(s.InFlight)
 	p.str("\n")
 
-	p.header("nutriserve_http_shed_total", "Requests rejected by admission control.", "counter")
+	p.Header("nutriserve_http_shed_total", "Requests rejected by admission control.", "counter")
 	p.str("nutriserve_http_shed_total ")
 	p.uint(s.Shed)
 	p.str("\n")
 
-	p.header("nutriserve_batch_lines_total", "NDJSON lines answered on bulk streams.", "counter")
+	p.Header("nutriserve_batch_lines_total", "NDJSON lines answered on bulk streams.", "counter")
 	p.str("nutriserve_batch_lines_total ")
 	p.uint(s.Batch.Lines)
 	p.str("\n")
 
-	p.header("nutriserve_batch_line_errors_total", "Per-line errors reported in-stream on bulk streams.", "counter")
+	p.Header("nutriserve_batch_line_errors_total", "Per-line errors reported in-stream on bulk streams.", "counter")
 	p.str("nutriserve_batch_line_errors_total ")
 	p.uint(s.Batch.LineErrors)
 	p.str("\n")
 
-	p.header("nutriserve_batch_windows_total", "Estimator windows processed by bulk streams.", "counter")
+	p.Header("nutriserve_batch_windows_total", "Estimator windows processed by bulk streams.", "counter")
 	p.str("nutriserve_batch_windows_total ")
 	p.uint(s.Batch.Windows)
 	p.str("\n")
 
-	p.header("nutriserve_batch_streams_active", "Bulk streams currently held open.", "gauge")
+	p.Header("nutriserve_batch_streams_active", "Bulk streams currently held open.", "gauge")
 	p.str("nutriserve_batch_streams_active ")
 	p.int(s.Batch.Active)
 	p.str("\n")
 
-	return p.flush()
+	return p.Flush()
 }

@@ -97,14 +97,14 @@ func (s *RuntimeSampler) Sample() RuntimeStats {
 // families. Pass it a RuntimeSampler's snapshot, so scrapes stop the
 // world no more often than /v1/stats reads do.
 func WriteRuntimePrometheus(w io.Writer, rs RuntimeStats) error {
-	p := &promWriter{w: w, buf: make([]byte, 0, 512)}
-	p.header("nutriserve_go_heap_alloc_bytes", "Bytes of allocated heap objects, live and not yet swept (runtime.MemStats.HeapAlloc).", "gauge")
+	p := NewPromWriter(w)
+	p.Header("nutriserve_go_heap_alloc_bytes", "Bytes of allocated heap objects, live and not yet swept (runtime.MemStats.HeapAlloc).", "gauge")
 	p.str("nutriserve_go_heap_alloc_bytes ")
 	p.uint(rs.HeapAllocBytes)
 	p.str("\n")
-	p.header("nutriserve_go_next_gc_bytes", "Heap size at which the next GC cycle starts (runtime.MemStats.NextGC); peak RSS follows it.", "gauge")
+	p.Header("nutriserve_go_next_gc_bytes", "Heap size at which the next GC cycle starts (runtime.MemStats.NextGC); peak RSS follows it.", "gauge")
 	p.str("nutriserve_go_next_gc_bytes ")
 	p.uint(rs.NextGCBytes)
 	p.str("\n")
-	return p.flush()
+	return p.Flush()
 }

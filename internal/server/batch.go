@@ -9,13 +9,16 @@ package server
 // graceful drain (which ends the stream with a `draining` trailer line
 // rather than hanging shutdown).
 //
-// The stream is processed in bounded windows: read up to BatchWindow
-// lines (or ~batchWindowBytes), decode them into scratch-owned views,
-// estimate the whole window through core.EstimateRecipesInto on
-// BatchWorkers workers, render, write, flush, yield. Windowing is what
-// ties an unbounded stream to bounded memory and bounded scheduling:
-// between windows the goroutine yields and re-checks the drain signal,
-// and the estimator only ever sees BatchWindow recipes at a time.
+// The stream is processed in bounded windows: read the lines one read
+// delivers into the stream's batchReadBytes buffer (at most BatchWindow
+// of them), decode them into arena-owned views with the same decoder
+// the interactive routes use (lineGrammar: either form, chosen by its
+// keys), estimate the whole window through core.EstimateRecipesInto on
+// BatchWorkers workers, render every answer through the renderer the
+// interactive routes share, write, flush, yield. Windowing is what ties
+// an unbounded stream to bounded memory and bounded scheduling: between
+// windows the goroutine yields and re-checks the drain signal, and the
+// estimator only ever sees BatchWindow recipes at a time.
 //
 // Hot-path discipline matches codec.go: one batchScratch owns every
 // buffer a stream touches, all of them grow-only, so a warm stream
@@ -32,20 +35,22 @@ import (
 	"io"
 	"net/http"
 	"runtime"
-	"strings"
-	"sync"
 	"time"
-
-	"nutriprofile/internal/core"
-	"nutriprofile/internal/jsonx"
-	"nutriprofile/internal/yield"
 )
 
 const (
 	ndjsonContentType = "application/x-ndjson"
-	// batchWindowBytes soft-caps the raw bytes one window consumes, so a
-	// stream of maximal lines cannot turn BatchWindow into an unbounded
-	// buffer. A single line may still reach MaxBodyBytes.
+	// batchReadBytes is the capacity of a stream's read buffer, and so
+	// the bound that sizes a window: a window closes at the first partial
+	// tail while it holds lines, so it is the complete lines one read
+	// delivers (at most BatchWindow of them). A bulk sender's windows of
+	// generated paper-corpus recipe lines hold about 52–62 of them. Only
+	// a line longer than the buffer grows it, for the rest of the stream.
+	batchReadBytes = 64 << 10
+	// batchWindowBytes soft-caps the raw bytes one window consumes once a
+	// long line has grown the read buffer, so a stream of maximal lines
+	// cannot turn BatchWindow into an unbounded buffer. A single line may
+	// still reach MaxBodyBytes.
 	batchWindowBytes = 512 << 10
 )
 
@@ -56,79 +61,6 @@ type lineSpan struct {
 	off, end int
 	line     int // 1-based input line number
 	tooLong  bool
-}
-
-type batchItemKind uint8
-
-const (
-	itemError batchItemKind = iota
-	itemEstimate
-	itemRecipe
-)
-
-// batchItem is one decoded line awaiting estimation/encoding. Estimate
-// and recipe items index into batchScratch.inputs/outcomes; error items
-// carry their envelope inline.
-type batchItem struct {
-	kind   batchItemKind
-	line   int
-	idx    int
-	status int
-	code   string
-	msg    string
-}
-
-// batchScratch is the per-stream arena: the window buffer, the rendered
-// output, decoded line metadata, the estimator's input/outcome/result
-// arenas and the phrase-view arena. Everything is grow-only across
-// windows, so a warm stream stops allocating entirely.
-type batchScratch struct {
-	buf      []byte // raw input bytes: consumed window + unread tail
-	out      []byte // rendered NDJSON for the current window
-	spans    []lineSpan
-	items    []batchItem
-	inputs   []core.RecipeInput
-	outcomes []core.RecipeOutcome
-	arena    []core.IngredientResult
-	ings     []string // phrase views; inputs' Phrases are sub-slices
-	dec      jsonx.Decoder
-}
-
-// maxPooledBatch caps the buffer capacity a batch scratch may carry
-// back into the pool — one oversized stream must not pin megabytes.
-const maxPooledBatch = 4 << 20
-
-var batchPool = sync.Pool{New: func() any {
-	return &batchScratch{
-		buf: make([]byte, 0, 64<<10),
-		out: make([]byte, 0, 64<<10),
-	}
-}}
-
-func getBatchScratch() *batchScratch { return batchPool.Get().(*batchScratch) }
-
-func putBatchScratch(bs *batchScratch) {
-	// Clear through cap, not len: entries parked beyond the current
-	// length still hold views of request bytes and must not survive into
-	// another stream (or pin dead buffers in the pool).
-	clear(bs.ings[:cap(bs.ings)])
-	clear(bs.inputs[:cap(bs.inputs)])
-	clear(bs.items[:cap(bs.items)])
-	clear(bs.outcomes[:cap(bs.outcomes)])
-	clear(bs.arena[:cap(bs.arena)])
-	bs.ings = bs.ings[:0]
-	bs.inputs = bs.inputs[:0]
-	bs.items = bs.items[:0]
-	bs.outcomes = bs.outcomes[:0]
-	bs.arena = bs.arena[:0]
-	bs.spans = bs.spans[:0]
-	bs.buf = bs.buf[:0]
-	bs.out = bs.out[:0]
-	bs.dec.Reset(nil)
-	if cap(bs.buf)+cap(bs.out) > maxPooledBatch {
-		return
-	}
-	batchPool.Put(bs)
 }
 
 // batchStream drives one /v1/batch request through the window loop.
@@ -224,6 +156,12 @@ func (st *batchStream) flush() {
 // yields the processor — the cadence that keeps a 118k-line stream from
 // monopolizing either memory or cores.
 func (st *batchStream) run() {
+	// The stream reads through a batchReadBytes buffer whatever capacity
+	// the pooled scratch brought from the requests it served before, so
+	// its windows do not depend on them.
+	if cap(st.bs.buf) != batchReadBytes {
+		st.bs.buf = make([]byte, 0, batchReadBytes)
+	}
 	for {
 		select {
 		case <-st.s.drainCh:
@@ -237,7 +175,7 @@ func (st *batchStream) run() {
 		}
 		st.readWindow()
 		st.decodeWindow()
-		if st.estimateWindow() != nil {
+		if st.bs.estimate(st.ctx, st.s.est, st.s.cfg.BatchWorkers) != nil {
 			return // request context dead: the client is gone
 		}
 		st.encodeWindow()
@@ -277,9 +215,10 @@ func (st *batchStream) trailer(status int, code, msg string) {
 	}
 }
 
-// readWindow gathers up to BatchWindow lines (or batchWindowBytes) into
-// bs.spans. Spans index into bs.buf, which only grows during a window —
-// compaction happens in compact(), after the spans are dead.
+// readWindow gathers the next window's lines into bs.spans: the complete
+// lines buffered once a read has delivered some, up to BatchWindow lines
+// (or batchWindowBytes). Spans index into bs.buf, which only grows during
+// a window — compaction happens in compact(), after the spans are dead.
 func (st *batchStream) readWindow() {
 	bs := st.bs
 	bs.spans = bs.spans[:0]
@@ -302,10 +241,11 @@ func (st *batchStream) readWindow() {
 		if st.draining || st.eof || st.readErr != nil {
 			break
 		}
-		// Input stalled with lines in hand: flush them rather than block.
-		// A bulk sender keeps the buffer full, so its windows still reach
-		// BatchWindow; a trickling client gets per-line latency instead
-		// of waiting for a window it may never fill.
+		// A partial tail with lines in hand closes the window rather than
+		// read again, which could block. So a window is the complete lines
+		// one read delivered: a bulk sender's fill the read buffer, and a
+		// trickling client gets per-line latency instead of waiting for a
+		// window it may never fill.
 		if len(bs.spans) > 0 && bytes.IndexByte(bs.buf[pos:], '\n') < 0 {
 			break
 		}
@@ -423,215 +363,19 @@ func (st *batchStream) compact() {
 	st.consumed = 0
 }
 
-// decodeWindow turns spans into items. One plain Reset reclaims the
-// decoder's unescape scratch for the window; each line then re-points
-// the decoder with ResetKeep so earlier lines' views stay valid.
+// decodeWindow turns the window's spans into items.
 func (st *batchStream) decodeWindow() {
 	bs := st.bs
-	bs.items = bs.items[:0]
-	bs.inputs = bs.inputs[:0]
-	bs.ings = bs.ings[:0]
-	bs.dec.Reset(nil)
+	bs.rewind()
 	for i := range bs.spans {
 		sp := &bs.spans[i]
 		if sp.tooLong {
-			st.errItem(sp.line, http.StatusRequestEntityTooLarge, "line_too_large",
+			bs.errItem(sp.line, http.StatusRequestEntityTooLarge, "line_too_large",
 				fmt.Sprintf("input line exceeds %d bytes", st.s.cfg.MaxBodyBytes))
 			continue
 		}
-		st.decodeLine(sp)
+		bs.decodeLine(bs.buf[sp.off:sp.end], sp.line, lineGrammar)
 	}
-}
-
-func (st *batchStream) errItem(line, status int, code, msg string) {
-	st.bs.items = append(st.bs.items, batchItem{
-		kind: itemError, line: line, status: status, code: code, msg: msg,
-	})
-}
-
-func (st *batchStream) badJSON(line int, err error) {
-	st.errItem(line, http.StatusBadRequest, "bad_json",
-		"input line is not valid JSON for this route: "+err.Error())
-}
-
-// decodeLine parses one NDJSON line. The shape is dispatched by key —
-// "phrase" selects the estimate form, any of "ingredients"/"servings"/
-// "method" the recipe form — with exactly the validation vocabulary of
-// the corresponding interactive route, so a batch line and a single
-// request produce byte-identical success bodies (the golden
-// differential test's invariant).
-func (st *batchStream) decodeLine(sp *lineSpan) {
-	bs := st.bs
-	d := &bs.dec
-	d.ResetKeep(bs.buf[sp.off:sp.end])
-	isNull, err := d.ObjectStart()
-	if err != nil {
-		st.badJSON(sp.line, err)
-		return
-	}
-	if isNull {
-		st.errItem(sp.line, http.StatusBadRequest, "bad_request",
-			`line must be an object with "phrase" or "ingredients"`)
-		return
-	}
-	var (
-		hasPhrase bool
-		hasRecipe bool
-		hasIngs   bool
-		phrase    []byte
-		method    []byte
-		servings  int64
-		ingsStart = len(bs.ings)
-	)
-	for first := true; ; first = false {
-		key, ok, err := d.Member(first)
-		if err != nil {
-			st.badJSON(sp.line, err)
-			return
-		}
-		if !ok {
-			break
-		}
-		switch string(key) {
-		case "phrase":
-			hasPhrase = true
-			val, isNull, err := d.String()
-			if err != nil {
-				st.badJSON(sp.line, err)
-				return
-			}
-			if !isNull {
-				phrase = val
-			}
-		case "ingredients":
-			hasRecipe, hasIngs = true, true
-			bs.ings = bs.ings[:ingsStart] // duplicate key: last wins
-			isNull, err := d.ArrayStart()
-			if err != nil {
-				st.badJSON(sp.line, err)
-				return
-			}
-			if isNull {
-				continue
-			}
-			for efirst := true; ; efirst = false {
-				more, err := d.ArrayNext(efirst)
-				if err != nil {
-					st.badJSON(sp.line, err)
-					return
-				}
-				if !more {
-					break
-				}
-				val, _, err := d.String()
-				if err != nil {
-					st.badJSON(sp.line, err)
-					return
-				}
-				bs.ings = append(bs.ings, byteView(val))
-			}
-		case "servings":
-			hasRecipe = true
-			v, _, err := d.Int()
-			if err != nil {
-				st.badJSON(sp.line, err)
-				return
-			}
-			servings = v
-		case "method":
-			hasRecipe = true
-			val, isNull, err := d.String()
-			if err != nil {
-				st.badJSON(sp.line, err)
-				return
-			}
-			if !isNull {
-				method = val
-			}
-		default:
-			st.badJSON(sp.line, fmt.Errorf("unknown field %q", key))
-			return
-		}
-	}
-	switch {
-	case hasPhrase && hasRecipe:
-		st.errItem(sp.line, http.StatusBadRequest, "bad_request",
-			`line mixes "phrase" with recipe fields`)
-		return
-	case hasPhrase:
-		p := strings.TrimSpace(byteView(phrase))
-		if p == "" {
-			st.errItem(sp.line, http.StatusBadRequest, "empty_phrase",
-				`"phrase" must be a non-empty ingredient phrase`)
-			return
-		}
-		bs.ings = append(bs.ings, p)
-		bs.items = append(bs.items, batchItem{
-			kind: itemEstimate, line: sp.line, idx: len(bs.inputs),
-		})
-		bs.inputs = append(bs.inputs, core.RecipeInput{
-			Phrases:  bs.ings[len(bs.ings)-1 : len(bs.ings) : len(bs.ings)],
-			Servings: 1,
-		})
-		return
-	case !hasRecipe:
-		st.errItem(sp.line, http.StatusBadRequest, "bad_request",
-			`line must be an object with "phrase" or "ingredients"`)
-		return
-	}
-	// Recipe form: the recipeHot validation vocabulary, per line.
-	if !hasIngs || len(bs.ings) == ingsStart {
-		st.errItem(sp.line, http.StatusBadRequest, "no_ingredients",
-			`"ingredients" must list at least one phrase`)
-		return
-	}
-	if servings == 0 {
-		servings = 1
-	}
-	if servings < 0 {
-		st.errItem(sp.line, http.StatusBadRequest, "bad_servings",
-			fmt.Sprintf("servings must be positive, got %d", servings))
-		return
-	}
-	m := yield.None
-	if name := strings.ToLower(strings.TrimSpace(byteView(method))); name != "" {
-		m = yield.ParseMethod(name)
-		if m == yield.None && name != yield.None.String() {
-			st.errItem(sp.line, http.StatusBadRequest, "bad_method",
-				fmt.Sprintf("unknown cooking method %q", byteView(method)))
-			return
-		}
-	}
-	bs.items = append(bs.items, batchItem{
-		kind: itemRecipe, line: sp.line, idx: len(bs.inputs),
-	})
-	bs.inputs = append(bs.inputs, core.RecipeInput{
-		Phrases:  bs.ings[ingsStart:len(bs.ings):len(bs.ings)],
-		Servings: int(servings),
-		Method:   m,
-	})
-}
-
-// estimateWindow runs the window's decoded inputs through the
-// estimator's recipe pool into the stream-owned outcome/result arenas.
-func (st *batchStream) estimateWindow() error {
-	bs := st.bs
-	if len(bs.inputs) == 0 {
-		return nil
-	}
-	total := 0
-	for i := range bs.inputs {
-		total += len(bs.inputs[i].Phrases)
-	}
-	if cap(bs.outcomes) < len(bs.inputs) {
-		bs.outcomes = make([]core.RecipeOutcome, len(bs.inputs))
-	}
-	bs.outcomes = bs.outcomes[:len(bs.inputs)]
-	if cap(bs.arena) < total {
-		bs.arena = make([]core.IngredientResult, total)
-	}
-	bs.arena = bs.arena[:total]
-	return st.s.est.EstimateRecipesInto(st.ctx, bs.inputs, st.s.cfg.BatchWorkers, bs.outcomes, bs.arena)
 }
 
 // encodeWindow renders the window's items into bs.out, one NDJSON line
@@ -642,41 +386,19 @@ func (st *batchStream) encodeWindow() {
 	st.errs = 0
 	for i := range bs.items {
 		it := &bs.items[i]
-		switch it.kind {
-		case itemEstimate:
-			resp := toEstimateResponse(bs.outcomes[it.idx].Result.Ingredients[0])
-			bs.out = appendEstimateResponse(bs.out, &resp)
-			bs.out = append(bs.out, '\n')
-		case itemRecipe:
-			o := &bs.outcomes[it.idx]
-			if o.Err != nil {
-				// Unreachable after decode-time validation, but the core
-				// contract allows it; keep the stream alive regardless.
-				st.errs++
-				bs.out = appendBatchErrorBody(bs.out, http.StatusBadRequest, "bad_recipe", o.Err.Error(), it.line)
-				bs.out = append(bs.out, '\n')
-				continue
-			}
-			head := RecipeResponse{
-				Servings:       o.Result.Servings,
-				Method:         bs.inputs[it.idx].Method.String(),
-				MappedFraction: o.Result.MappedFraction,
-				Total:          o.Result.Total,
-				PerServing:     o.Result.PerServing,
-			}
-			bs.out = appendRecipeResponseHeader(bs.out, &head)
-			for j := range o.Result.Ingredients {
-				if j > 0 {
-					bs.out = append(bs.out, ',')
-				}
-				resp := toEstimateResponse(o.Result.Ingredients[j])
-				bs.out = appendEstimateResponse(bs.out, &resp)
-			}
-			bs.out = appendRecipeResponseFooter(bs.out) // includes the line's \n
-		default:
+		switch {
+		case it.kind == itemError:
 			st.errs++
 			bs.out = appendBatchErrorBody(bs.out, it.status, it.code, it.msg, it.line)
-			bs.out = append(bs.out, '\n')
+		case bs.outcomes[it.idx].Err != nil:
+			// Unreachable after decode-time validation, but the core
+			// contract allows it; keep the stream alive regardless.
+			st.errs++
+			bs.out = appendBatchErrorBody(bs.out, http.StatusBadRequest, "bad_recipe",
+				bs.outcomes[it.idx].Err.Error(), it.line)
+		default:
+			bs.out = bs.appendAnswer(bs.out, it)
 		}
+		bs.out = append(bs.out, '\n')
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -757,5 +758,98 @@ func TestServeBatchHotZeroAllocs(t *testing.T) {
 	run()
 	if n := testing.AllocsPerRun(200, run); n != 0 {
 		t.Errorf("warm batch stream allocated %v times per run, want 0", n)
+	}
+}
+
+// windowLines records how many response lines each Write carried: the
+// stream writes each window's rendered output in one call.
+type windowLines []int
+
+func (w *windowLines) Write(p []byte) (int, error) {
+	*w = append(*w, bytes.Count(p, []byte{'\n'}))
+	return len(p), nil
+}
+
+// TestBatchWindowIsOneRead pins the bound that actually sizes a window:
+// the complete lines one read delivers into the stream's batchReadBytes
+// buffer. Lines longer than 1 KiB arrive from a reader that has the
+// whole body ready, through a scratch fresh from the pool (4 KiB
+// buffers); each window must hold what a 64 KiB read completes — fewer
+// than BatchWindow lines — rather than what the scratch's own capacity
+// would hold.
+func TestBatchWindowIsOneRead(t *testing.T) {
+	s := newTestServer(t, func(c *Config) { c.BatchWorkers = 1 })
+	line := `{"phrase":"2 cups all-purpose flour` + strings.Repeat(" ", 1100) + `"}` + "\n"
+	const lines = 300
+	body := strings.Repeat(line, lines)
+
+	// The model: a window starts with the last window's partial line, one
+	// read tops the buffer up to batchReadBytes, and the window takes the
+	// complete lines in it.
+	var want []int
+	tail, unread := 0, len(body)
+	for unread > 0 {
+		read := min(batchReadBytes-tail, unread)
+		unread -= read
+		held := tail + read
+		want = append(want, held/len(line))
+		tail = held % len(line)
+	}
+	if want[0] >= s.cfg.BatchWindow {
+		t.Fatalf("model window of %d lines reaches BatchWindow %d: lines too short to test the read bound", want[0], s.cfg.BatchWindow)
+	}
+
+	bs := batchPool.New().(*batchScratch)
+	if cap(bs.buf) >= batchReadBytes {
+		t.Fatalf("fresh scratch buffer holds %d bytes; the test needs one smaller than a read", cap(bs.buf))
+	}
+	var got windowLines
+	st := batchStream{s: s, bs: bs, body: strings.NewReader(body), dst: &got, ctx: context.Background()}
+	st.run()
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("lines per window %v, want %v", got, want)
+	}
+}
+
+// TestPutBatchScratchClearsUsedSlots pins putBatchScratch's narrow
+// clear. It clears only as far as this checkout's slices reached, so a
+// checkout that ran a 64-line window and then a /v1/estimate — the
+// second leaving only one slot of each slice in use — must still leave
+// no slot up to capacity holding a reference once it is put back.
+func TestPutBatchScratchClearsUsedSlots(t *testing.T) {
+	s := newTestServer(t, func(c *Config) { c.BatchWorkers = 1 })
+	var body strings.Builder
+	for i := 0; i < 32; i++ {
+		body.WriteString(`{"phrase":"2 cups all-purpose flour"}` + "\n")
+		body.WriteString(`{"ingredients":["2 cups all-purpose flour","1 cup whole milk"],"servings":4}` + "\n")
+	}
+	bs := batchPool.New().(*batchScratch)
+	var windows windowLines
+	st := batchStream{s: s, bs: bs, body: strings.NewReader(body.String()), dst: &windows, ctx: context.Background()}
+	st.run()
+	if len(windows) != 1 || windows[0] != 64 {
+		t.Fatalf("stream ran windows of %v lines, want one of 64", windows)
+	}
+	status, _ := s.answer(bs, context.Background(), strings.NewReader(`{"phrase":"1 cup whole milk"}`), estimateGrammar)
+	if status != http.StatusOK {
+		t.Fatalf("estimate status %d", status)
+	}
+	putBatchScratch(bs)
+
+	for name, slots := range map[string]any{
+		"items": bs.items, "inputs": bs.inputs, "outcomes": bs.outcomes,
+		"arena": bs.arena, "ings": bs.ings,
+	} {
+		v := reflect.ValueOf(slots)
+		v = v.Slice(0, v.Cap())
+		if v.Len() < 64 {
+			t.Errorf("%s holds %d slots, want the window's 64", name, v.Len())
+		}
+		for i := 0; i < v.Len(); i++ {
+			if !v.Index(i).IsZero() {
+				t.Errorf("%s[%d] still set after put: %+v", name, i, v.Index(i))
+				break
+			}
+		}
 	}
 }

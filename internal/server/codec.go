@@ -1,6 +1,12 @@
 package server
 
-// The pooled request/response codec behind the estimation hot paths.
+// The request codec every estimation route shares. /v1/estimate and
+// /v1/recipe answer as one-item windows of the /v1/batch codec: one
+// pooled arena, one decoder (decodeLine, told which grammar its caller
+// accepts), one success renderer (appendAnswer). Only failures render
+// differently: an interactive route sends a status and an ErrorBody, a
+// /v1/batch stream a numbered in-stream BatchErrorBody.
+//
 // Encoding is hand-written append-style (internal/jsonx primitives),
 // byte-identical to what encoding/json produced for the same wire
 // structs — the structs in handlers.go remain the executable spec, and
@@ -9,66 +15,128 @@ package server
 // decoder with the same accept/reject semantics as the json.Decoder +
 // DisallowUnknownFields stack it replaces.
 //
-// Ownership: a serveScratch belongs to one request from checkout to
-// Put. Request bytes live in sc.body (and the decoder's unescape
-// scratch), phrase strings handed to core are unsafe views of those
-// bytes — core never retains them (see core.EstimateIngredientScratch) —
-// and the response is rendered into sc.out before anything is written
-// to the ResponseWriter. Nothing of the request survives putServeScratch.
+// Ownership: a batchScratch belongs to one request — an interactive
+// request, a /v1/batch stream, a probe or a shed — from checkout to
+// putBatchScratch. Request bytes live in bs.buf (and the decoder's
+// unescape scratch), phrase strings handed to core are unsafe views of
+// those bytes — core never retains them — and the response is rendered
+// into bs.out before anything is written to the ResponseWriter. Nothing
+// of the request survives putBatchScratch.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
+	"strings"
 	"sync"
 	"unsafe"
 
+	"nutriprofile/internal/core"
 	"nutriprofile/internal/jsonx"
-	"nutriprofile/internal/pipeline"
+	"nutriprofile/internal/yield"
 )
 
-// serveScratch is the per-request arena: body buffer, pull decoder,
-// response buffer, the reusable ingredient-slice for recipe requests,
-// and a full pipeline scratch so /v1/estimate runs the estimator
-// without touching the pipeline pool.
-type serveScratch struct {
-	body        []byte
-	out         []byte
-	dec         jsonx.Decoder
-	ingredients []string
-	pipe        pipeline.Scratch
+type batchItemKind uint8
+
+const (
+	itemError batchItemKind = iota
+	itemEstimate
+	itemRecipe
+)
+
+// batchItem is one decoded request awaiting estimation/encoding.
+// Estimate and recipe items index into batchScratch.inputs/outcomes;
+// error items carry their envelope inline.
+type batchItem struct {
+	kind   batchItemKind
+	line   int // 1-based input line on /v1/batch; 0 on the interactive routes
+	idx    int
+	status int
+	code   string
+	msg    string
 }
 
-// maxPooledScratch caps the byte capacity a scratch may carry back into
-// the pool, mirroring jsonx's buffer-pool policy.
-const maxPooledScratch = 1 << 21
+// batchScratch is the per-request arena: the body or window buffer, the
+// rendered output, decoded line metadata, the estimator's
+// input/outcome/result arenas and the phrase-view arena. Everything is
+// grow-only across windows and requests, so a warm arena stops
+// allocating entirely.
+type batchScratch struct {
+	buf      []byte // request body, or a stream's window + unread tail
+	out      []byte // the rendered response, or a stream's current window
+	spans    []lineSpan
+	items    []batchItem
+	inputs   []core.RecipeInput
+	outcomes []core.RecipeOutcome
+	arena    []core.IngredientResult
+	ings     []string // phrase views; inputs' Phrases are sub-slices
+	dec      jsonx.Decoder
+	used     slotMarks
+}
 
-var scratchPool = sync.Pool{New: func() any {
-	return &serveScratch{
-		body: make([]byte, 0, 4096),
-		out:  make([]byte, 0, 4096),
+// slotMarks records how far each reference-holding slice of an arena has
+// reached since checkout, so putBatchScratch clears exactly those slots.
+type slotMarks struct{ items, inputs, outcomes, arena, ings int }
+
+// maxPooledBatch caps the buffer capacity a scratch may carry back into
+// the pool — one oversized request or stream must not pin megabytes.
+const maxPooledBatch = 4 << 20
+
+// batchPool serves every route. A new scratch starts small: most
+// checkouts are interactive requests, probes and sheds, and a stream
+// sizes its own read buffer (batchReadBytes).
+var batchPool = sync.Pool{New: func() any {
+	return &batchScratch{
+		buf: make([]byte, 0, 4096),
+		out: make([]byte, 0, 4096),
 	}
 }}
 
-func getServeScratch() *serveScratch {
-	return scratchPool.Get().(*serveScratch)
-}
+func getBatchScratch() *batchScratch { return batchPool.Get().(*batchScratch) }
 
-func putServeScratch(sc *serveScratch) {
+func putBatchScratch(bs *batchScratch) {
 	// Drop references to request bytes: the string views alias buffers
-	// the next request will overwrite, and holding them would also pin
-	// dead body arrays.
-	clear(sc.ingredients)
-	sc.ingredients = sc.ingredients[:0]
-	sc.body = sc.body[:0]
-	sc.out = sc.out[:0]
-	sc.dec.Reset(nil)
-	if cap(sc.body)+cap(sc.out) > maxPooledScratch {
+	// the next checkout will overwrite, and holding them would also pin
+	// dead buffers in the pool. Slots past what this checkout used were
+	// cleared when they were last put back; clearing through capacity
+	// would make an interactive request that drew a stream-grown scratch
+	// pay for a whole window's slots.
+	bs.rewind()
+	clear(bs.items[:bs.used.items])
+	clear(bs.inputs[:bs.used.inputs])
+	clear(bs.outcomes[:bs.used.outcomes])
+	clear(bs.arena[:bs.used.arena])
+	clear(bs.ings[:bs.used.ings])
+	bs.used = slotMarks{}
+	bs.spans = bs.spans[:0]
+	bs.buf = bs.buf[:0]
+	bs.out = bs.out[:0]
+	if cap(bs.buf)+cap(bs.out) > maxPooledBatch {
 		return
 	}
-	sc.pipe.Trim()
-	scratchPool.Put(sc)
+	batchPool.Put(bs)
+}
+
+// rewind empties the per-item slices for the next window (an
+// interactive request is a window of one), first noting how far each
+// reached. One plain decoder Reset reclaims the unescape scratch; each
+// line then re-points the decoder with ResetKeep so earlier lines'
+// views stay valid.
+func (bs *batchScratch) rewind() {
+	bs.used.items = max(bs.used.items, len(bs.items))
+	bs.used.inputs = max(bs.used.inputs, len(bs.inputs))
+	bs.used.outcomes = max(bs.used.outcomes, len(bs.outcomes))
+	bs.used.arena = max(bs.used.arena, len(bs.arena))
+	bs.used.ings = max(bs.used.ings, len(bs.ings))
+	bs.items = bs.items[:0]
+	bs.inputs = bs.inputs[:0]
+	bs.outcomes = bs.outcomes[:0]
+	bs.arena = bs.arena[:0]
+	bs.ings = bs.ings[:0]
+	bs.dec.Reset(nil)
 }
 
 // byteView returns a string view of b without copying. The view aliases
@@ -78,16 +146,16 @@ func byteView(b []byte) string {
 	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
-// readBody slurps r into sc.body. With a warm scratch whose capacity
+// readBody slurps r into bs.buf. With a warm scratch whose capacity
 // has grown to the workload's body size, reading allocates nothing.
-func (sc *serveScratch) readBody(r io.Reader) error {
-	sc.body = sc.body[:0]
+func (bs *batchScratch) readBody(r io.Reader) error {
+	bs.buf = bs.buf[:0]
 	for {
-		if len(sc.body) == cap(sc.body) {
-			sc.body = append(sc.body, 0)[:len(sc.body)]
+		if len(bs.buf) == cap(bs.buf) {
+			bs.buf = append(bs.buf, 0)[:len(bs.buf)]
 		}
-		n, err := r.Read(sc.body[len(sc.body):cap(sc.body)])
-		sc.body = sc.body[:len(sc.body)+n]
+		n, err := r.Read(bs.buf[len(bs.buf):cap(bs.buf)])
+		bs.buf = bs.buf[:len(bs.buf)+n]
 		if err == io.EOF {
 			return nil
 		}
@@ -99,67 +167,70 @@ func (sc *serveScratch) readBody(r io.Reader) error {
 
 // --- request decoding ---------------------------------------------------
 
-// decodeEstimate parses an EstimateRequest from sc.body, returning the
-// phrase as a view into decoder-owned bytes.
-func (sc *serveScratch) decodeEstimate() (phrase []byte, err error) {
-	d := &sc.dec
-	d.Reset(sc.body)
+// grammar is the request shape a decodeLine caller accepts.
+type grammar uint8
+
+const (
+	// lineGrammar is a /v1/batch line: either form, chosen by its keys.
+	lineGrammar grammar = iota
+	// estimateGrammar is a /v1/estimate body: "phrase" only.
+	estimateGrammar
+	// recipeGrammar is a /v1/recipe body: "ingredients", "servings" and
+	// "method" only.
+	recipeGrammar
+)
+
+// decodeLine decodes one request — a /v1/batch line or an interactive
+// body — and appends its item, with its estimator input when it
+// validates. It holds the API's one validation vocabulary, so a batch
+// line and an interactive request produce byte-identical success
+// bodies (the golden differential's invariant). A null request decodes
+// like an empty object: "phrase" is missing on /v1/estimate,
+// "ingredients" on /v1/recipe, and a batch line names neither form.
+func (bs *batchScratch) decodeLine(src []byte, line int, g grammar) {
+	d := &bs.dec
+	d.ResetKeep(src)
 	isNull, err := d.ObjectStart()
-	if err != nil || isNull {
-		return nil, err
+	if err != nil {
+		bs.badJSON(line, g, err)
+		return
 	}
-	for first := true; ; first = false {
+	var (
+		hasPhrase bool
+		hasRecipe bool
+		hasIngs   bool
+		phrase    []byte
+		method    []byte
+		servings  int64
+		ingsStart = len(bs.ings)
+	)
+	for first := true; !isNull; first = false { // null: no members
 		key, ok, err := d.Member(first)
 		if err != nil {
-			return nil, err
+			bs.badJSON(line, g, err)
+			return
 		}
 		if !ok {
-			return phrase, nil
+			break
 		}
-		if string(key) != "phrase" {
-			return nil, fmt.Errorf("unknown field %q", key)
-		}
-		val, isNull, err := d.String()
-		if err != nil {
-			return nil, err
-		}
-		if !isNull {
-			phrase = val
-		}
-	}
-}
-
-// recipeRequestView is RecipeRequest decoded into scratch-owned memory:
-// the ingredient strings are views into sc.body / the decoder scratch.
-type recipeRequestView struct {
-	ingredients []string
-	servings    int
-	method      string
-}
-
-// decodeRecipe parses a RecipeRequest from sc.body into sc.ingredients.
-func (sc *serveScratch) decodeRecipe() (req recipeRequestView, err error) {
-	d := &sc.dec
-	d.Reset(sc.body)
-	isNull, err := d.ObjectStart()
-	if err != nil || isNull {
-		return req, err
-	}
-	for first := true; ; first = false {
-		key, ok, err := d.Member(first)
-		if err != nil {
-			return req, err
-		}
-		if !ok {
-			req.ingredients = sc.ingredients
-			return req, nil
-		}
-		switch string(key) {
-		case "ingredients":
-			sc.ingredients = sc.ingredients[:0]
+		switch {
+		case string(key) == "phrase" && g != recipeGrammar:
+			hasPhrase = true
+			val, isNull, err := d.String()
+			if err != nil {
+				bs.badJSON(line, g, err)
+				return
+			}
+			if !isNull {
+				phrase = val
+			}
+		case string(key) == "ingredients" && g != estimateGrammar:
+			hasRecipe, hasIngs = true, true
+			bs.ings = bs.ings[:ingsStart] // duplicate key: last wins
 			isNull, err := d.ArrayStart()
 			if err != nil {
-				return req, err
+				bs.badJSON(line, g, err)
+				return
 			}
 			if isNull {
 				continue
@@ -167,44 +238,175 @@ func (sc *serveScratch) decodeRecipe() (req recipeRequestView, err error) {
 			for efirst := true; ; efirst = false {
 				more, err := d.ArrayNext(efirst)
 				if err != nil {
-					return req, err
+					bs.badJSON(line, g, err)
+					return
 				}
 				if !more {
 					break
 				}
 				val, _, err := d.String()
 				if err != nil {
-					return req, err
+					bs.badJSON(line, g, err)
+					return
 				}
-				sc.ingredients = append(sc.ingredients, byteView(val))
+				bs.ings = append(bs.ings, byteView(val))
 			}
-		case "servings":
+		case string(key) == "servings" && g != estimateGrammar:
+			hasRecipe = true
 			v, _, err := d.Int()
 			if err != nil {
-				return req, err
+				bs.badJSON(line, g, err)
+				return
 			}
-			req.servings = int(v)
-		case "method":
+			servings = v
+		case string(key) == "method" && g != estimateGrammar:
+			hasRecipe = true
 			val, isNull, err := d.String()
 			if err != nil {
-				return req, err
+				bs.badJSON(line, g, err)
+				return
 			}
 			if !isNull {
-				req.method = byteView(val)
+				method = val
 			}
 		default:
-			return req, fmt.Errorf("unknown field %q", key)
+			bs.badJSON(line, g, fmt.Errorf("unknown field %q", key))
+			return
 		}
 	}
+	if g == lineGrammar {
+		switch {
+		case hasPhrase && hasRecipe:
+			bs.errItem(line, http.StatusBadRequest, "bad_request",
+				`line mixes "phrase" with recipe fields`)
+			return
+		case hasPhrase:
+			g = estimateGrammar
+		case hasRecipe:
+			g = recipeGrammar
+		default:
+			bs.errItem(line, http.StatusBadRequest, "bad_request",
+				`line must be an object with "phrase" or "ingredients"`)
+			return
+		}
+	}
+	if g == estimateGrammar {
+		p := strings.TrimSpace(byteView(phrase))
+		if p == "" {
+			bs.errItem(line, http.StatusBadRequest, "empty_phrase",
+				`"phrase" must be a non-empty ingredient phrase`)
+			return
+		}
+		bs.ings = append(bs.ings, p)
+		n := len(bs.ings)
+		bs.addItem(itemEstimate, line, core.RecipeInput{Phrases: bs.ings[n-1 : n : n], Servings: 1})
+		return
+	}
+	if !hasIngs || len(bs.ings) == ingsStart {
+		bs.errItem(line, http.StatusBadRequest, "no_ingredients",
+			`"ingredients" must list at least one phrase`)
+		return
+	}
+	if servings == 0 {
+		servings = 1
+	}
+	if servings < 0 {
+		bs.errItem(line, http.StatusBadRequest, "bad_servings",
+			fmt.Sprintf("servings must be positive, got %d", servings))
+		return
+	}
+	m := yield.None
+	if name := strings.ToLower(strings.TrimSpace(byteView(method))); name != "" {
+		m = yield.ParseMethod(name)
+		if m == yield.None && name != yield.None.String() {
+			bs.errItem(line, http.StatusBadRequest, "bad_method",
+				fmt.Sprintf("unknown cooking method %q", byteView(method)))
+			return
+		}
+	}
+	n := len(bs.ings)
+	bs.addItem(itemRecipe, line, core.RecipeInput{
+		Phrases:  bs.ings[ingsStart:n:n],
+		Servings: int(servings),
+		Method:   m,
+	})
+}
+
+func (bs *batchScratch) addItem(kind batchItemKind, line int, in core.RecipeInput) {
+	bs.items = append(bs.items, batchItem{kind: kind, line: line, idx: len(bs.inputs)})
+	bs.inputs = append(bs.inputs, in)
+}
+
+func (bs *batchScratch) errItem(line, status int, code, msg string) {
+	bs.items = append(bs.items, batchItem{
+		kind: itemError, line: line, status: status, code: code, msg: msg,
+	})
+}
+
+// badJSON records a decode failure, naming what failed to decode the
+// way the caller's route calls it.
+func (bs *batchScratch) badJSON(line int, g grammar, err error) {
+	what := "request body"
+	if g == lineGrammar {
+		what = "input line"
+	}
+	bs.errItem(line, http.StatusBadRequest, "bad_json",
+		what+" is not valid JSON for this route: "+err.Error())
+}
+
+// --- estimation ---------------------------------------------------------
+
+// estimate runs the decoded inputs through core.EstimateRecipesInto
+// into the arena's outcome and result slices: on the calling goroutine
+// when workers is 1 (an interactive recipe), on the estimator's pool
+// otherwise (a /v1/batch window).
+func (bs *batchScratch) estimate(ctx context.Context, est *core.Estimator, workers int) error {
+	total := 0
+	for i := range bs.inputs {
+		total += len(bs.inputs[i].Phrases)
+	}
+	bs.outcomes = slices.Grow(bs.outcomes[:0], len(bs.inputs))[:len(bs.inputs)]
+	bs.arena = slices.Grow(bs.arena[:0], total)[:total]
+	return est.EstimateRecipesInto(ctx, bs.inputs, workers, bs.outcomes, bs.arena)
 }
 
 // --- response encoding --------------------------------------------------
 
-// Every append*Body helper renders the exact bytes json.NewEncoder(w).
-// Encode(v) wrote for the corresponding wire struct, trailing newline
-// included. Field order and omitempty conditions must track the struct
-// tags in handlers.go; codec_test.go enforces the equivalence.
+// appendAnswer renders item it's success body from its outcome — an
+// EstimateResponse or a RecipeResponse, without a trailing newline.
+// It is the one success renderer: encodeWindow and the interactive
+// routes both call it.
+func (bs *batchScratch) appendAnswer(b []byte, it *batchItem) []byte {
+	o := &bs.outcomes[it.idx]
+	if it.kind == itemEstimate {
+		resp := toEstimateResponse(&o.Result.Ingredients[0])
+		return appendEstimateResponse(b, &resp)
+	}
+	head := RecipeResponse{
+		Servings:       o.Result.Servings,
+		Method:         bs.inputs[it.idx].Method.String(),
+		MappedFraction: o.Result.MappedFraction,
+		Total:          o.Result.Total,
+		PerServing:     o.Result.PerServing,
+	}
+	b = appendRecipeResponseHeader(b, &head)
+	for j := range o.Result.Ingredients {
+		if j > 0 {
+			b = append(b, ',')
+		}
+		resp := toEstimateResponse(&o.Result.Ingredients[j])
+		b = appendEstimateResponse(b, &resp)
+	}
+	return append(b, ']', '}')
+}
 
+// Every append*Body / append*Response helper renders the exact bytes
+// json.Marshal produced for the corresponding wire struct. Field order
+// and omitempty conditions must track the struct tags in handlers.go;
+// codec_test.go enforces the equivalence.
+
+// appendErrorBody renders an interactive error envelope, trailing
+// newline included (json.Encoder.Encode's output).
 func appendErrorBody(b []byte, status int, code, msg string) []byte {
 	b = append(b, `{"error":{"code":`...)
 	b = jsonx.AppendString(b, code)
@@ -267,9 +469,8 @@ func appendEstimateResponse(b []byte, e *EstimateResponse) []byte {
 }
 
 // appendRecipeResponseHeader renders everything before the ingredients
-// array; the caller streams the elements and closes with
-// appendRecipeResponseFooter. Split so recipe encoding never
-// materializes an []EstimateResponse.
+// array; appendAnswer streams the elements and closes the body, so
+// recipe encoding never materializes an []EstimateResponse.
 func appendRecipeResponseHeader(b []byte, r *RecipeResponse) []byte {
 	b = append(b, `{"servings":`...)
 	b = jsonx.AppendInt(b, int64(r.Servings))
@@ -285,10 +486,6 @@ func appendRecipeResponseHeader(b []byte, r *RecipeResponse) []byte {
 	return b
 }
 
-func appendRecipeResponseFooter(b []byte) []byte {
-	return append(b, ']', '}', '\n')
-}
-
 func appendHealthzResponse(b []byte, h *HealthzResponse) []byte {
 	b = append(b, `{"status":`...)
 	b = jsonx.AppendString(b, h.Status)
@@ -299,33 +496,43 @@ func appendHealthzResponse(b []byte, h *HealthzResponse) []byte {
 
 // --- error rendering ----------------------------------------------------
 
-// errInto renders the structured error envelope into sc.out and returns
-// (status, body) for the handler to write.
-func errInto(sc *serveScratch, status int, code, msg string) (int, []byte) {
-	sc.out = appendErrorBody(sc.out[:0], status, code, msg)
-	return status, sc.out
+// errorBody renders an interactive error envelope into bs.out and
+// returns (status, body) for the handler to write.
+func (bs *batchScratch) errorBody(status int, code, msg string) (int, []byte) {
+	bs.out = appendErrorBody(bs.out[:0], status, code, msg)
+	return status, bs.out
 }
 
-// decodeErrInto maps a body-read or decode failure onto the error
-// vocabulary: 413 when the size limit tripped, 400 bad_json otherwise.
-func decodeErrInto(sc *serveScratch, err error) (int, []byte) {
+// bodyError maps a body-read failure onto the error vocabulary: 413
+// when the size limit tripped, 400 bad_json otherwise.
+func (bs *batchScratch) bodyError(err error) (int, []byte) {
 	var maxErr *http.MaxBytesError
 	if errors.As(err, &maxErr) {
-		return errInto(sc, http.StatusRequestEntityTooLarge, "body_too_large",
+		return bs.errorBody(http.StatusRequestEntityTooLarge, "body_too_large",
 			fmt.Sprintf("request body exceeds %d bytes", maxErr.Limit))
 	}
-	return errInto(sc, http.StatusBadRequest, "bad_json",
+	return bs.errorBody(http.StatusBadRequest, "bad_json",
 		"request body is not valid JSON for this route: "+err.Error())
 }
 
-// writeError renders an error envelope through a pooled buffer — the
-// path for errors raised outside a scratch-owning handler (admission
-// sheds).
+// timeoutBody maps a context error to the wire: 504 for an expired
+// deadline (the request exceeded RequestTimeout), 503 when the client
+// went away or the server is draining.
+func (bs *batchScratch) timeoutBody(err error) (int, []byte) {
+	if errors.Is(err, context.DeadlineExceeded) {
+		return bs.errorBody(http.StatusGatewayTimeout, "timeout",
+			"request exceeded the per-request deadline")
+	}
+	return bs.errorBody(http.StatusServiceUnavailable, "canceled",
+		"request canceled before completion")
+}
+
+// writeError renders an error envelope through a pooled arena — the
+// path for errors raised outside an estimation handler (admission
+// sheds, /admin/reload).
 func writeError(w http.ResponseWriter, status int, code, msg string) {
-	buf := jsonx.GetBuffer()
-	buf.B = appendErrorBody(buf.B, status, code, msg)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(buf.B)
-	jsonx.PutBuffer(buf)
+	bs := getBatchScratch()
+	_, body := bs.errorBody(status, code, msg)
+	writeRendered(w, status, body)
+	putBatchScratch(bs)
 }

@@ -228,3 +228,99 @@ func FuzzBatchHandler(f *testing.F) {
 		}
 	})
 }
+
+// FuzzRouteLineParity holds the shared codec's contract on arbitrary
+// input: one body without a line break, no longer than MaxBodyBytes,
+// goes to /v1/estimate, to /v1/recipe and as a one-line /v1/batch
+// stream.
+//   - When either interactive route answers 200, the batch line answers
+//     byte-identically.
+//   - When the batch line answers an estimate or a recipe, exactly one
+//     route answers 200 with those bytes.
+//   - When the batch line answers a validation error (empty_phrase,
+//     no_ingredients, bad_servings, bad_method), the route its keys
+//     select answers the same status, code and message.
+//
+// Wired into the nightly fuzz job via `make fuzz`.
+func FuzzRouteLineParity(f *testing.F) {
+	f.Add([]byte(`{"phrase":"2 cups all-purpose flour"}`))
+	f.Add([]byte(`{"ingredients":["2 cups flour","1 cup sugar"],"servings":4,"method":"baked"}`))
+	f.Add([]byte(`{"phrase":"  "}`))
+	f.Add([]byte(`{"ingredients":[]}`))
+	f.Add([]byte(`{"ingredients":["salt"],"servings":-3}`))
+	f.Add([]byte(`{"ingredients":["salt"],"method":"Sous-Vide"}`))
+	f.Add([]byte(`{"phrase":"salt","phrase":null}`))
+	f.Add([]byte(`{"phrase":"salt","servings":2}`))
+	f.Add([]byte(`{"ingredients":null,"ingredients":["1 ½ cups milk"]} trailing`))
+	f.Add([]byte(`null`))
+	f.Add([]byte(`{}`))
+	f.Add([]byte(" \t"))
+	f.Add([]byte(`{"phrase":"crème fraîche <"}`))
+
+	s := sharedFuzzServer(f)
+	h := s.Handler()
+	maxBody := int(s.cfg.MaxBodyBytes)
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if len(body) > maxBody || bytes.ContainsAny(body, "\n\r") {
+			t.Skip("outside the bodies a batch line can carry")
+		}
+		routes := []*httptest.ResponseRecorder{
+			postJSON(t, h, "/v1/estimate", string(body)),
+			postJSON(t, h, "/v1/recipe", string(body)),
+		}
+		batch := postBatch(t, h, string(body)+"\n")
+		for _, w := range append(routes, batch) {
+			if w.Code == http.StatusTooManyRequests {
+				return // parallel fuzz workers can exceed the admission caps
+			}
+		}
+		if batch.Code != http.StatusOK {
+			t.Fatalf("batch status %d (request %q)", batch.Code, body)
+		}
+		answer := batch.Body.String()
+		if strings.Count(answer, "\n") > 1 {
+			t.Fatalf("one input line answered with %q", answer)
+		}
+		for _, w := range routes {
+			if w.Code == http.StatusOK && w.Body.String() != answer {
+				t.Fatalf("route answered 200 %q, batch line %q (request %q)", w.Body.String(), answer, body)
+			}
+		}
+		if answer == "" {
+			return // a blank line: numbered, never answered
+		}
+		if !strings.HasPrefix(answer, `{"error"`) {
+			ok := 0
+			for _, w := range routes {
+				if w.Code == http.StatusOK {
+					ok++
+				}
+			}
+			if ok != 1 {
+				t.Fatalf("batch line answered %q but %d routes answered 200 (request %q)", answer, ok, body)
+			}
+			return
+		}
+		var be BatchErrorBody
+		if err := json.Unmarshal([]byte(answer), &be); err != nil {
+			t.Fatalf("batch error line does not parse: %v (%q)", err, answer)
+		}
+		var w *httptest.ResponseRecorder
+		switch be.Error.Code {
+		case "empty_phrase":
+			w = routes[0]
+		case "no_ingredients", "bad_servings", "bad_method":
+			w = routes[1]
+		default:
+			return
+		}
+		var eb ErrorBody
+		if err := json.Unmarshal(w.Body.Bytes(), &eb); err != nil {
+			t.Fatalf("route answer %q is not an ErrorBody: %v", w.Body.String(), err)
+		}
+		if w.Code != be.Error.Status || eb.Error.Code != be.Error.Code || eb.Error.Message != be.Error.Message {
+			t.Fatalf("route answered %d %+v, batch line %+v (request %q)", w.Code, eb.Error, be.Error, body)
+		}
+	})
+}

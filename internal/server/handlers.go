@@ -5,30 +5,27 @@ package server
 // machine-readable string (the fuzz harness enforces this invariant for
 // arbitrary inputs).
 //
-// The estimation routes run on the pooled codec in codec.go: the wire
-// structs below are no longer what goes through encoding/json at
-// request time — they are the *specification* of the wire format, and
-// codec_test.go pins the hand-written encoders byte-for-byte against
-// json.Marshal of these structs. Change a tag here and the codec tests
-// will tell you where the encoder must follow.
+// /v1/estimate and /v1/recipe share one handler (handleItem → answer):
+// each request is a one-item window of the /v1/batch codec in codec.go,
+// decoded with its route's grammar and rendered by the same function as
+// a batch line. The wire structs below are not what goes through
+// encoding/json at request time — they are the *specification* of the
+// wire format, and codec_test.go pins the hand-written encoders
+// byte-for-byte against json.Marshal of these structs. Change a tag
+// here and the codec tests will tell you where the encoder must follow.
 
 import (
 	"context"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"io"
 	"net/http"
-	"strings"
 
 	"nutriprofile/internal/core"
-	"nutriprofile/internal/jsonx"
 	"nutriprofile/internal/match"
 	"nutriprofile/internal/memo"
 	"nutriprofile/internal/metrics"
 	"nutriprofile/internal/nutrition"
 	"nutriprofile/internal/pipeline"
-	"nutriprofile/internal/yield"
 )
 
 // ErrorBody is the structured error wrapper on every non-200 response.
@@ -80,7 +77,7 @@ type EstimateResponse struct {
 	Profile     nutrition.Profile `json:"profile"`
 }
 
-func toEstimateResponse(r core.IngredientResult) EstimateResponse {
+func toEstimateResponse(r *core.IngredientResult) EstimateResponse {
 	out := EstimateResponse{
 		Phrase:     r.Phrase,
 		Matched:    r.Matched,
@@ -110,41 +107,6 @@ func writeRendered(w http.ResponseWriter, status int, body []byte) {
 	_, _ = w.Write(body)
 }
 
-func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	sc := getServeScratch()
-	status, body := s.estimateHot(sc, r.Context(), r.Body)
-	writeRendered(w, status, body)
-	putServeScratch(sc)
-}
-
-// estimateHot is the gated steady-state path: read → decode → estimate
-// → encode, everything in scratch-owned memory. With a warm scratch and
-// a phrase-cache hit it performs zero heap allocations (enforced by
-// TestServeEstimateHotZeroAllocs and the serve benchmarks). The
-// returned body aliases sc.out.
-func (s *Server) estimateHot(sc *serveScratch, ctx context.Context, body io.Reader) (int, []byte) {
-	sc.out = sc.out[:0]
-	if err := sc.readBody(body); err != nil {
-		return decodeErrInto(sc, err)
-	}
-	phraseBytes, err := sc.decodeEstimate()
-	if err != nil {
-		return decodeErrInto(sc, err)
-	}
-	phrase := strings.TrimSpace(byteView(phraseBytes))
-	if phrase == "" {
-		return errInto(sc, http.StatusBadRequest, "empty_phrase",
-			`"phrase" must be a non-empty ingredient phrase`)
-	}
-	if err := ctx.Err(); err != nil {
-		return timeoutInto(sc, err)
-	}
-	resp := toEstimateResponse(s.est.EstimateIngredientScratch(phrase, &sc.pipe))
-	sc.out = appendEstimateResponse(sc.out, &resp)
-	sc.out = append(sc.out, '\n')
-	return http.StatusOK, sc.out
-}
-
 // RecipeRequest is the POST /v1/recipe body.
 type RecipeRequest struct {
 	// Ingredients are the recipe's ingredient phrases, one per line.
@@ -167,82 +129,51 @@ type RecipeResponse struct {
 	Ingredients    []EstimateResponse `json:"ingredients"`
 }
 
-func (s *Server) handleRecipe(w http.ResponseWriter, r *http.Request) {
-	sc := getServeScratch()
-	status, body := s.recipeHot(sc, r.Context(), r.Body)
-	writeRendered(w, status, body)
-	putServeScratch(sc)
+// handleItem serves /v1/estimate or /v1/recipe, whichever g names, on a
+// pooled arena.
+func (s *Server) handleItem(g grammar) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		bs := getBatchScratch()
+		status, body := s.answer(bs, r.Context(), r.Body, g)
+		writeRendered(w, status, body)
+		putBatchScratch(bs)
+	}
 }
 
-// recipeHot mirrors estimateHot for /v1/recipe. The recipe path is not
-// allocation-free (core materializes per-ingredient results), but the
-// codec work — decode, validation, encode — all runs in scratch memory.
-func (s *Server) recipeHot(sc *serveScratch, ctx context.Context, body io.Reader) (int, []byte) {
-	sc.out = sc.out[:0]
-	if err := sc.readBody(body); err != nil {
-		return decodeErrInto(sc, err)
+// answer is the interactive steady-state path: one request answered as
+// a one-item window of the /v1/batch codec — read, decode with the
+// route's grammar, estimate, render — everything in arena-owned memory.
+// An estimate runs through core.EstimateIngredient, a recipe through
+// core.EstimateRecipesInto on this goroutine. With a warm arena and
+// phrase-cache hits it performs zero heap allocations on either route
+// (TestServeEstimateHotZeroAllocs, TestServeRecipeHotAllocs). The
+// returned body aliases bs.out.
+func (s *Server) answer(bs *batchScratch, ctx context.Context, body io.Reader, g grammar) (int, []byte) {
+	bs.rewind()
+	if err := bs.readBody(body); err != nil {
+		return bs.bodyError(err)
 	}
-	req, err := sc.decodeRecipe()
-	if err != nil {
-		return decodeErrInto(sc, err)
-	}
-	if len(req.ingredients) == 0 {
-		return errInto(sc, http.StatusBadRequest, "no_ingredients",
-			`"ingredients" must list at least one phrase`)
-	}
-	if req.servings == 0 {
-		req.servings = 1
-	}
-	if req.servings < 0 {
-		return errInto(sc, http.StatusBadRequest, "bad_servings",
-			fmt.Sprintf("servings must be positive, got %d", req.servings))
-	}
-	method := yield.None
-	if name := strings.ToLower(strings.TrimSpace(req.method)); name != "" {
-		method = yield.ParseMethod(name)
-		if method == yield.None && name != yield.None.String() {
-			return errInto(sc, http.StatusBadRequest, "bad_method",
-				fmt.Sprintf("unknown cooking method %q", req.method))
+	bs.decodeLine(bs.buf, 0, g)
+	it := &bs.items[0]
+	switch it.kind {
+	case itemError:
+		return bs.errorBody(it.status, it.code, it.msg)
+	case itemEstimate:
+		if err := ctx.Err(); err != nil {
+			return bs.timeoutBody(err)
+		}
+		bs.arena = append(bs.arena, s.est.EstimateIngredient(bs.inputs[0].Phrases[0]))
+		bs.outcomes = append(bs.outcomes, core.RecipeOutcome{Result: core.RecipeResult{Ingredients: bs.arena}})
+	default:
+		if err := bs.estimate(ctx, s.est, 1); err != nil {
+			return bs.timeoutBody(err)
+		}
+		if err := bs.outcomes[0].Err; err != nil {
+			return bs.errorBody(http.StatusBadRequest, "bad_recipe", err.Error())
 		}
 	}
-
-	res, err := s.est.EstimateRecipe(ctx, core.RecipeInput{Phrases: req.ingredients, Servings: req.servings, Method: method})
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			return timeoutInto(sc, err)
-		}
-		return errInto(sc, http.StatusBadRequest, "bad_recipe", err.Error())
-	}
-
-	head := RecipeResponse{
-		Servings:       res.Servings,
-		Method:         method.String(),
-		MappedFraction: res.MappedFraction,
-		Total:          res.Total,
-		PerServing:     res.PerServing,
-	}
-	sc.out = appendRecipeResponseHeader(sc.out, &head)
-	for i := range res.Ingredients {
-		if i > 0 {
-			sc.out = append(sc.out, ',')
-		}
-		resp := toEstimateResponse(res.Ingredients[i])
-		sc.out = appendEstimateResponse(sc.out, &resp)
-	}
-	sc.out = appendRecipeResponseFooter(sc.out)
-	return http.StatusOK, sc.out
-}
-
-// timeoutInto maps a context error to the wire: 504 for an expired
-// deadline (the request exceeded RequestTimeout), 499-style 503 when
-// the client went away or the server is draining.
-func timeoutInto(sc *serveScratch, err error) (int, []byte) {
-	if errors.Is(err, context.DeadlineExceeded) {
-		return errInto(sc, http.StatusGatewayTimeout, "timeout",
-			"request exceeded the per-request deadline")
-	}
-	return errInto(sc, http.StatusServiceUnavailable, "canceled",
-		"request canceled before completion")
+	bs.out = append(bs.appendAnswer(bs.out[:0], it), '\n')
+	return http.StatusOK, bs.out
 }
 
 // HealthzResponse is the GET /v1/healthz body.
@@ -252,11 +183,11 @@ type HealthzResponse struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	buf := jsonx.GetBuffer()
+	bs := getBatchScratch()
 	resp := HealthzResponse{Status: "ok", Foods: s.est.DB().Len()}
-	buf.B = appendHealthzResponse(buf.B, &resp)
-	writeRendered(w, http.StatusOK, buf.B)
-	jsonx.PutBuffer(buf)
+	bs.out = appendHealthzResponse(bs.out, &resp)
+	writeRendered(w, http.StatusOK, bs.out)
+	putBatchScratch(bs)
 }
 
 // StatsResponse is the GET /v1/stats body: the full observability

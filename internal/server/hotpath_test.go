@@ -13,7 +13,7 @@ import (
 // decode, cached estimate, pooled encode — performs zero heap
 // allocations once the scratch and the phrase cache are warm. The
 // net/http transport (Header().Set, WriteHeader, the connection
-// buffers) is excluded by construction: estimateHot is exactly the
+// buffers) is excluded by construction: answer is exactly the
 // per-request work between those layers.
 func TestServeEstimateHotZeroAllocs(t *testing.T) {
 	if raceEnabled {
@@ -22,15 +22,15 @@ func TestServeEstimateHotZeroAllocs(t *testing.T) {
 	s := newTestServer(t, nil)
 	body := []byte(`{"phrase":"2 cups all-purpose flour"}`)
 	rd := bytes.NewReader(body)
-	sc := getServeScratch()
-	defer putServeScratch(sc)
+	bs := getBatchScratch()
+	defer putBatchScratch(bs)
 	ctx := context.Background()
 
 	run := func() {
 		rd.Reset(body)
-		status, out := s.estimateHot(sc, ctx, rd)
+		status, out := s.answer(bs, ctx, rd, estimateGrammar)
 		if status != http.StatusOK || len(out) == 0 {
-			t.Fatalf("estimateHot: status %d, %d body bytes", status, len(out))
+			t.Fatalf("answer: status %d, %d body bytes", status, len(out))
 		}
 	}
 	run() // warm the scratch buffers, pipeline memos, and phrase cache
@@ -39,14 +39,13 @@ func TestServeEstimateHotZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestServeRecipeHotAllocs pins the allocations of a warm /v1/recipe
-// over the golden corpus at exactly one per recipe: the per-ingredient
-// result slice core.EstimateRecipe returns in RecipeResult.Ingredients.
-// Nothing else allocates. The recipe's lines run in order on the calling
-// goroutine, so there is no goroutine, pool closure or per-worker state
-// to allocate; the worker environment comes off the estimator's free
-// list; every line is a phrase-cache hit expanded into that slice; and
-// decode, validation and encode run in the pooled scratch.
+// TestServeRecipeHotAllocs pins a warm /v1/recipe over the golden
+// corpus at zero allocations per recipe. The recipe's lines run in
+// order on the calling goroutine, so there is no goroutine, pool closure
+// or per-worker state to allocate; the worker environment comes off the
+// estimator's free list; every line is a phrase-cache hit expanded into
+// the arena's result slice; and decode, validation and encode run in the
+// pooled arena.
 func TestServeRecipeHotAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates; AllocsPerRun is meaningless under -race")
@@ -62,23 +61,23 @@ func TestServeRecipeHotAllocs(t *testing.T) {
 		bodies[i] = body
 	}
 	rd := bytes.NewReader(nil)
-	sc := getServeScratch()
-	defer putServeScratch(sc)
+	bs := getBatchScratch()
+	defer putBatchScratch(bs)
 	ctx := context.Background()
 
 	next := 0
 	run := func() {
 		rd.Reset(bodies[next%len(bodies)])
 		next++
-		status, out := s.recipeHot(sc, ctx, rd)
+		status, out := s.answer(bs, ctx, rd, recipeGrammar)
 		if status != http.StatusOK || len(out) == 0 {
-			t.Fatalf("recipeHot: status %d, %d body bytes", status, len(out))
+			t.Fatalf("answer: status %d, %d body bytes", status, len(out))
 		}
 	}
 	for range bodies {
 		run() // warm the scratch buffers, pipeline memos and phrase cache
 	}
-	if allocs := testing.AllocsPerRun(20*len(bodies), run); allocs != 1 {
-		t.Errorf("warm recipe hot path: %v allocs per recipe, want 1", allocs)
+	if allocs := testing.AllocsPerRun(20*len(bodies), run); allocs != 0 {
+		t.Errorf("warm recipe hot path: %v allocs per recipe, want 0", allocs)
 	}
 }

@@ -1,9 +1,9 @@
 package server
 
 // Matcher-engine families for GET /metrics, appended after the memo
-// families in the same hand-rendered 0.0.4 text format (see
-// memo_metrics.go for why these are snapshotted at scrape time rather
-// than registered). The prune counters expose the candidate-pruned
+// families through the same metrics.PromWriter (see memo_metrics.go
+// for why these are snapshotted at scrape time rather than
+// registered). The prune counters expose the candidate-pruned
 // ranking engine's work avoidance — postings never walked, candidates
 // retired by the bar tests, gather→update transitions — so a ±10%
 // regression in pruning effectiveness is visible on a dashboard long
@@ -13,9 +13,9 @@ package server
 
 import (
 	"io"
-	"strconv"
 
 	"nutriprofile/internal/match"
+	"nutriprofile/internal/metrics"
 )
 
 // matchFamilies drives the exposition: counters first, then gauges,
@@ -51,22 +51,10 @@ var matchFamilies = []struct {
 // writeMatchMetrics renders the matcher families from one stats
 // snapshot.
 func writeMatchMetrics(w io.Writer, st match.MatcherStats) error {
-	buf := make([]byte, 0, 2048)
+	p := metrics.NewPromWriter(w)
 	for _, fam := range matchFamilies {
-		buf = append(buf, "# HELP "...)
-		buf = append(buf, fam.name...)
-		buf = append(buf, ' ')
-		buf = append(buf, fam.help...)
-		buf = append(buf, "\n# TYPE "...)
-		buf = append(buf, fam.name...)
-		buf = append(buf, ' ')
-		buf = append(buf, fam.typ...)
-		buf = append(buf, '\n')
-		buf = append(buf, fam.name...)
-		buf = append(buf, ' ')
-		buf = strconv.AppendFloat(buf, fam.value(st), 'g', -1, 64)
-		buf = append(buf, '\n')
+		p.Header(fam.name, fam.help, fam.typ)
+		p.Sample(fam.name, "", "", fam.value(st))
 	}
-	_, err := w.Write(buf)
-	return err
+	return p.Flush()
 }

@@ -4,7 +4,8 @@ package server
 // (internal/metrics) renders only HTTP-layer counters and knows
 // nothing about the estimator; the cache counters come from
 // memo.Stats snapshots taken at scrape time, so they are appended
-// here in the same text format (0.0.4) rather than registered. One
+// here through the registry's text writer (metrics.PromWriter,
+// format 0.0.4) rather than registered. One
 // snapshot per cache per scrape keeps each family internally
 // consistent exactly as far as memo.Stats itself is.
 //
@@ -15,9 +16,9 @@ package server
 
 import (
 	"io"
-	"strconv"
 
 	"nutriprofile/internal/memo"
+	"nutriprofile/internal/metrics"
 )
 
 // memoFamilies drives the exposition: one row per family, each
@@ -49,29 +50,11 @@ var memoFamilies = []struct {
 // writeMemoMetrics renders the memo families for both caches. The
 // cache label distinguishes the phrase-level and match-level caches.
 func writeMemoMetrics(w io.Writer, phrase, match memo.Stats) error {
-	buf := make([]byte, 0, 2048)
+	p := metrics.NewPromWriter(w)
 	for _, fam := range memoFamilies {
-		buf = append(buf, "# HELP "...)
-		buf = append(buf, fam.name...)
-		buf = append(buf, ' ')
-		buf = append(buf, fam.help...)
-		buf = append(buf, "\n# TYPE "...)
-		buf = append(buf, fam.name...)
-		buf = append(buf, ' ')
-		buf = append(buf, fam.typ...)
-		buf = append(buf, '\n')
-		for _, c := range []struct {
-			label string
-			st    memo.Stats
-		}{{"phrase", phrase}, {"match", match}} {
-			buf = append(buf, fam.name...)
-			buf = append(buf, `{cache="`...)
-			buf = append(buf, c.label...)
-			buf = append(buf, `"} `...)
-			buf = strconv.AppendFloat(buf, fam.value(c.st), 'g', -1, 64)
-			buf = append(buf, '\n')
-		}
+		p.Header(fam.name, fam.help, fam.typ)
+		p.Sample(fam.name, "cache", "phrase", fam.value(phrase))
+		p.Sample(fam.name, "cache", "match", fam.value(match))
 	}
-	_, err := w.Write(buf)
-	return err
+	return p.Flush()
 }

@@ -157,8 +157,8 @@ func BenchmarkServeEstimate(b *testing.B) {
 	})
 
 	b.Run("hot", func(b *testing.B) {
-		sc := getServeScratch()
-		defer putServeScratch(sc)
+		bs := getBatchScratch()
+		defer putBatchScratch(bs)
 		ctx := context.Background()
 		readers := make([]*bytes.Reader, len(bodies))
 		for i, body := range bodies {
@@ -169,7 +169,7 @@ func BenchmarkServeEstimate(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			j := i % len(bodies)
 			readers[j].Seek(0, io.SeekStart)
-			status, out := s.estimateHot(sc, ctx, readers[j])
+			status, out := s.answer(bs, ctx, readers[j], estimateGrammar)
 			if status != http.StatusOK || len(out) == 0 {
 				b.Fatalf("status %d, %d body bytes", status, len(out))
 			}
@@ -208,8 +208,8 @@ func BenchmarkServeRecipe(b *testing.B) {
 	})
 
 	b.Run("hot", func(b *testing.B) {
-		sc := getServeScratch()
-		defer putServeScratch(sc)
+		bs := getBatchScratch()
+		defer putBatchScratch(bs)
 		ctx := context.Background()
 		readers := make([]*bytes.Reader, len(bodies))
 		for i, body := range bodies {
@@ -220,7 +220,7 @@ func BenchmarkServeRecipe(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			j := i % len(bodies)
 			readers[j].Seek(0, io.SeekStart)
-			status, out := s.recipeHot(sc, ctx, readers[j])
+			status, out := s.answer(bs, ctx, readers[j], recipeGrammar)
 			if status != http.StatusOK || len(out) == 0 {
 				b.Fatalf("status %d, %d body bytes", status, len(out))
 			}

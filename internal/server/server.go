@@ -58,10 +58,12 @@ type Config struct {
 	// the serving database from a baked image). Off by default: a
 	// process whose DB is baked into the binary has nothing to reload.
 	EnableReload bool
-	// BatchWindow is the number of NDJSON lines a /v1/batch stream
-	// decodes, estimates and flushes per pipeline pass. Smaller windows
-	// yield to interactive traffic more often; larger windows amortize
-	// the per-window dispatch. Default 64.
+	// BatchWindow caps the NDJSON lines a /v1/batch stream decodes,
+	// estimates and flushes per pipeline pass. A window holds the
+	// complete lines one read delivers into the stream's 64 KiB read
+	// buffer, so lines longer than 1 KiB fill fewer than 64. Smaller
+	// windows yield to interactive traffic more often; larger windows
+	// amortize the per-window dispatch. Default 64.
 	BatchWindow int
 	// BatchWorkers bounds the estimator workers one bulk window runs on
 	// (an interactive recipe always runs on its request goroutine): bulk
@@ -176,8 +178,8 @@ func (s *Server) Registry() *metrics.Registry { return s.reg }
 // Handler returns the route mux with the full middleware stack applied.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("POST /v1/estimate", s.instrument("/v1/estimate", true, s.handleEstimate))
-	mux.Handle("POST /v1/recipe", s.instrument("/v1/recipe", true, s.handleRecipe))
+	mux.Handle("POST /v1/estimate", s.instrument("/v1/estimate", true, s.handleItem(estimateGrammar)))
+	mux.Handle("POST /v1/recipe", s.instrument("/v1/recipe", true, s.handleItem(recipeGrammar)))
 	mux.Handle("POST /v1/batch", s.instrumentBulk("/v1/batch", s.handleBatch))
 	mux.Handle("GET /v1/healthz", s.instrument("/v1/healthz", false, s.handleHealthz))
 	mux.Handle("GET /v1/stats", s.instrument("/v1/stats", false, s.handleStats))
@@ -220,17 +222,27 @@ func (r *statusRecorder) Write(p []byte) (int, error) {
 
 // observe finishes one request's middleware accounting: the latency
 // observation and the structured access-log line. Deferred by both
-// instrument and instrumentBulk.
+// instrument and instrumentBulk, it is also the one place a handler
+// panic is seen: the request is accounted as the 500 it is — not as the
+// 200 an unwritten status defaults to — and the panic then continues,
+// so net/http drops the connection as it would without the middleware.
 func (s *Server) observe(route string, rt *metrics.Route, r *http.Request, rec *statusRecorder, start time.Time) {
+	p := recover()
 	s.reg.DecInFlight()
 	d := time.Since(start)
-	if rec.status == 0 {
+	switch {
+	case p != nil:
+		rec.status = http.StatusInternalServerError
+	case rec.status == 0:
 		rec.status = http.StatusOK
 	}
 	rt.Observe(rec.status, d)
 	if lg := s.cfg.AccessLog; lg != nil {
 		lg.Printf("method=%s route=%s status=%d bytes=%d dur_ms=%.3f remote=%s",
 			r.Method, route, rec.status, rec.bytes, float64(d)/float64(time.Millisecond), r.RemoteAddr)
+	}
+	if p != nil {
+		panic(p)
 	}
 }
 

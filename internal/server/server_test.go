@@ -315,6 +315,42 @@ func TestHealthzAndStatsShape(t *testing.T) {
 			t.Fatalf("/metrics lacks a %q sample:\n%s", fam, w.Body.String())
 		}
 	}
+
+	// scratch_pool counts the pipeline scratches /v1/estimate checks out:
+	// one per estimated phrase. /v1/recipe and /v1/batch run on the
+	// estimator's worker environments and never touch the pool.
+	poolGets := func() uint64 {
+		t.Helper()
+		var st StatsResponse
+		if err := json.Unmarshal(getPath(t, h, "/v1/stats").Body.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		return st.Scratch.Gets
+	}
+	traffic := []struct {
+		name string
+		send func()
+		gets uint64
+	}{
+		{"three estimates", func() {
+			for _, p := range []string{"2 cups flour", "2 cups flour", "1 small onion , finely chopped"} {
+				postJSON(t, h, "/v1/estimate", `{"phrase":"`+p+`"}`)
+			}
+		}, 3},
+		{"a recipe", func() {
+			postJSON(t, h, "/v1/recipe", `{"ingredients":["2 cups flour","2 eggs"],"servings":2}`)
+		}, 0},
+		{"a batch stream", func() {
+			postBatch(t, h, `{"phrase":"2 cups flour"}`+"\n"+`{"ingredients":["2 cups flour","2 eggs"]}`+"\n")
+		}, 0},
+	}
+	for _, tc := range traffic {
+		before := poolGets()
+		tc.send()
+		if got := poolGets() - before; got != tc.gets {
+			t.Errorf("scratch_pool.gets advanced by %d on %s, want %d", got, tc.name, tc.gets)
+		}
+	}
 }
 
 // TestRequestTimeout deadlines a many-ingredient recipe with a

@@ -110,3 +110,20 @@ func TestInternerLookupBytes(t *testing.T) {
 		t.Error("LookupBytes(nil) = hit, want miss")
 	}
 }
+
+// TestFolderMemoOwnsItsBytes: a token whose lowering changes nothing
+// ("crème") is memoized by value as well as by key, and the value must
+// not view the phrase. A phrase with fraction glyphs is expanded into
+// the folder's own buffer, which the next such phrase overwrites; before
+// the fix the memo kept a view of it, so a later "crème" tokenized as
+// whatever bytes the next phrase left there.
+func TestFolderMemoOwnsItsBytes(t *testing.T) {
+	var f Folder
+	AppendTokensFolded(nil, "2 medium sweet potatoes crème brûlée ½", &f)
+	AppendTokensFolded(nil, "1 ½ teaspoon paprika, then some more", &f)
+	for _, s := range []string{"crème brûlée", "1 ½ cup crème"} {
+		if got, want := AppendTokensFolded(nil, s, &f), Tokenize(s); !reflect.DeepEqual(got, want) {
+			t.Errorf("AppendTokensFolded(%q) = %q after other glyph phrases, want %q", s, got, want)
+		}
+	}
+}

@@ -156,8 +156,15 @@ func (f *Folder) Lower(s string) string {
 		clear(f.m)
 	}
 	// Clone the key: s is a substring of the caller's phrase and caching
-	// it verbatim would pin the whole phrase in memory.
-	f.m[strings.Clone(s)] = lowered
+	// it verbatim would pin the whole phrase in memory. ToLower returns s
+	// itself when no rune changes ("crème"), so the value must own its
+	// bytes too: s may view f.frac or a serving-layer buffer, which the
+	// next phrase overwrites.
+	key := strings.Clone(s)
+	if lowered == s {
+		lowered = key
+	}
+	f.m[key] = lowered
 	return lowered
 }
 
