@@ -317,11 +317,12 @@ func (e *Estimator) estimateCached(v view, phrase string, sc *pipeline.Scratch, 
 	}
 	r, per100g := e.estimateTokenized(v, phrase, sc, sess)
 	// key still aliases the scratch (nothing downstream of Tokenize
-	// touches the phrase-key buffer); materialize it only on this miss
-	// path. The record leaves out the verbatim phrase: the cache is
-	// keyed on the token stream, and the serving layer may pass phrases
-	// whose backing bytes it reuses after the call.
-	e.phraseCache.PutHashGen(h, string(key), r.record(per100g), v.phraseGen)
+	// touches the phrase-key buffer); the cache copies it only if it
+	// stores the result, which under TinyLFU it does for a key's second
+	// miss, not its first. The record leaves out the verbatim phrase:
+	// the cache is keyed on the token stream, and the serving layer may
+	// pass phrases whose backing bytes it reuses after the call.
+	e.phraseCache.PutHashGen(h, key, r.record(per100g), v.phraseGen)
 	return r
 }
 
@@ -353,7 +354,7 @@ func (e *Estimator) matchQuery(v view, q match.Query, sc *pipeline.Scratch, sess
 		return h.res, h.ok
 	}
 	res, ok := e.rawMatch(v, q, sess)
-	e.matchCache.PutHashGen(kh, string(key), matchHit{res: res, ok: ok}, v.matchGen)
+	e.matchCache.PutHashGen(kh, key, matchHit{res: res, ok: ok}, v.matchGen)
 	return res, ok
 }
 

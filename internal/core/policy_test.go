@@ -4,9 +4,53 @@ import (
 	"testing"
 
 	"nutriprofile/internal/memo"
+	"nutriprofile/internal/pipeline"
 	"nutriprofile/internal/recipedb"
 	"nutriprofile/internal/usda"
 )
+
+// TestColdMissesLeaveTiersEmpty: a stream of phrases the estimator has
+// never seen — nutribench's bulk-cold workload — must leave neither
+// memo tier holding entries under TinyLFU, since a key is stored only
+// on its second sighting. Each phrase carries a letter-only salt, as
+// nutribench's salts are: the tokenizer keeps it one word and NER
+// folds it into the ingredient name, so the phrase key and the match
+// query are both new and both tiers miss.
+func TestColdMissesLeaveTiersEmpty(t *testing.T) {
+	const n, capacity = 100000, 8192
+	e, err := New(usda.Merged(7500, 1), nil, Options{CacheSize: capacity, CachePolicy: memo.PolicyTinyLFU})
+	if err != nil {
+		t.Fatal(err)
+	}
+	corpus, _ := testCorpus(t, 400)
+	flat := corpus.Phrases()
+	const letters = "bcdfghjklmnpqrtv"
+	sc := new(pipeline.Scratch)
+	buf := make([]byte, 0, 128)
+	for i := 0; i < n; i++ {
+		buf = append(append(buf[:0], flat[i%len(flat)]...), " zq"...)
+		for shift := 20; shift >= 0; shift -= 4 {
+			buf = append(buf, letters[i>>shift&15])
+		}
+		e.EstimateIngredientScratch(string(buf), sc)
+	}
+	phrase, match := e.CacheStats()
+	for _, tier := range []struct {
+		name string
+		st   memo.Stats
+	}{{"phrase", phrase}, {"match", match}} {
+		st := tier.st
+		t.Logf("%s tier: %d of %d entries, %d misses, %d hits, %d rejections, %d admissions",
+			tier.name, st.Entries, st.Capacity, st.Misses, st.Hits, st.Rejections, st.Admissions)
+		if st.Misses < n/2 {
+			t.Errorf("%s tier: %d misses over %d salted phrases; the salt did not make them new", tier.name, st.Misses, n)
+		}
+		if st.Entries > st.Capacity/100 || st.Admissions != 0 {
+			t.Errorf("%s tier: %d of %d entries resident, %d admissions after %d cold phrases; want at most 1 %% and none",
+				tier.name, st.Entries, st.Capacity, st.Admissions, n)
+		}
+	}
+}
 
 // TestCachePolicyDifferential is the acceptance gate for the cache
 // ablation flag: estimation must be byte-identical with the memo

@@ -63,7 +63,7 @@ func BenchmarkMemoGetHit(b *testing.B) {
 			for i := range keys {
 				keys[i] = fmt.Sprintf("k%03d", i)
 				hashes[i] = HashString(keys[i])
-				c.Put(keys[i], i)
+				putSeen(c, keys[i], i)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

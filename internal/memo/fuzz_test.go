@@ -11,9 +11,12 @@ import (
 // stored since the last Purge; the cache may evict or reject whatever
 // admission decides, but it must never fabricate, corrupt, or
 // resurrect a value, never exceed capacity, and its counters must
-// reconcile exactly with the op counts. Every reference
-// GetBytesHashRef hands out is re-read after every later op and must
-// still hold the value it was handed out with.
+// reconcile exactly with the op counts. Every put has one of two
+// exact outcomes: the key is resident with the value put, or — only
+// under TinyLFU, for an absent key — the store adds exactly one
+// rejection and nothing else. Every reference GetBytesHashRef hands
+// out is re-read after every later op and must still hold the value
+// it was handed out with.
 func FuzzMemoAdmission(f *testing.F) {
 	f.Add([]byte{2, 4, 0x00, 0x10, 0x21, 0x12, 0x30, 0x41})
 	f.Add([]byte{0, 1, 0x10, 0x00, 0x10, 0x00, 0x10, 0x00})
@@ -40,6 +43,7 @@ type modelRun struct {
 	// for since its last put: the refreshes that must swap entries.
 	refRefreshes int
 	refs         int // references handed out
+	refused      int // puts admission refused (TinyLFU only)
 }
 
 func checkModel(t *testing.T, p Policy, capacity, shards int, ops []byte) modelRun {
@@ -60,6 +64,16 @@ func checkModel(t *testing.T, p Policy, capacity, shards int, ops []byte) modelR
 		want uint16
 	}
 	var held []heldRef
+	// checkHit checks a lookup's hit against the model: no
+	// resurrection past a Purge, and the last value put.
+	checkHit := func(via, key string, v uint16) {
+		if !putSincePurge[key] {
+			t.Fatalf("%v: %s(%q) hit resurrected a purged entry", p, via, key)
+		}
+		if want := lastVal[key]; v != want {
+			t.Fatalf("%v: %s(%q) = %d, want last-put %d", p, via, key, v, want)
+		}
+	}
 	referenced := map[string]bool{} // a reference is out since the key's last put
 	var run modelRun
 	noteRef := func(key string, r *uint16, want uint16) {
@@ -74,70 +88,99 @@ func checkModel(t *testing.T, p Policy, capacity, shards int, ops []byte) modelR
 		}
 	}
 
-	var lookups, puts uint64
+	// put stores key through PutHash or PutHashGen at the current
+	// generation and checks the store's exact outcome against the
+	// counters, reporting whether the key is now resident.
+	put := func(key string, val uint16, bytes bool) bool {
+		notePut(key)
+		lastVal[key] = val
+		putSincePurge[key] = true
+		h := HashString(key)
+		s := &c.shards[c.ShardIndex(h)]
+		_, was := s.m[key]
+		before := c.Stats()
+		if bytes {
+			c.PutHashGen(h, []byte(key), val, c.Gen())
+		} else {
+			c.PutHash(h, key, val)
+		}
+		after := c.Stats()
+		e, landed := s.m[key]
+		switch {
+		case landed && e.val != val:
+			t.Fatalf("%v: put(%q, %d) left value %d", p, key, val, e.val)
+		case landed && was && (after.Entries != before.Entries || after.Evictions != before.Evictions ||
+			after.Rejections != before.Rejections || after.Admissions != before.Admissions):
+			t.Fatalf("%v: refreshing resident %q moved counters: %+v -> %+v", p, key, before, after)
+		case landed && !was && uint64(after.Entries)+after.Evictions+after.Rejections !=
+			uint64(before.Entries)+before.Evictions+before.Rejections+1:
+			t.Fatalf("%v: inserting %q is not exactly one of entry, eviction, rejection: %+v -> %+v",
+				p, key, before, after)
+		case !landed && (p != PolicyTinyLFU || was):
+			t.Fatalf("%v: put(%q) did not land (resident before: %v)", p, key, was)
+		case !landed && (after.Rejections != before.Rejections+1 || after.Entries != before.Entries ||
+			after.Evictions != before.Evictions || after.Admissions != before.Admissions):
+			t.Fatalf("%v: refused put(%q) is not exactly one rejection: %+v -> %+v", p, key, before, after)
+		}
+		if !landed {
+			run.refused++
+		}
+		return landed
+	}
+
+	var lookups uint64
 	for i, op := range ops {
 		key := keyOf(op & 0x0f)
 		val := uint16(i)
 		switch op >> 4 {
 		case 1: // put
-			notePut(key)
-			lastVal[key] = val
-			putSincePurge[key] = true
-			c.Put(key, val)
-			puts++
+			put(key, val, false)
 		case 3: // purge
 			putSincePurge = map[string]bool{}
 			referenced = map[string]bool{}
 			c.Purge()
 		case 4: // gen-checked put racing a purge
+			before := c.Stats()
 			gen := c.Gen()
 			c.Purge()
 			putSincePurge = map[string]bool{}
 			referenced = map[string]bool{}
-			c.PutHashGen(HashString(key), key, val, gen)
-			// The stale store must drop; the model records nothing.
+			c.PutHashGen(HashString(key), []byte(key), val, gen)
+			// The stale store must drop, not even counted as a
+			// rejection; the model records nothing.
+			if st := c.Stats(); st.Entries != 0 || st.Rejections != before.Rejections {
+				t.Fatalf("%v: stale-generation put of %q left %d entries, rejections %d -> %d",
+					p, key, st.Entries, before.Rejections, st.Rejections)
+			}
 		case 5: // byte-spelling lookup
 			lookups++
 			if v, ok := c.GetBytes([]byte(key)); ok {
-				if !putSincePurge[key] {
-					t.Fatalf("%v: GetBytes(%q) hit resurrected a purged entry", p, key)
-				}
-				if want := lastVal[key]; v != want {
-					t.Fatalf("%v: GetBytes(%q) = %d, want last-put %d", p, key, v, want)
-				}
+				checkHit("GetBytes", key, v)
 			}
-		case 6: // put, then take a reference to it (a miss, then a hit)
-			notePut(key)
-			c.PutHashGen(HashString(key), key, val, c.Gen())
-			lastVal[key] = val
-			putSincePurge[key] = true
-			puts++
+		case 6: // the estimator's miss path: a lookup, a store, a reference
+			lookups++
+			if v, ok := c.Get(key); ok {
+				checkHit("Get", key, v)
+			}
+			landed := put(key, val, true)
 			lookups++
 			r := c.GetBytesHashRef(HashString(key), []byte(key))
-			if r == nil {
-				t.Fatalf("%v: %q missed right after its put at the current generation", p, key)
+			if landed != (r != nil) {
+				t.Fatalf("%v: %q resolves to a reference: %v, after a put that landed: %v", p, key, r != nil, landed)
 			}
-			noteRef(key, r, val)
+			if r != nil {
+				noteRef(key, r, val)
+			}
 		case 7: // lookup keeping a reference
 			lookups++
 			if r := c.GetBytesHashRef(Hash([]byte(key)), []byte(key)); r != nil {
-				if !putSincePurge[key] {
-					t.Fatalf("%v: GetBytesHashRef(%q) hit resurrected a purged entry", p, key)
-				}
-				if want := lastVal[key]; *r != want {
-					t.Fatalf("%v: GetBytesHashRef(%q) = %d, want last-put %d", p, key, *r, want)
-				}
+				checkHit("GetBytesHashRef", key, *r)
 				noteRef(key, r, *r)
 			}
 		default: // lookup (the dominant op: 9 of 16 opcodes)
 			lookups++
 			if v, ok := c.Get(key); ok {
-				if !putSincePurge[key] {
-					t.Fatalf("%v: Get(%q) hit resurrected a purged entry", p, key)
-				}
-				if want := lastVal[key]; v != want {
-					t.Fatalf("%v: Get(%q) = %d, want last-put %d", p, key, v, want)
-				}
+				checkHit("Get", key, v)
 			}
 		}
 		if c.Len() > c.Capacity() {

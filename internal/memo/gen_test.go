@@ -19,7 +19,7 @@ func TestGenAdvancesOnPurge(t *testing.T) {
 func TestPutHashGenStoresAtCurrentGen(t *testing.T) {
 	c := New[string](16)
 	h := HashString("k")
-	c.PutHashGen(h, "k", "v", c.Gen())
+	c.PutHashGen(h, []byte("k"), "v", c.Gen())
 	if got, ok := c.GetHash(h, "k"); !ok || got != "v" {
 		t.Fatalf("Get = %q,%v after current-gen put", got, ok)
 	}
@@ -30,12 +30,12 @@ func TestPutHashGenDropsStaleStore(t *testing.T) {
 	h := HashString("k")
 	stale := c.Gen()
 	c.Purge() // the generation the caller pinned is retired
-	c.PutHashGen(h, "k", "v", stale)
+	c.PutHashGen(h, []byte("k"), "v", stale)
 	if got, ok := c.GetHash(h, "k"); ok {
 		t.Fatalf("stale-gen put landed: Get = %q", got)
 	}
 	// A fresh-gen put for the same key still works.
-	c.PutHashGen(h, "k", "v2", c.Gen())
+	c.PutHashGen(h, []byte("k"), "v2", c.Gen())
 	if got, ok := c.GetHash(h, "k"); !ok || got != "v2" {
 		t.Fatalf("Get = %q,%v after fresh-gen put", got, ok)
 	}

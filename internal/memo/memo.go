@@ -39,18 +39,23 @@
 // zero value — what New and NewSharded build) or a W-TinyLFU-style
 // admission policy (PolicyTinyLFU, via NewPolicy): a small window-LRU
 // in front of a frequency-gated main segment, with a per-shard 4-bit
-// count-min sketch + doorkeeper estimating each key's access
-// frequency. A key evicted from the window is admitted to the main
-// segment only if it is estimated more frequent than the main
-// segment's eviction victim; otherwise it is rejected (counted in
-// Stats.Rejections). That keeps one-hit wonders — a cold bulk scan's
-// keys — from evicting the hot head of a skewed workload. Both
-// policies share the same map, entry, counter and generation
-// machinery, so which policy runs never changes what values are
-// returned, only which keys survive. See DESIGN.md §15 and tinylfu.go.
+// count-min sketch + fingerprint doorkeeper estimating each key's
+// access frequency. A store of a key the shard has not seen earlier in
+// the current aging period is refused: a key enters the window only on
+// its second sighting, so a miss that is never repeated allocates no
+// key and no entry. A key evicted from the window is admitted to the
+// main segment only if it is estimated more frequent than the main
+// segment's eviction victim. Both a refused store and a lost duel are
+// rejections (Stats.Rejections). That keeps one-hit wonders — a cold
+// bulk scan's keys — out of the cache entirely, and away from the hot
+// head of a skewed workload. Both policies share the same map, entry,
+// counter and generation machinery, so which policy runs never
+// changes what values are returned, only which keys survive. See
+// DESIGN.md §15 and tinylfu.go.
 package memo
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -68,12 +73,13 @@ type Stats struct {
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
 	Evictions uint64 `json:"evictions"`
-	// Rejections counts window-overflow candidates the TinyLFU
-	// admission filter dropped instead of admitting to the main
-	// segment (always 0 under PolicyLRU). Every insertion of a new key
-	// ends in exactly one of {resident entry, eviction, rejection}, so
-	// insertions == Entries + Evictions + Rejections at any quiescent
-	// point.
+	// Rejections counts keys TinyLFU admission turned away (always 0
+	// under PolicyLRU): stores refused because the key was on its first
+	// sighting this aging period, which leave no entry, and
+	// window-overflow candidates dropped instead of admitted to the
+	// main segment. Every store of an absent key ends in exactly one of
+	// {resident entry, eviction, rejection}, so insertions == Entries +
+	// Evictions + Rejections at any quiescent point.
 	Rejections uint64 `json:"rejections"`
 	// Admissions counts window-overflow candidates that won the
 	// frequency duel (or found the main segment not yet full) and
@@ -334,13 +340,13 @@ func (c *Cache[V]) Put(key string, val V) {
 // is PutHashGen at the current generation: a store that races a Purge
 // may drop, which is indistinguishable from landing just before it.
 func (c *Cache[V]) PutHash(h uint64, key string, val V) {
-	c.store(h, key, val, c.gen.Load())
+	c.store(h, key, false, val, c.gen.Load())
 }
 
 // insert adds a new key under the shard lock, applying the shard's
 // eviction policy when full (the new key stays resident: the policy
 // evicts or rejects some other entry). The key must not already be
-// present.
+// present, and the shard keeps key: it must not alias caller memory.
 func (s *shard[V]) insert(h uint64, key string, val V) {
 	if s.policy == PolicyTinyLFU {
 		s.insertTinyLFU(h, key, val)
@@ -364,22 +370,27 @@ func (s *shard[V]) insert(h uint64, key string, val V) {
 // makes "compute under old state, store after the purge" impossible.
 func (c *Cache[V]) Gen() uint64 { return c.gen.Load() }
 
-// PutHashGen is PutHash conditional on the purge generation: the store
-// is dropped when gen no longer matches. The check runs under the
-// shard lock, so exactly two interleavings with a concurrent Purge
-// exist — the put observes the bumped generation and drops (Purge
-// bumps before clearing), or the put lands before the purge acquires
-// this shard's lock and is cleared by it. A stale value therefore
-// never outlives the Purge that invalidated it.
-func (c *Cache[V]) PutHashGen(h uint64, key string, val V, gen uint64) {
-	c.store(h, key, val, gen)
+// PutHashGen is PutHash with the key spelled as bytes (Hash(key)
+// precomputed), conditional on the purge generation: the store is
+// dropped when gen no longer matches. The check runs under the shard
+// lock, so exactly two interleavings with a concurrent Purge exist —
+// the put observes the bumped generation and drops (Purge bumps before
+// clearing), or the put lands before the purge acquires this shard's
+// lock and is cleared by it. A stale value therefore never outlives
+// the Purge that invalidated it. The key bytes are copied only when
+// the store creates an entry; the caller may reuse them after the call.
+func (c *Cache[V]) PutHashGen(h uint64, key []byte, val V, gen uint64) {
+	c.store(h, unsafe.String(unsafe.SliceData(key), len(key)), true, val, gen)
 }
 
 // store is the one write path behind every Put variant. A resident key
 // is refreshed in place unless a reference to its value is out, in
-// which case a new entry takes its place; a new key is inserted under
-// the shard's eviction policy.
-func (c *Cache[V]) store(h uint64, key string, val V, gen uint64) {
+// which case a new entry takes its place. An absent key is refused
+// under PolicyTinyLFU while its sketch count is 0 — the lookup that
+// missed it was its first sighting this aging period — and otherwise
+// inserted under the shard's eviction policy. borrowed reports that
+// key aliases the caller's bytes, so an insert stores a copy.
+func (c *Cache[V]) store(h uint64, key string, borrowed bool, val V, gen uint64) {
 	s := &c.shards[h&c.mask]
 	if s.capacity <= 0 {
 		return
@@ -391,7 +402,12 @@ func (c *Cache[V]) store(h uint64, key string, val V, gen uint64) {
 	}
 	e, ok := s.m[key]
 	switch {
+	case !ok && s.policy == PolicyTinyLFU && s.sk.estimateSketch(h) == 0:
+		s.rejections++
 	case !ok:
+		if borrowed {
+			key = strings.Clone(key)
+		}
 		s.insert(h, key, val)
 	case e.shared:
 		s.replace(e, val)

@@ -7,11 +7,12 @@ import (
 	"testing"
 )
 
-// putRef stores key and takes a reference to its entry, as the
-// estimator's phrase cache hands one out on a hit after a miss stored
-// the key.
+// putRef stores key as the estimator's phrase cache does (putSeen: a
+// miss, then a store, until the key's second sighting lands it under
+// TinyLFU) and takes a reference to its entry, as the phrase cache
+// hands one out on a later hit.
 func putRef(c *Cache[int], key string, val int) *int {
-	c.PutHash(HashString(key), key, val)
+	putSeen(c, key, val)
 	return c.GetBytesHashRef(HashString(key), []byte(key))
 }
 
@@ -28,7 +29,7 @@ func TestRefContract(t *testing.T) {
 			r1 := putRef(c, "a", 1)
 			c.Put("a", 2) // the entry is shared: the refresh swaps it
 			r2 := c.GetBytesHashRef(h, []byte("a"))
-			c.PutHashGen(h, "a", 3, c.Gen())
+			c.PutHashGen(h, []byte("a"), 3, c.Gen())
 			if *r1 != 1 || *r2 != 2 {
 				t.Fatalf("%v: references read %d, %d after refreshes; want 1, 2", p, *r1, *r2)
 			}
@@ -59,15 +60,17 @@ func TestRefContract(t *testing.T) {
 		c := NewPolicy[int](100, 1, PolicyTinyLFU)
 		for i := 0; i < 99; i++ {
 			k := fmt.Sprintf("hot-%d", i)
-			c.Put(k, i)
-			for j := 0; j < 3; j++ {
+			for j := 0; j < 4; j++ {
 				c.Get(k)
 			}
+			c.Put(k, i)
 		}
-		r := putRef(c, "cold", -1) // one sighting: its sketch count stays 0
-		c.Put("cold-2", -2)        // window overflow: cold duels and loses
-		if st := c.Stats(); st.Rejections != 1 {
-			t.Fatalf("Rejections = %d; want 1 (cold's duel)", st.Rejections)
+		r := putRef(c, "cold", -1) // three sightings: sketch count 2, below every hot key's
+		before := c.Stats().Rejections
+		putSeen(c, "cold-2", -2) // lands on its second sighting; window overflow: cold duels and loses
+		// One rejection is cold-2's refused first sighting.
+		if st := c.Stats(); st.Rejections != before+2 {
+			t.Fatalf("Rejections = %d; want %d (cold-2's first sighting and cold's duel)", st.Rejections, before+2)
 		}
 		if _, ok := c.Get("cold"); ok {
 			t.Fatal("cold survived its rejection")
@@ -80,8 +83,7 @@ func TestRefContract(t *testing.T) {
 		for _, p := range []Policy{PolicyLRU, PolicyTinyLFU} {
 			c := NewPolicy[int](8, 1, p)
 			ra := putRef(c, "a", 1)
-			c.Put("b", 2)
-			rb := c.GetBytesHashRef(HashString("b"), []byte("b"))
+			rb := putRef(c, "b", 2)
 			c.Purge()
 			if *ra != 1 || *rb != 2 {
 				t.Fatalf("%v: references read %d, %d after Purge; want 1, 2", p, *ra, *rb)
@@ -89,7 +91,7 @@ func TestRefContract(t *testing.T) {
 			if r := c.GetBytesHashRef(HashString("a"), []byte("a")); r != nil {
 				t.Fatalf("%v: purged key still resolves to %d", p, *r)
 			}
-			c.PutHashGen(HashString("a"), "a", 9, c.Gen()-1)
+			c.PutHashGen(HashString("a"), []byte("a"), 9, c.Gen()-1)
 			if r := c.GetBytesHashRef(HashString("a"), []byte("a")); r != nil {
 				t.Fatalf("%v: a pre-purge generation's store landed: %d", p, *r)
 			}
@@ -129,13 +131,17 @@ func TestRefModel(t *testing.T) {
 			total.refRefreshes += run.refRefreshes
 			total.stats.Evictions += run.stats.Evictions
 			total.stats.Rejections += run.stats.Rejections
+			total.refused += run.refused
 		}
 		if total.refs == 0 || total.refRefreshes == 0 || total.stats.Evictions == 0 || purges == 0 {
 			t.Fatalf("%v: streams never exercised the contract: %d refs, %d refreshes of referenced keys, %d evictions, %d purges",
 				p, total.refs, total.refRefreshes, total.stats.Evictions, purges)
 		}
-		if p == PolicyTinyLFU && total.stats.Rejections == 0 {
-			t.Fatalf("%v: streams never reached an admission rejection", p)
+		// Both outcomes of a TinyLFU put, and duels lost as well as
+		// first sightings refused.
+		if p == PolicyTinyLFU && (total.refused == 0 || total.stats.Rejections <= uint64(total.refused)) {
+			t.Fatalf("%v: streams reached %d refused puts and %d rejections; want both kinds of rejection",
+				p, total.refused, total.stats.Rejections)
 		}
 	}
 }
@@ -168,7 +174,7 @@ func TestRefStorm(t *testing.T) {
 					n := uint64(w*iters + i)
 					v := refPair{n, ^n}
 					if i%2 == 0 {
-						c.PutHashGen(HashString(k), k, v, c.Gen())
+						c.PutHashGen(HashString(k), []byte(k), v, c.Gen())
 					} else {
 						c.PutHash(HashString(k), k, v)
 					}

@@ -14,26 +14,36 @@
 //   - a 4-bit count-min sketch (4 probe positions per key, counters
 //     saturating at 15, 16 packed per uint64 word) estimating how
 //     often each key hash has been looked up;
-//   - a doorkeeper bloom filter absorbing the first occurrence of
-//     every key, so the sketch's nibbles are spent on keys seen at
-//     least twice — one-hit wonders never touch a counter;
+//   - a doorkeeper absorbing the first occurrence of every key, so the
+//     sketch's nibbles are spent on keys seen at least twice —
+//     one-hit wonders never touch a counter. It is an open-addressed
+//     table of 16-bit fingerprints, sized so that one aging period's
+//     first sightings never fill more than 62.5 % of it: it answers
+//     "seen before" for a new key only on a fingerprint collision
+//     inside one probe run, a few in 100,000;
 //   - a small window LRU (~1% of shard capacity, min 1 entry) where
-//     every new key starts, giving bursty new arrivals a grace period
-//     to accumulate frequency;
+//     every stored key starts, giving bursty new arrivals a grace
+//     period to accumulate frequency;
 //   - the main LRU segment (the remaining capacity), which a
 //     window-overflow candidate enters only by winning a frequency
 //     duel: estimate(candidate) > estimate(main eviction victim).
 //     Losers are dropped and counted as rejections.
 //
-// Aging: after sampleFactor×capacity sketch increments every counter
-// is halved and the doorkeeper cleared, so frequency estimates decay
-// and yesterday's hot keys cannot squat forever.
+// A key is stored at all only on its second sighting in an aging
+// period: the store path refuses a key whose sketch count is still 0
+// after the failed lookup's touch, counting a rejection and
+// allocating nothing. A cold scan therefore leaves nothing resident.
+//
+// Aging: every sampleFactor×capacity/2 touches every counter is halved
+// and the doorkeeper cleared, so frequency estimates decay and
+// yesterday's hot keys cannot squat forever.
 //
 // Everything runs under the shard mutex the LRU path already holds,
 // on the key hash the caller already computed (hash-once API), with
 // zero allocations on the warm path: a Get hit is nibble arithmetic
-// plus a list relink; the sketch and doorkeeper are fixed arrays
-// allocated at construction.
+// plus a list relink; the sketch and doorkeeper are fixed arrays,
+// the sketch allocated at construction and the doorkeeper on the
+// shard's first touch.
 package memo
 
 import "fmt"
@@ -82,10 +92,12 @@ func ParsePolicy(s string) (Policy, error) {
 // through the window cannot displace meaningful main-segment state.
 const windowFrac = 100
 
-// sampleFactor scales the sketch aging period: counters are halved
-// after sampleFactor×capacity increments. 10× means a key must be
-// re-seen within roughly ten cache-fills of traffic to keep its
-// frequency — the TinyLFU paper's W/C ratio.
+// sampleFactor scales the sketch aging period, sample =
+// sampleFactor×capacity: a period is sample/2 touches, after which
+// counters are halved and the doorkeeper cleared — the classic reset
+// schedule for the TinyLFU paper's W/C ratio of 10, in which a key
+// must be re-seen within roughly five cache-fills of traffic to keep
+// its frequency.
 const sampleFactor = 10
 
 // initTinyLFU sizes the window/main split and the frequency sketch
@@ -203,17 +215,23 @@ func (s *shard[V]) wMoveToFront(e *entry[V]) {
 // positions (seed-mixed from the 64-bit key hash the cache already
 // computed) and its estimate is the minimum nibble — the classic
 // count-min bound, so collisions only ever over-estimate. The
-// doorkeeper bloom filter (2 probes over a separate bitset) absorbs
-// the first occurrence of every key: estimate = min-nibble +
-// (doorkeeper hit ? 1 : 0), and the nibbles are only incremented for
-// keys already past the doorkeeper.
+// doorkeeper absorbs the first occurrence of every key: estimate =
+// min-nibble + (doorkeeper hit ? 1 : 0), and the nibbles are only
+// incremented for keys already past the doorkeeper.
+//
+// The doorkeeper is an open-addressed, linearly probed table of 16-bit
+// fingerprints (0 marks an empty slot). A period is sample/2 touches
+// and each touch adds at most one fingerprint, so the table holds at
+// most sample/2 of them; its slot count is the smallest power of two
+// at least 1.5× that, so it is never more than two-thirds full (62.5 %
+// at the default sizes) and every probe run ends at an empty slot.
 type sketch struct {
 	words  []uint64 // nibble-packed counters; len = counters/16
 	mask   uint64   // counters - 1 (counters is a power of two)
-	door   []uint64 // doorkeeper bitset; len = doorBits/64
-	dmask  uint64   // doorBits - 1
-	events int      // increments since last aging reset
-	sample int      // aging period: halve counters at events == sample
+	door   []uint16 // doorkeeper fingerprints, 0 = empty slot; nil until the first touch
+	dmask  uint64   // door slots - 1
+	events int      // touches counted toward the next aging reset
+	sample int      // the reset fires at events == sample; a period is sample/2
 	resets uint64   // lifetime aging resets (Stats.SketchResets)
 }
 
@@ -247,19 +265,23 @@ func (k *sketch) init(capacity int) {
 	}
 	k.words = make([]uint64, counters/16)
 	k.mask = uint64(counters - 1)
-	// Doorkeeper: 4 bits per counter (64 per cache entry). One aging
-	// period admits ~sample distinct first-occurrences; at 64 bits per
-	// entry the filter stays sparse enough that a one-hit wonder's
-	// false-positive odds are a few percent, not tens — a saturated
-	// doorkeeper would hand every scan key a spurious +1 in the
-	// admission duel. It is cleared on every reset.
-	doorBits := counters * 4
-	k.door = make([]uint64, doorBits/64)
-	k.dmask = uint64(doorBits - 1)
 	k.sample = sampleFactor * capacity
 	if k.sample < 64 {
 		k.sample = 64
 	}
+	// Every period, the first included, is sample/2 touches.
+	k.events = k.sample / 2
+	// Doorkeeper: at most sample/2 fingerprints per period. A 512-entry
+	// shard (the default 8,192-entry cache over 16 shards) gets 4,096
+	// slots, 8 KB. doorSet allocates them on the shard's first touch:
+	// a booting nutriserve's heap sits just under the runtime's first
+	// GC trigger, and 32 doors allocated at construction started a GC
+	// cycle during or just after boot (DESIGN.md §15).
+	slots := 64
+	for slots < k.sample/2*3/2 {
+		slots <<= 1
+	}
+	k.dmask = uint64(slots - 1)
 }
 
 // touch records one access of key hash h: first occurrence sets the
@@ -306,39 +328,63 @@ func (k *sketch) estimateSketch(h uint64) uint64 {
 	return min
 }
 
+// doorSlot returns h's home slot and nonzero fingerprint: the low bits
+// of its remixed hash pick the slot, the top 16 the fingerprint, so
+// two keys are confused only if they agree on both.
+func (k *sketch) doorSlot(h uint64) (uint64, uint16) {
+	m := mix64(h)
+	fp := uint16(m >> 48)
+	if fp == 0 {
+		fp = 1
+	}
+	return m & k.dmask, fp
+}
+
 // doorSet adds h to the doorkeeper, reporting whether it was absent
 // (true: this is the key's first occurrence this aging period).
 func (k *sketch) doorSet(h uint64) bool {
-	m := mix64(h)
-	i1, i2 := m&k.dmask, (m>>32)&k.dmask
-	b1, b2 := k.door[i1>>6]&(1<<(i1&63)), k.door[i2>>6]&(1<<(i2&63))
-	if b1 != 0 && b2 != 0 {
-		return false
+	if k.door == nil {
+		k.door = make([]uint16, k.dmask+1)
 	}
-	k.door[i1>>6] |= 1 << (i1 & 63)
-	k.door[i2>>6] |= 1 << (i2 & 63)
-	return true
+	i, fp := k.doorSlot(h)
+	for {
+		switch k.door[i] {
+		case fp:
+			return false
+		case 0:
+			k.door[i] = fp
+			return true
+		}
+		i = (i + 1) & k.dmask
+	}
 }
 
 func (k *sketch) doorContains(h uint64) bool {
-	m := mix64(h)
-	i1, i2 := m&k.dmask, (m>>32)&k.dmask
-	return k.door[i1>>6]&(1<<(i1&63)) != 0 && k.door[i2>>6]&(1<<(i2&63)) != 0
+	if k.door == nil {
+		return false
+	}
+	i, fp := k.doorSlot(h)
+	for {
+		switch k.door[i] {
+		case fp:
+			return true
+		case 0:
+			return false
+		}
+		i = (i + 1) & k.dmask
+	}
 }
 
 // age halves every counter (nibble-parallel shift: the 0x7777… mask
 // clears the bit each nibble's neighbor shifted in) and clears the
 // doorkeeper, so frequency estimates decay exponentially with
 // traffic. Consistent with halving the counts, the event budget is
-// halved rather than zeroed — steady state ages every sample/2
-// increments, matching the classic reset schedule.
+// halved rather than zeroed, back to sample/2 — where init starts it.
 func (k *sketch) age() {
 	for i := range k.words {
 		k.words[i] = (k.words[i] >> 1) & 0x7777777777777777
 	}
-	for i := range k.door {
-		k.door[i] = 0
-	}
+	clear(k.door)
 	k.events >>= 1
 	k.resets++
 }

@@ -1,6 +1,7 @@
 package memo
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"testing"
@@ -25,13 +26,35 @@ func TestPolicyParseString(t *testing.T) {
 	}
 }
 
+// putSeen stores key the way the estimator does — a lookup, and a
+// store only when it misses — twice over. Under PolicyTinyLFU the
+// first store is refused (the key's first sighting) and the second
+// lands; under PolicyLRU the first lands and the second lookup hits.
+func putSeen[V any](c *Cache[V], key string, val V) {
+	for i := 0; i < 2; i++ {
+		if _, ok := c.Get(key); !ok {
+			c.Put(key, val)
+		}
+	}
+}
+
 // TestTinyLFUGetPut: plain value semantics must be identical to LRU —
 // admission decides which keys survive pressure, never what a
-// resident key returns.
+// resident key returns. A key's first miss-then-store is refused,
+// leaving a rejection and no entry; its second lands.
 func TestTinyLFUGetPut(t *testing.T) {
 	c := NewPolicy[int](64, 2, PolicyTinyLFU)
-	for i := 0; i < 32; i++ {
-		c.Put(fmt.Sprintf("k%d", i), i)
+	for round := 0; round < 2; round++ {
+		for i := 0; i < 32; i++ {
+			k := fmt.Sprintf("k%d", i)
+			if _, ok := c.Get(k); ok {
+				t.Fatalf("round %d: Get(%s) hit before any store landed", round, k)
+			}
+			c.Put(k, i)
+		}
+		if st := c.Stats(); round == 0 && (st.Entries != 0 || st.Rejections != 32) {
+			t.Fatalf("first sightings: Entries = %d, Rejections = %d; want 0, 32", st.Entries, st.Rejections)
+		}
 	}
 	for i := 0; i < 32; i++ {
 		if v, ok := c.Get(fmt.Sprintf("k%d", i)); !ok || v != i {
@@ -49,22 +72,25 @@ func TestTinyLFUGetPut(t *testing.T) {
 
 // TestTinyLFUCapacityBound: the window/main split must enforce the
 // same total bound as LRU, for any capacity including degenerate
-// 1-entry shards (mainCap == 0).
+// 1-entry shards (mainCap == 0). Each key is stored as the estimator
+// stores it, so it lands on its second sighting and the cache fills.
 func TestTinyLFUCapacityBound(t *testing.T) {
 	for _, capacity := range []int{1, 2, 3, 8, 100, 512} {
 		c := NewPolicy[int](capacity, 1, PolicyTinyLFU)
 		for i := 0; i < 4*capacity+16; i++ {
-			k := fmt.Sprintf("k%d", i)
-			c.Get(k)
-			c.Put(k, i)
+			putSeen(c, fmt.Sprintf("k%d", i), i)
 		}
 		if c.Len() > c.Capacity() {
 			t.Fatalf("capacity %d: Len %d exceeds Capacity %d", capacity, c.Len(), c.Capacity())
 		}
 		st := c.Stats()
-		if got := uint64(st.Entries) + st.Evictions + st.Rejections; got != uint64(4*capacity+16) {
+		if st.Entries != c.Capacity() {
+			t.Fatalf("capacity %d: %d entries resident, want the cache full", capacity, st.Entries)
+		}
+		// Every miss was followed by a store of the absent key.
+		if got := uint64(st.Entries) + st.Evictions + st.Rejections; got != st.Misses {
 			t.Fatalf("capacity %d: entries(%d)+evictions(%d)+rejections(%d) = %d, want %d inserts",
-				capacity, st.Entries, st.Evictions, st.Rejections, got, 4*capacity+16)
+				capacity, st.Entries, st.Evictions, st.Rejections, got, st.Misses)
 		}
 	}
 }
@@ -206,17 +232,25 @@ func TestTinyLFUPurge(t *testing.T) {
 }
 
 // TestTinyLFUGenPut: PutHashGen's no-resurrection contract is policy-
-// independent — a store with a stale generation must be dropped.
+// independent — a store with a stale generation must be dropped, even
+// for a key on its second sighting, which admission would store.
 func TestTinyLFUGenPut(t *testing.T) {
 	c := NewPolicy[int](64, 1, PolicyTinyLFU)
 	gen := c.Gen()
-	h := HashString("stale")
+	for _, k := range []string{"stale", "fresh"} {
+		c.Get(k)
+		c.Get(k) // the second sighting: a store would now land
+	}
 	c.Purge()
-	c.PutHashGen(h, "stale", 1, gen)
+	c.PutHashGen(HashString("stale"), []byte("stale"), 1, gen)
+	if st := c.Stats(); st.Entries != 0 || st.Rejections != 0 {
+		t.Fatalf("stale-generation store left %d entries, %d rejections; want it dropped before admission",
+			st.Entries, st.Rejections)
+	}
 	if _, ok := c.Get("stale"); ok {
 		t.Fatal("stale-generation store resurrected past Purge")
 	}
-	c.PutHashGen(h, "fresh", 2, c.Gen())
+	c.PutHashGen(HashString("fresh"), []byte("fresh"), 2, c.Gen())
 	if v, ok := c.Get("fresh"); !ok || v != 2 {
 		t.Fatal("current-generation store dropped")
 	}
@@ -342,7 +376,8 @@ func TestGetBytesHashProbeMisses(t *testing.T) {
 	for _, p := range []Policy{PolicyLRU, PolicyTinyLFU} {
 		t.Run(p.String(), func(t *testing.T) {
 			c := NewPolicy[int](64, 2, p)
-			c.Put("present", 7)
+			putSeen(c, "present", 7)
+			base := c.Stats().Misses
 
 			probes := 0
 			probe := func(key []byte) {
@@ -355,7 +390,7 @@ func TestGetBytesHashProbeMisses(t *testing.T) {
 			probe([]byte{})
 			probe(nil)
 			probe([]byte("present\x00")) // near-miss spelling
-			if st := c.Stats(); st.Misses != uint64(probes) {
+			if st := c.Stats(); st.Misses != base+uint64(probes) {
 				t.Fatalf("misses = %d after %d probe misses", st.Misses, probes)
 			}
 			// The hit side of the same API, for contrast.
@@ -436,7 +471,7 @@ func TestWarmPathZeroAllocs(t *testing.T) {
 				keys[i] = fmt.Sprintf("warm-%d", i)
 				bkeys[i] = []byte(keys[i])
 				hashes[i] = HashString(keys[i])
-				c.Put(keys[i], i)
+				putSeen(c, keys[i], i)
 			}
 			i := 0
 			run := func() {
@@ -484,6 +519,50 @@ func TestSketchAging(t *testing.T) {
 	s.mu.Unlock()
 	if post >= pre {
 		t.Fatalf("aging did not decay hot estimate: %d -> %d", pre, post)
+	}
+}
+
+// TestDoorkeeperFalsePositives fills one shard's doorkeeper to its
+// aging-period limit — sample/2 distinct keys, the most a period can
+// add — and checks that a fixed set of 1M hashes none of them share
+// reads "seen" for fewer than 0.1 %. A false "seen" is what lets a
+// first sighting past the store gate; the 2-probe bloom this table
+// replaced answered "seen" for about 2 % at the same fill.
+func TestDoorkeeperFalsePositives(t *testing.T) {
+	var k sketch
+	k.init(512) // one shard of the default 8,192-entry, 16-shard cache
+	hashOf := func(i uint64) uint64 {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], i)
+		return Hash(b[:])
+	}
+	limit := k.sample / 2
+	for i := 0; i < limit; i++ {
+		if !k.doorSet(hashOf(uint64(i))) {
+			t.Fatalf("key %d of %d read as seen while filling", i, limit)
+		}
+	}
+	used := 0
+	for _, fp := range k.door {
+		if fp != 0 {
+			used++
+		}
+	}
+	if used != limit || 8*used > 5*len(k.door) {
+		t.Fatalf("door holds %d fingerprints in %d slots after %d keys; want all, at most 62.5 %% full",
+			used, len(k.door), limit)
+	}
+	const probes = 1 << 20
+	falseSeen := 0
+	for i := uint64(0); i < probes; i++ {
+		if k.doorContains(hashOf(1<<32 + i)) {
+			falseSeen++
+		}
+	}
+	t.Logf("door %d/%d slots full: %d of %d unseen hashes read as seen (%.4f %%)",
+		used, len(k.door), falseSeen, probes, 100*float64(falseSeen)/probes)
+	if falseSeen*1000 >= probes {
+		t.Fatalf("%d of %d unseen hashes read as seen; want under 0.1 %%", falseSeen, probes)
 	}
 }
 

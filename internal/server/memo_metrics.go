@@ -37,7 +37,7 @@ var memoFamilies = []struct {
 		func(st memo.Stats) float64 { return float64(st.Hits) }},
 	{"nutriserve_memo_misses_total", "Memo cache lookup misses.", "counter",
 		func(st memo.Stats) float64 { return float64(st.Misses) }},
-	{"nutriserve_memo_rejections_total", "Window-overflow candidates rejected by TinyLFU admission.", "counter",
+	{"nutriserve_memo_rejections_total", "Keys TinyLFU admission turned away: stores refused on a key's first sighting, and window-overflow candidates that lost the frequency duel.", "counter",
 		func(st memo.Stats) float64 { return float64(st.Rejections) }},
 	{"nutriserve_memo_sketch_resets_total", "Frequency-sketch aging resets (counters halved, doorkeeper cleared).", "counter",
 		func(st memo.Stats) float64 { return float64(st.SketchResets) }},
