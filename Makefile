@@ -70,6 +70,7 @@ fuzz:
 	$(GO) test -fuzz FuzzTokenize -fuzztime 15s ./internal/textutil/
 	$(GO) test -fuzz FuzzExpandFractions -fuzztime 15s ./internal/textutil/
 	$(GO) test -fuzz FuzzPipelineScratch -fuzztime 15s ./internal/pipeline/
+	$(GO) test -fuzz FuzzTagScratchSpec -fuzztime 15s ./internal/ner/
 	$(GO) test -fuzz FuzzReadCSV -fuzztime 15s ./internal/recipedb/
 	$(GO) test -fuzz FuzzMemoAdmission -fuzztime 15s ./internal/memo/
 	$(GO) test -fuzz FuzzPruneDifferential -fuzztime 15s ./internal/match/
@@ -136,15 +137,17 @@ serve-smoke:
 	rm -f /tmp/smoke-a.img /tmp/smoke-b.img; \
 	echo "serve-smoke: all routes OK, hot reload v1->v2 OK, SIGTERM drained cleanly"
 
-# Run nutriprofile and dbtool end to end: nutriprofile -stats on three
-# phrases (its matcher lines print unconditionally), nutriprofile -batch
-# -workers 2 on two recipe files written to a temp dir (two recipes on a
-# two-worker pool), and dbtool -search. Each must exit 0. CI runs this
-# in the serve-smoke job.
+# Run nutriprofile, dbtool and nerlabel end to end: nutriprofile -stats
+# on three phrases (its matcher lines print unconditionally),
+# nutriprofile -batch -workers 2 on two recipe files written to a temp
+# dir (two recipes on a two-worker pool), dbtool -search, and a nerlabel
+# save/load round trip (train a perceptron, save it, load it back and
+# tag per token). Each must exit 0. CI runs this in the serve-smoke job.
 cli-smoke:
 	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) build -o "$$dir/nutriprofile" ./cmd/nutriprofile; \
 	$(GO) build -o "$$dir/dbtool" ./cmd/dbtool; \
+	$(GO) build -o "$$dir/nerlabel" ./cmd/nerlabel; \
 	"$$dir/nutriprofile" -stats "2 cups flour" "1 cup sugar" "2 eggs" >"$$dir/stats.txt"; \
 	grep -q '^matcher prune:' "$$dir/stats.txt" || \
 		{ echo "cli-smoke: nutriprofile -stats printed no matcher prune line" >&2; exit 1; }; \
@@ -152,7 +155,9 @@ cli-smoke:
 	printf 'Garlic Butter\nServes 2\nIngredients:\n1/2 cup butter , softened\n2 cloves garlic , minced\nInstructions:\nMash together.\n' >"$$dir/butter.txt"; \
 	"$$dir/nutriprofile" -batch -workers 2 "$$dir/pancakes.txt" "$$dir/butter.txt" >/dev/null; \
 	"$$dir/dbtool" -search "raw chicken" >/dev/null; \
-	echo "cli-smoke: nutriprofile -stats, nutriprofile -batch and dbtool -search OK"
+	"$$dir/nerlabel" -model trained -corpus 200 -save "$$dir/ner.model" "2 cups flour" >/dev/null; \
+	"$$dir/nerlabel" -load "$$dir/ner.model" -tokens "2 cups flour" >/dev/null; \
+	echo "cli-smoke: nutriprofile -stats, nutriprofile -batch, dbtool -search and nerlabel -save/-load OK"
 
 # Boot nutriserve and drive a small generated corpus through streaming
 # /v1/batch with interactive traffic mixed in, verifying zero lost/torn

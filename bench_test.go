@@ -322,7 +322,7 @@ func BenchmarkTagPhrase(b *testing.B) {
 	})
 	b.Run("model_scratch", func(b *testing.B) {
 		var sc ner.Scratch
-		model.TagScratch(tokenized[0], &sc) // compile outside the loop
+		model.TagScratch(tokenized[0], &sc) // warm the scratch outside the loop
 		b.ResetTimer()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -331,25 +331,24 @@ func BenchmarkTagPhrase(b *testing.B) {
 	})
 }
 
-// BenchmarkPipelineScratch measures the whole NLP front-end (tokenize →
-// POS-tag → lemma → NER → unit lookups → cache keys) on one warm
-// Scratch — the per-phrase cost a batch worker pays on a cache miss.
-// The allocs/op column is the tentpole's budget: 0 on warm phrases.
+// BenchmarkPipelineScratch measures the estimator's NLP front end
+// (tokenize → NER → unit lookups → cache keys) on one warm Scratch —
+// the per-phrase cost a batch worker pays on a cache miss. The
+// allocs/op column is its budget: 0 on warm phrases.
 func BenchmarkPipelineScratch(b *testing.B) {
 	phrases := batchCorpus(b, 50)
 	var rt ner.RuleTagger
 	sc := pipeline.Get()
 	defer pipeline.Put(sc)
 	for _, p := range phrases {
-		sc.Run(rt, p)
+		sc.Tokenize(p)
+		sc.Extract(rt)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := phrases[i%len(phrases)]
 		sc.Tokenize(p)
-		sc.Tag()
-		sc.Lemmas()
 		ex := sc.Extract(rt)
 		for j := range sc.Tokens() {
 			sc.UnitFor(j)

@@ -18,6 +18,7 @@ import (
 	"nutriprofile/internal/ner"
 	"nutriprofile/internal/recipedb"
 	"nutriprofile/internal/report"
+	"nutriprofile/internal/textutil"
 )
 
 func main() {
@@ -101,10 +102,9 @@ func main() {
 
 	if *tokens {
 		for _, p := range phrases {
-			ex := ner.Extract(tagger, p)
-			_ = ex
 			fmt.Printf("%s\n", p)
-			toks, labels := tagPhrase(tagger, p)
+			toks := textutil.Tokenize(p)
+			labels := tagger.Tag(toks)
 			for i, tok := range toks {
 				fmt.Printf("  %-16s %s\n", tok, labels[i])
 			}
@@ -118,15 +118,4 @@ func main() {
 		tb.AddRow(p, ex.Name, ex.State, ex.Quantity, ex.Unit, ex.Temp, ex.DryFresh, ex.Size)
 	}
 	fmt.Print(tb.String())
-}
-
-func tagPhrase(t ner.Tagger, phrase string) ([]string, []ner.Label) {
-	switch tt := t.(type) {
-	case *ner.Model:
-		return tt.TagPhrase(phrase)
-	case ner.RuleTagger:
-		return tt.TagPhrase(phrase)
-	default:
-		return nil, nil
-	}
 }

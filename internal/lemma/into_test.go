@@ -1,29 +1,6 @@
 package lemma
 
-import (
-	"reflect"
-	"strings"
-	"testing"
-	"testing/quick"
-)
-
-// TestLemmaIntoMatchesPhrase pins the appending path to Phrase with one
-// destination buffer reused across calls.
-func TestLemmaIntoMatchesPhrase(t *testing.T) {
-	var dst []string
-	check := func(s string) bool {
-		tokens := strings.Fields(strings.ToLower(s))
-		want := Phrase(tokens)
-		dst = LemmaInto(dst[:0], tokens)
-		if len(want) == 0 && len(dst) == 0 {
-			return true
-		}
-		return reflect.DeepEqual(dst, want)
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 1000}); err != nil {
-		t.Error(err)
-	}
-}
+import "testing"
 
 // TestNounTableMergesExceptionsAndInvariants: the one-probe table must
 // reproduce the original two-lookup order — exceptions first, then

@@ -227,18 +227,14 @@ func Lemmatize(word string, pos PartOfSpeech) string {
 func Word(word string) string { return Lemmatize(word, Noun) }
 
 // Phrase lemmatizes every token of a pre-tokenized phrase as nouns.
+// Tokens that are already base forms (the common case) come back as-is,
+// without a copy.
 func Phrase(tokens []string) []string {
-	return LemmaInto(make([]string, 0, len(tokens)), tokens)
-}
-
-// LemmaInto is Phrase appending into dst, so hot paths can reuse one
-// lemma buffer across phrases. Tokens that are already base forms (the
-// common case) are appended as-is — zero copies, zero allocations.
-func LemmaInto(dst []string, tokens []string) []string {
+	out := make([]string, 0, len(tokens))
 	for _, t := range tokens {
-		dst = append(dst, Word(t))
+		out = append(out, Word(t))
 	}
-	return dst
+	return out
 }
 
 // nounTable merges nounExceptions with the invariants (mapped to

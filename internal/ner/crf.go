@@ -38,11 +38,15 @@ func TrainCRF(examples []Example, cfg CRFConfig) (*Model, error) {
 	}
 
 	// Pre-extract features once; they are position-static.
+	var sc Scratch
+	var buf []byte
 	feats := make([][][]string, len(examples))
 	for i, ex := range examples {
 		feats[i] = make([][]string, len(ex.Tokens))
 		for j := range ex.Tokens {
-			feats[i][j] = featurize(ex.Tokens, j)
+			buf = emitFeatures(ex.Tokens, j, buf, &sc, func(key []byte) {
+				feats[i][j] = append(feats[i][j], string(key))
+			})
 		}
 	}
 

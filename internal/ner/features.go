@@ -1,112 +1,27 @@
 package ner
 
-import (
-	"strconv"
-
-	"nutriprofile/internal/textutil"
-)
+import "nutriprofile/internal/textutil"
 
 // tokenize is the package-local tokenizer; identical to textutil.Tokenize
 // and aliased so the feature code reads locally.
 func tokenize(phrase string) []string { return textutil.Tokenize(phrase) }
 
-// featurize emits the feature strings for position i of tokens. The
-// templates mirror a standard CRF NER configuration: word identity in a
-// ±2 window, bigram conjunctions, affixes, word shape, and gazetteer
-// (lexicon) membership flags. Transition structure is handled separately
-// by the decoder's transition weights.
-func featurize(tokens []string, i int) []string {
-	at := func(j int) string {
-		switch {
-		case j < 0:
-			return "<s>"
-		case j >= len(tokens):
-			return "</s>"
-		default:
-			return tokens[j]
-		}
-	}
-	w := tokens[i]
-	feats := make([]string, 0, 24)
-	add := func(f string) { feats = append(feats, f) }
-
-	add("w0=" + w)
-	add("w-1=" + at(i-1))
-	add("w+1=" + at(i+1))
-	add("w-2=" + at(i-2))
-	add("w+2=" + at(i+2))
-	add("w-1,0=" + at(i-1) + "|" + w)
-	add("w0,+1=" + w + "|" + at(i+1))
-
-	if n := len(w); n > 2 {
-		add("suf2=" + w[n-2:])
-		if n > 3 {
-			add("suf3=" + w[n-3:])
-		}
-		add("pre2=" + w[:2])
-		if n > 3 {
-			add("pre3=" + w[:3])
-		}
-	}
-
-	add("shape=" + wordShape(w))
-	add("pos=" + strconv.Itoa(min(i, 6)))
-	if i == 0 {
-		add("first")
-	}
-	if i == len(tokens)-1 {
-		add("last")
-	}
-
-	if isQuantityToken(w) {
-		add("lex:qty")
-	}
-	if isUnitToken(w) {
-		add("lex:unit")
-	}
-	if sizeWords[w] {
-		add("lex:size")
-	}
-	if tempWords[w] {
-		add("lex:temp")
-	}
-	if dfWords[w] {
-		add("lex:df")
-	}
-	if stateWords[w] {
-		add("lex:state")
-	}
-	if fillerWords[w] {
-		add("lex:filler")
-	}
-	if isQuantityToken(at(i - 1)) {
-		add("prev:qty")
-	}
-	if isUnitToken(at(i - 1)) {
-		add("prev:unit")
-	}
-	if at(i-1) == "," {
-		add("prev:comma")
-	}
-	return feats
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// emitFeatures is featurize fused with the emission lookup: instead of
-// materializing feature strings it assembles each feature's byte spelling
-// in buf and bumps the model's weights for it straight into row. The
-// templates, their spellings, and their emission order deliberately
-// duplicate featurize line for line — a shared abstraction would either
-// allocate (closures over append targets escape) or obscure the exact
-// float accumulation order that keeps TagScratch bit-identical to Tag.
-// TestEmitFeaturesParity pins the two against each other.
-func (m *Model) emitFeatures(tokens []string, i int, buf []byte, row *[NLabels]float64, sc *Scratch) []byte {
+// emitFeatures is the tagger's one feature template. It builds each
+// feature key of position i of tokens in buf and hands it to emit as
+// soon as it is built; the key aliases buf and is valid only during the
+// call. The templates mirror a standard CRF NER configuration: word
+// identity in a ±2 window, bigram conjunctions, affixes, word shape, and
+// gazetteer (lexicon) membership flags. Transition structure is handled
+// separately by the decoder's transition weights.
+//
+// Every consumer walks the same keys in the same order: decoding adds
+// each key's weights to the position's emission row (Model.TagScratch),
+// the perceptron updates them (Train), and the CRF collects the key
+// strings (TrainCRF). Handing keys over one at a time keeps decoding
+// allocation-free and its float accumulation order fixed. sc memoizes
+// the unit predicate (nil computes it directly). It returns buf for
+// reuse.
+func emitFeatures(tokens []string, i int, buf []byte, sc *Scratch, emit func(key []byte)) []byte {
 	at := func(j int) string {
 		switch {
 		case j < 0:
@@ -121,99 +36,99 @@ func (m *Model) emitFeatures(tokens []string, i int, buf []byte, row *[NLabels]f
 
 	buf = append(buf[:0], "w0="...)
 	buf = append(buf, w...)
-	m.bump(buf, row)
+	emit(buf)
 
 	buf = append(buf[:0], "w-1="...)
 	buf = append(buf, at(i-1)...)
-	m.bump(buf, row)
+	emit(buf)
 
 	buf = append(buf[:0], "w+1="...)
 	buf = append(buf, at(i+1)...)
-	m.bump(buf, row)
+	emit(buf)
 
 	buf = append(buf[:0], "w-2="...)
 	buf = append(buf, at(i-2)...)
-	m.bump(buf, row)
+	emit(buf)
 
 	buf = append(buf[:0], "w+2="...)
 	buf = append(buf, at(i+2)...)
-	m.bump(buf, row)
+	emit(buf)
 
 	buf = append(buf[:0], "w-1,0="...)
 	buf = append(buf, at(i-1)...)
 	buf = append(buf, '|')
 	buf = append(buf, w...)
-	m.bump(buf, row)
+	emit(buf)
 
 	buf = append(buf[:0], "w0,+1="...)
 	buf = append(buf, w...)
 	buf = append(buf, '|')
 	buf = append(buf, at(i+1)...)
-	m.bump(buf, row)
+	emit(buf)
 
 	if n := len(w); n > 2 {
 		buf = append(buf[:0], "suf2="...)
 		buf = append(buf, w[n-2:]...)
-		m.bump(buf, row)
+		emit(buf)
 		if n > 3 {
 			buf = append(buf[:0], "suf3="...)
 			buf = append(buf, w[n-3:]...)
-			m.bump(buf, row)
+			emit(buf)
 		}
 		buf = append(buf[:0], "pre2="...)
 		buf = append(buf, w[:2]...)
-		m.bump(buf, row)
+		emit(buf)
 		if n > 3 {
 			buf = append(buf[:0], "pre3="...)
 			buf = append(buf, w[:3]...)
-			m.bump(buf, row)
+			emit(buf)
 		}
 	}
 
 	buf = append(buf[:0], "shape="...)
 	buf = appendShape(buf, w)
-	m.bump(buf, row)
+	emit(buf)
 
 	buf = append(buf[:0], "pos="...)
 	buf = append(buf, byte('0'+min(i, 6)))
-	m.bump(buf, row)
+	emit(buf)
 
 	if i == 0 {
-		m.bump(append(buf[:0], "first"...), row)
+		emit(append(buf[:0], "first"...))
 	}
 	if i == len(tokens)-1 {
-		m.bump(append(buf[:0], "last"...), row)
+		emit(append(buf[:0], "last"...))
 	}
 
 	if isQuantityToken(w) {
-		m.bump(append(buf[:0], "lex:qty"...), row)
+		emit(append(buf[:0], "lex:qty"...))
 	}
 	if sc.isUnit(w) {
-		m.bump(append(buf[:0], "lex:unit"...), row)
+		emit(append(buf[:0], "lex:unit"...))
 	}
 	if sizeWords[w] {
-		m.bump(append(buf[:0], "lex:size"...), row)
+		emit(append(buf[:0], "lex:size"...))
 	}
 	if tempWords[w] {
-		m.bump(append(buf[:0], "lex:temp"...), row)
+		emit(append(buf[:0], "lex:temp"...))
 	}
 	if dfWords[w] {
-		m.bump(append(buf[:0], "lex:df"...), row)
+		emit(append(buf[:0], "lex:df"...))
 	}
 	if stateWords[w] {
-		m.bump(append(buf[:0], "lex:state"...), row)
+		emit(append(buf[:0], "lex:state"...))
 	}
 	if fillerWords[w] {
-		m.bump(append(buf[:0], "lex:filler"...), row)
+		emit(append(buf[:0], "lex:filler"...))
 	}
 	if isQuantityToken(at(i - 1)) {
-		m.bump(append(buf[:0], "prev:qty"...), row)
+		emit(append(buf[:0], "prev:qty"...))
 	}
 	if sc.isUnit(at(i - 1)) {
-		m.bump(append(buf[:0], "prev:unit"...), row)
+		emit(append(buf[:0], "prev:unit"...))
 	}
 	if at(i-1) == "," {
-		m.bump(append(buf[:0], "prev:comma"...), row)
+		emit(append(buf[:0], "prev:comma"...))
 	}
 	return buf
 }

@@ -1,7 +1,6 @@
 package ner
 
 import (
-	"strings"
 	"unicode"
 	"unicode/utf8"
 
@@ -97,16 +96,12 @@ func isQuantityToken(tok string) bool {
 	return hasDigit
 }
 
-// isUnitToken reports whether the token resolves to a known measurement
-// unit that is NOT a size word (sizes get their own tag). NormalizeToken
-// skips Normalize's re-tokenization; the inputs here are always single
+// tagsAsUnit reports whether the tagger reads tok as a unit, given tok's
+// units.NormalizeToken result: a known measurement unit that is NOT a
+// size word (sizes get their own tag). The inputs are always single
 // tokens (or the "<s>"/"</s>" sentinels, unknown either way).
-func isUnitToken(tok string) bool {
-	if sizeWords[tok] {
-		return false
-	}
-	name, known := units.NormalizeToken(tok)
-	if !known {
+func tagsAsUnit(tok, name string, known bool) bool {
+	if !known || sizeWords[tok] {
 		return false
 	}
 	if k, err := units.KindOf(name); err == nil && k == units.Size {
@@ -115,34 +110,9 @@ func isUnitToken(tok string) bool {
 	return true
 }
 
-// wordShape produces a compact shape signature: "1" for digits, "a" for
-// letters, with punctuation preserved; runs collapsed. "2-4" → "1-1",
-// "hard-cooked" → "a-a", "Flour" → "a".
-func wordShape(tok string) string {
-	var b strings.Builder
-	var last rune
-	for _, r := range tok {
-		var c rune
-		switch {
-		case unicode.IsDigit(r):
-			c = '1'
-		case unicode.IsLetter(r):
-			c = 'a'
-		default:
-			c = r
-		}
-		if c != last {
-			b.WriteRune(c)
-			last = c
-		}
-	}
-	return b.String()
-}
-
-// appendShape is wordShape appending its bytes to dst instead of
-// building a string — the zero-alloc form the compiled feature emitter
-// uses. Kept next to wordShape so the two rune classifications stay in
-// lockstep (pinned by TestAppendShapeParity).
+// appendShape appends tok's compact shape signature to dst: "1" for
+// digits, "a" for letters, with punctuation preserved; runs collapsed.
+// "2-4" → "1-1", "hard-cooked" → "a-a", "Flour" → "a".
 func appendShape(dst []byte, tok string) []byte {
 	var last rune
 	for _, r := range tok {

@@ -3,9 +3,6 @@ package ner
 import (
 	"errors"
 	"math/rand"
-	"sync"
-
-	"nutriprofile/internal/textutil"
 )
 
 // Model is a linear-chain sequence tagger: per-feature emission weights
@@ -16,15 +13,6 @@ import (
 type Model struct {
 	emissions   map[string]*[NLabels]float64
 	transitions [NLabels + 1][NLabels]float64 // row NLabels is the start state
-
-	// Compiled read-only view of emissions, built lazily on the first
-	// TagScratch call (training always runs before serving, so the weights
-	// are final by then): feature strings become dense IDs so the hot path
-	// probes with scratch-assembled byte keys instead of building feature
-	// strings. Weight values are copied, not aliased — identical scores.
-	compileOnce sync.Once
-	featIDs     *textutil.Interner
-	featWeights [][NLabels]float64
 }
 
 // NewModel returns an empty (all-zero) model.
@@ -32,108 +20,35 @@ func NewModel() *Model {
 	return &Model{emissions: make(map[string]*[NLabels]float64)}
 }
 
-// Tag decodes the best label sequence for a tokenized phrase.
+// Tag decodes the best label sequence for a tokenized phrase: TagScratch
+// on a fresh Scratch, for callers that keep none.
 func (m *Model) Tag(tokens []string) []Label {
-	if len(tokens) == 0 {
-		return nil
-	}
-	n := len(tokens)
-	// Emission scores per position.
-	emit := make([][NLabels]float64, n)
-	for i := range tokens {
-		for _, f := range featurize(tokens, i) {
-			if wv, ok := m.emissions[f]; ok {
-				for l := 0; l < int(NLabels); l++ {
-					emit[i][l] += wv[l]
-				}
-			}
-		}
-	}
-
-	// Viterbi.
-	type cell struct {
-		score float64
-		back  Label
-	}
-	prev := make([]cell, NLabels)
-	cur := make([]cell, NLabels)
-	backptr := make([][]Label, n)
-	for l := Label(0); l < NLabels; l++ {
-		prev[l] = cell{score: m.transitions[NLabels][l] + emit[0][l]}
-	}
-	for i := 1; i < n; i++ {
-		backptr[i] = make([]Label, NLabels)
-		for l := Label(0); l < NLabels; l++ {
-			best, bestFrom := prev[0].score+m.transitions[0][l], Label(0)
-			for from := Label(1); from < NLabels; from++ {
-				if s := prev[from].score + m.transitions[from][l]; s > best {
-					best, bestFrom = s, from
-				}
-			}
-			cur[l] = cell{score: best + emit[i][l]}
-			backptr[i][l] = bestFrom
-		}
-		prev, cur = cur, prev
-	}
-
-	bestLabel, bestScore := Label(0), prev[0].score
-	for l := Label(1); l < NLabels; l++ {
-		if prev[l].score > bestScore {
-			bestLabel, bestScore = l, prev[l].score
-		}
-	}
-	labels := make([]Label, n)
-	labels[n-1] = bestLabel
-	for i := n - 1; i > 0; i-- {
-		labels[i-1] = backptr[i][labels[i]]
-	}
-	return labels
+	return m.TagScratch(tokens, new(Scratch))
 }
 
-// TagPhrase tokenizes and tags a raw phrase.
-func (m *Model) TagPhrase(phrase string) ([]string, []Label) {
-	toks := tokenize(phrase)
-	return toks, m.Tag(toks)
-}
-
-// compile builds the dense feature-ID view of the emission table. Map
-// iteration order is irrelevant: Intern assigns IDs in encounter order
-// and featWeights is appended in the same order, so ID i always indexes
-// feature i's weights.
-func (m *Model) compile() {
-	m.featIDs = textutil.NewInterner()
-	m.featWeights = make([][NLabels]float64, 0, len(m.emissions))
-	for f, wv := range m.emissions {
-		m.featIDs.Intern(f)
-		m.featWeights = append(m.featWeights, *wv)
-	}
-}
-
-// bump adds the emission weights of the feature spelled by key (if the
-// model knows it) into row. The byte-key probe does not allocate.
-func (m *Model) bump(key []byte, row *[NLabels]float64) {
-	if id, ok := m.featIDs.LookupBytes(key); ok {
-		wv := &m.featWeights[id]
-		for l := 0; l < int(NLabels); l++ {
-			row[l] += wv[l]
-		}
-	}
-}
-
-// TagScratch is Tag decoding into sc. Scores are computed feature-by-
-// feature in exactly Tag's accumulation order, so the floating-point
-// results — and therefore the decoded labels — are bit-identical. The
-// returned slice aliases sc.
+// TagScratch decodes the best label sequence into sc. Each position's
+// emission row sums the weights of the keys emitFeatures builds, probed
+// straight in the emission table (the m[string(key)] probe does not
+// allocate), so a warm sc decodes without allocating. The returned
+// slice aliases sc.
 func (m *Model) TagScratch(tokens []string, sc *Scratch) []Label {
 	if len(tokens) == 0 {
 		return nil
 	}
-	m.compileOnce.Do(m.compile)
 	n := len(tokens)
 	emit := sc.emitRows(n)
+	var row *[NLabels]float64
+	add := func(key []byte) {
+		if wv, ok := m.emissions[string(key)]; ok {
+			for l := 0; l < int(NLabels); l++ {
+				row[l] += wv[l]
+			}
+		}
+	}
 	buf := sc.buf
 	for i := range tokens {
-		buf = m.emitFeatures(tokens, i, buf, &emit[i], sc)
+		row = &emit[i]
+		buf = emitFeatures(tokens, i, buf, sc, add)
 	}
 	sc.buf = buf
 
@@ -185,14 +100,13 @@ func Train(examples []Example, cfg TrainConfig) (*Model, error) {
 	if len(examples) == 0 {
 		return nil, errors.New("ner: no training examples")
 	}
-	for i, ex := range examples {
+	for _, ex := range examples {
 		if err := ex.Validate(); err != nil {
 			return nil, err
 		}
 		if len(ex.Tokens) == 0 {
 			return nil, errors.New("ner: empty training example")
 		}
-		_ = i
 	}
 	if cfg.Epochs <= 0 {
 		cfg.Epochs = 8
@@ -200,24 +114,33 @@ func Train(examples []Example, cfg TrainConfig) (*Model, error) {
 
 	raw := NewModel()
 	// Averaging bookkeeping: totals accumulate weight×steps-held via the
-	// lazy-update trick (Daumé's averaged perceptron formulation).
-	totalEmissions := make(map[string]*[NLabels]float64)
-	lastUpdate := make(map[string]*[NLabels]int)
+	// lazy-update trick (Daumé's averaged perceptron formulation). Each
+	// feature's raw weights w are the row raw.emissions holds, which the
+	// decoder reads.
+	type featAvg struct {
+		w     *[NLabels]float64
+		total [NLabels]float64
+		last  [NLabels]int
+	}
+	avgs := make(map[string]*featAvg)
 	var totalTransitions [NLabels + 1][NLabels]float64
 	var lastTransUpdate [NLabels + 1][NLabels]int
 
 	step := 0
-	bumpEmit := func(f string, l Label, delta float64) {
-		wv, ok := raw.emissions[f]
+	// bumpEmit moves the weight for label l of the feature spelled by key
+	// by delta. A known key is probed without allocating; a new one is
+	// copied once.
+	bumpEmit := func(key []byte, l Label, delta float64) {
+		fa, ok := avgs[string(key)]
 		if !ok {
-			wv = new([NLabels]float64)
-			raw.emissions[f] = wv
-			totalEmissions[f] = new([NLabels]float64)
-			lastUpdate[f] = new([NLabels]int)
+			f := string(key)
+			fa = &featAvg{w: new([NLabels]float64)}
+			raw.emissions[f] = fa.w
+			avgs[f] = fa
 		}
-		totalEmissions[f][l] += wv[l] * float64(step-lastUpdate[f][l])
-		lastUpdate[f][l] = step
-		wv[l] += delta
+		fa.total[l] += fa.w[l] * float64(step-fa.last[l])
+		fa.last[l] = step
+		fa.w[l] += delta
 	}
 	bumpTrans := func(from int, to Label, delta float64) {
 		totalTransitions[from][to] += raw.transitions[from][to] * float64(step-lastTransUpdate[from][to])
@@ -231,20 +154,24 @@ func Train(examples []Example, cfg TrainConfig) (*Model, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
+	// One scratch decodes every example; pred aliases it until the next.
+	var sc Scratch
+	var buf []byte
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		for _, idx := range order {
 			ex := examples[idx]
 			step++
-			pred := raw.Tag(ex.Tokens)
+			pred := raw.TagScratch(ex.Tokens, &sc)
 			for i := range ex.Tokens {
-				if pred[i] == ex.Labels[i] {
+				gold, guess := ex.Labels[i], pred[i]
+				if gold == guess {
 					continue
 				}
-				for _, f := range featurize(ex.Tokens, i) {
-					bumpEmit(f, ex.Labels[i], 1)
-					bumpEmit(f, pred[i], -1)
-				}
+				buf = emitFeatures(ex.Tokens, i, buf, &sc, func(key []byte) {
+					bumpEmit(key, gold, 1)
+					bumpEmit(key, guess, -1)
+				})
 			}
 			// Transition updates, including the start transition.
 			goldPrev, predPrev := int(NLabels), int(NLabels)
@@ -262,13 +189,11 @@ func Train(examples []Example, cfg TrainConfig) (*Model, error) {
 	// Finalize averages.
 	avg := NewModel()
 	denom := float64(step)
-	for f, wv := range raw.emissions {
-		tot := totalEmissions[f]
-		lu := lastUpdate[f]
+	for f, fa := range avgs {
 		out := new([NLabels]float64)
 		nonzero := false
 		for l := 0; l < int(NLabels); l++ {
-			t := tot[l] + wv[l]*float64(step-lu[l])
+			t := fa.total[l] + fa.w[l]*float64(step-fa.last[l])
 			out[l] = t / denom
 			if out[l] != 0 {
 				nonzero = true

@@ -169,9 +169,9 @@ func TestModelEmptyInput(t *testing.T) {
 	if got := m.Tag(nil); got != nil {
 		t.Errorf("Tag(nil) = %v", got)
 	}
-	toks, labels := m.TagPhrase("")
-	if len(toks) != 0 || len(labels) != 0 {
-		t.Error("TagPhrase empty should produce nothing")
+	toks := tokenize("")
+	if labels := m.Tag(toks); len(toks) != 0 || len(labels) != 0 {
+		t.Error("tagging an empty phrase should produce nothing")
 	}
 }
 
@@ -224,7 +224,8 @@ func TestWordShape(t *testing.T) {
 func TestRuleTaggerTotal(t *testing.T) {
 	var rt RuleTagger
 	f := func(phrase string) bool {
-		toks, labels := rt.TagPhrase(phrase)
+		toks := tokenize(phrase)
+		labels := rt.Tag(toks)
 		if len(toks) != len(labels) {
 			return false
 		}
@@ -247,8 +248,8 @@ func TestModelTotal(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := func(phrase string) bool {
-		toks, labels := model.TagPhrase(phrase)
-		return len(toks) == len(labels)
+		toks := tokenize(phrase)
+		return len(toks) == len(model.Tag(toks))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -17,8 +17,8 @@ func (RuleTagger) Tag(tokens []string) []Label {
 	return appendRuleTags(make([]Label, 0, len(tokens)), tokens, nil)
 }
 
-// TagScratch is Tag decoding into sc, with isUnitToken memoized per
-// scratch. The returned slice aliases sc.
+// TagScratch is Tag decoding into sc, with the unit predicate memoized
+// per scratch. The returned slice aliases sc.
 func (RuleTagger) TagScratch(tokens []string, sc *Scratch) []Label {
 	sc.labels = appendRuleTags(sc.labels[:0], tokens, sc)
 	return sc.labels
@@ -81,10 +81,4 @@ func appendRuleTags(dst []Label, tokens []string, sc *Scratch) []Label {
 		}
 	}
 	return dst
-}
-
-// TagPhrase tokenizes and tags a raw phrase in one call.
-func (r RuleTagger) TagPhrase(phrase string) ([]string, []Label) {
-	toks := tokenize(phrase)
-	return toks, r.Tag(toks)
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 
 	"nutriprofile/internal/textutil"
+	"nutriprofile/internal/units"
 )
 
 // Scratch is the ner stage's per-goroutine arena: every buffer the
@@ -21,11 +22,12 @@ type Scratch struct {
 
 	// interned maps field strings to stable copies so Extraction fields
 	// never alias the byte scratch (or, via single-token joins, the
-	// caller's phrase). unitCache memoizes isUnitToken, whose lemma step
-	// allocates for plural spellings. Both are bounded: vocabulary-sized
-	// in practice, cleared wholesale if adversarial input overflows them.
-	interned  map[string]string
-	unitCache map[string]bool
+	// caller's phrase). unitMemo memoizes each token's unit resolution for
+	// both the tagger's unit predicate and Unit. Both are bounded:
+	// vocabulary-sized in practice, cleared wholesale if adversarial
+	// input overflows them.
+	interned map[string]string
+	unitMemo map[string]unitFacts
 
 	// firstWord[l] is the index of the first alphabetic token labeled l
 	// in the phrase assembled last, or -1. Recorded during
@@ -35,6 +37,20 @@ type Scratch struct {
 
 // maxScratchEntries bounds each memo map; real corpora stay far below it.
 const maxScratchEntries = 4096
+
+// unitFacts is one token's unit resolution: units.NormalizeToken's name
+// and known flag, and whether the tagger reads the token as a unit.
+type unitFacts struct {
+	name  string
+	known bool
+	unit  bool
+}
+
+// resolveUnit computes a token's unitFacts with one NormalizeToken call.
+func resolveUnit(tok string) unitFacts {
+	name, known := units.NormalizeToken(tok)
+	return unitFacts{name: name, known: known, unit: tagsAsUnit(tok, name, known)}
+}
 
 // intern returns a stable string equal to b, reusing a prior copy when
 // the same bytes were seen before.
@@ -52,25 +68,46 @@ func (sc *Scratch) intern(b []byte) string {
 	return s
 }
 
-// isUnit is a memoized isUnitToken. A nil receiver falls back to the
-// uncached predicate, so shared code paths need no branching.
-func (sc *Scratch) isUnit(tok string) bool {
+// unitOf is the memoized resolveUnit. Memoized facts own their bytes:
+// tok is usually a substring of the caller's phrase, which may view a
+// buffer the next request overwrites. A nil receiver computes without
+// memoizing, so shared code paths need no branching.
+func (sc *Scratch) unitOf(tok string) unitFacts {
 	if sc == nil {
-		return isUnitToken(tok)
+		return resolveUnit(tok)
 	}
-	if known, ok := sc.unitCache[tok]; ok {
-		return known
+	if f, ok := sc.unitMemo[tok]; ok {
+		return f
 	}
-	known := isUnitToken(tok)
-	if sc.unitCache == nil {
-		sc.unitCache = make(map[string]bool)
-	} else if len(sc.unitCache) >= maxScratchEntries {
-		clear(sc.unitCache)
+	f := resolveUnit(tok)
+	if sc.unitMemo == nil {
+		sc.unitMemo = make(map[string]unitFacts)
+	} else if len(sc.unitMemo) >= maxScratchEntries {
+		clear(sc.unitMemo)
 	}
-	// Clone the key: tok is usually a substring of the caller's phrase.
-	sc.unitCache[strings.Clone(tok)] = known
-	return known
+	key := strings.Clone(tok)
+	// NormalizeToken echoes the cleaned spelling, so name often views tok
+	// ("cup") or a prefix of it ("cups" → "cup").
+	if f.name == tok {
+		f.name = key
+	} else {
+		f.name = strings.Clone(f.name)
+	}
+	sc.unitMemo[key] = f
+	return f
 }
+
+// Unit is a memoized units.NormalizeToken: the unit a Tokenize-emitted
+// token names, and whether it is a known unit. Through a non-nil sc the
+// name never aliases tok.
+func (sc *Scratch) Unit(tok string) (string, bool) {
+	f := sc.unitOf(tok)
+	return f.name, f.known
+}
+
+// isUnit reports whether the tagger reads tok as a unit (tagsAsUnit),
+// memoized beside Unit's answer.
+func (sc *Scratch) isUnit(tok string) bool { return sc.unitOf(tok).unit }
 
 // emitRows returns n zeroed emission rows. Rows must be cleared (unlike
 // the backpointer rows) because features accumulate into them with +=.

@@ -2,11 +2,14 @@ package ner
 
 import (
 	"fmt"
+	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"nutriprofile/internal/textutil"
+	"nutriprofile/internal/units"
 )
 
 // scratchTestPhrases exercises every feature template and rule branch:
@@ -62,7 +65,7 @@ func TestAppendShapeParity(t *testing.T) {
 // probeModel builds a model whose emission table holds every feature the
 // test phrases produce, with distinct deterministic weights per feature —
 // so any divergence between featurize and emitFeatures shifts a score.
-func probeModel(t *testing.T) *Model {
+func probeModel(t testing.TB) *Model {
 	t.Helper()
 	m := NewModel()
 	n := 0
@@ -94,49 +97,73 @@ func probeModel(t *testing.T) *Model {
 	return m
 }
 
-// TestEmitFeaturesParity compares the per-position emission row built by
-// the string-based featurize path against emitFeatures' fused byte-key
-// path. Scores must be bit-identical (same features, same accumulation
-// order).
+// TestEmitFeaturesParity pins the one feature template to the spec's
+// featurize: emitFeatures must hand over exactly featurize's keys, in
+// featurize's order (the order fixes the float accumulation, so equal
+// keys in equal order make equal emission rows), with and without a
+// memoizing scratch.
 func TestEmitFeaturesParity(t *testing.T) {
-	m := probeModel(t)
-	m.compileOnce.Do(m.compile)
-	sc := &Scratch{}
-	for _, p := range scratchTestPhrases {
-		toks := tokenize(p)
+	for _, sc := range []*Scratch{nil, {}} {
 		var buf []byte
-		for i := range toks {
-			var want [NLabels]float64
-			for _, f := range featurize(toks, i) {
-				if wv, ok := m.emissions[f]; ok {
-					for l := 0; l < int(NLabels); l++ {
-						want[l] += wv[l]
-					}
+		for _, p := range scratchTestPhrases {
+			toks := tokenize(p)
+			for i := range toks {
+				var got []string
+				buf = emitFeatures(toks, i, buf, sc, func(key []byte) {
+					got = append(got, string(key))
+				})
+				if want := featurize(toks, i); !slices.Equal(got, want) {
+					t.Errorf("phrase %q pos %d: emitFeatures keys %q, want %q", p, i, got, want)
 				}
-			}
-			var got [NLabels]float64
-			buf = m.emitFeatures(toks, i, buf, &got, sc)
-			if got != want {
-				t.Errorf("phrase %q pos %d: emitFeatures row %v, want %v", p, i, got, want)
 			}
 		}
 	}
 }
 
-// TestModelTagScratchMatchesTag pins the scratch decoder to the
-// allocating one on a model with dense, adversarially distinct weights.
+// checkModelSpec decodes toks with TagScratch on sc and checks it
+// against the spec: the labels equal specTag's and every emission row
+// TagScratch summed is bit-equal to specRow's.
+func checkModelSpec(t testing.TB, m *Model, toks []string, sc *Scratch) {
+	t.Helper()
+	want := m.specTag(toks)
+	got := m.TagScratch(toks, sc)
+	if !slices.Equal(got, want) {
+		t.Fatalf("tokens %q: TagScratch %v, want spec %v", toks, got, want)
+	}
+	for i := range toks {
+		row, spec := sc.emit[i], specRow(m, toks, i)
+		for l := range row {
+			if math.Float64bits(row[l]) != math.Float64bits(spec[l]) {
+				t.Fatalf("tokens %q pos %d: emission row %v, want spec %v", toks, i, row, spec)
+			}
+		}
+	}
+}
+
+// checkUnitMemo checks sc's memoized unit answers for tok against
+// units.NormalizeToken and the spec's isUnitToken.
+func checkUnitMemo(t testing.TB, sc *Scratch, tok string) {
+	t.Helper()
+	gotName, gotKnown := sc.Unit(tok)
+	if wantName, wantKnown := units.NormalizeToken(tok); gotName != wantName || gotKnown != wantKnown {
+		t.Fatalf("Unit(%q) = (%q, %v), want (%q, %v)", tok, gotName, gotKnown, wantName, wantKnown)
+	}
+	if got, want := sc.isUnit(tok), isUnitToken(tok); got != want {
+		t.Fatalf("isUnit(%q) = %v, want %v", tok, got, want)
+	}
+}
+
+// TestModelTagScratchMatchesTag pins the decoder to the spec on a model
+// with dense, adversarially distinct weights, through one reused scratch
+// and through Tag's fresh one.
 func TestModelTagScratchMatchesTag(t *testing.T) {
 	m := probeModel(t)
 	sc := &Scratch{}
 	for _, p := range scratchTestPhrases {
 		toks := tokenize(p)
-		want := m.Tag(toks)
-		got := m.TagScratch(toks, sc)
-		if len(want) == 0 && len(got) == 0 {
-			continue
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("phrase %q: TagScratch %v, want %v", p, got, want)
+		checkModelSpec(t, m, toks, sc)
+		if got, want := m.Tag(toks), m.specTag(toks); !slices.Equal(got, want) {
+			t.Errorf("phrase %q: Tag %v, want spec %v", p, got, want)
 		}
 	}
 }
@@ -159,16 +186,39 @@ func TestTrainedModelTagScratchMatchesTag(t *testing.T) {
 	}
 	sc := &Scratch{}
 	for _, p := range scratchTestPhrases {
-		toks := tokenize(p)
-		want := m.Tag(toks)
-		got := m.TagScratch(toks, sc)
-		if len(want) == 0 && len(got) == 0 {
-			continue
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("phrase %q: TagScratch %v, want %v", p, got, want)
-		}
+		checkModelSpec(t, m, tokenize(p), sc)
 	}
+}
+
+// FuzzTagScratchSpec drives arbitrary phrases through the one decoder,
+// for the rule tagger and the probe model, on one long-lived scratch
+// (with whatever memo state earlier inputs left behind) and on a fresh
+// one. Each must agree with the spec: the labels with the spec decode
+// (RuleTagger.Tag, which memoizes nothing, and specTag), every emission
+// row bit for bit with the featurize sum, and the unit memo with
+// units.NormalizeToken and isUnitToken.
+func FuzzTagScratchSpec(f *testing.F) {
+	for _, p := range scratchTestPhrases {
+		f.Add(p)
+	}
+	f.Add("<s> </s>")
+	f.Add("\x00\xff weird bytes")
+	m := probeModel(f)
+	var rt RuleTagger
+	warm := &Scratch{}
+	f.Fuzz(func(t *testing.T, phrase string) {
+		toks := tokenize(phrase)
+		wantRule := rt.Tag(toks)
+		for _, sc := range []*Scratch{warm, new(Scratch)} {
+			if got := rt.TagScratch(toks, sc); !slices.Equal(got, wantRule) {
+				t.Fatalf("tokens %q: rule TagScratch %v, want %v", toks, got, wantRule)
+			}
+			checkModelSpec(t, m, toks, sc)
+			for _, tok := range toks {
+				checkUnitMemo(t, sc, tok)
+			}
+		}
+	})
 }
 
 // TestRuleTaggerTagScratchMatchesTag pins the appending rule path (with
@@ -262,25 +312,25 @@ func TestExtractScratchFieldsStable(t *testing.T) {
 	}
 }
 
-// TestScratchIsUnitMemo: the memoized predicate must agree with
-// isUnitToken across repeated and overflowing use.
+// TestScratchIsUnitMemo: the memoized unit answers must agree with
+// units.NormalizeToken and isUnitToken across repeated and overflowing
+// use.
 func TestScratchIsUnitMemo(t *testing.T) {
 	sc := &Scratch{}
-	toks := []string{"cup", "cups", "flour", "<s>", "</s>", "small", "lb", "g", ""}
+	toks := []string{"cup", "cups", "flour", "<s>", "</s>", "small", "lb", "g", "", "Tbsp", "slices", "2"}
 	for round := 0; round < 3; round++ {
 		for _, tok := range toks {
-			if got, want := sc.isUnit(tok), isUnitToken(tok); got != want {
-				t.Fatalf("round %d: isUnit(%q) = %v, want %v", round, tok, got, want)
-			}
+			checkUnitMemo(t, sc, tok)
 		}
 	}
 	// Overflow the bound; correctness must survive the wholesale clear.
 	for i := 0; i < maxScratchEntries+10; i++ {
 		sc.isUnit(strings.Repeat("x", 1+i%7) + fmt.Sprint(i))
 	}
+	if len(sc.unitMemo) > maxScratchEntries {
+		t.Fatalf("unit memo holds %d entries, bound %d", len(sc.unitMemo), maxScratchEntries)
+	}
 	for _, tok := range toks {
-		if got, want := sc.isUnit(tok), isUnitToken(tok); got != want {
-			t.Fatalf("post-overflow: isUnit(%q) = %v, want %v", tok, got, want)
-		}
+		checkUnitMemo(t, sc, tok)
 	}
 }

@@ -1,49 +1,33 @@
 // Package pipeline provides the per-goroutine scratch arena the NLP
-// front-end (tokenize → POS-tag → lemmatize → NER → unit lookup) runs
-// in. One Scratch holds every buffer and memo the per-phrase hot path
-// needs, so a warm Scratch processes a phrase with zero heap
-// allocations; core.Estimator checks one out per batch worker and reuses
-// it across the worker's whole shard.
+// front-end (tokenize → NER → unit lookup → cache keys) runs in. One
+// Scratch holds every buffer and memo the per-phrase hot path needs, so
+// a warm Scratch processes a phrase with zero heap allocations;
+// core.Estimator checks one out per batch worker and reuses it across
+// the worker's whole shard.
 //
 // Ownership model (DESIGN.md §10): a Scratch belongs to exactly one
 // goroutine between Get and Put. Results that outlive the phrase
-// (Extraction fields, cache keys) are copied out of the arena before the
-// next phrase reuses it; everything else (token slices, tag/lemma
-// buffers, Viterbi arrays, key buffers) aliases the arena and is valid
+// (Extraction fields, unit names, cache keys) are copied out of the
+// arena before the next phrase reuses it; everything else (token
+// slices, Viterbi arrays, key buffers) aliases the arena and is valid
 // only until the next Tokenize call.
 package pipeline
 
 import (
-	"strings"
 	"sync"
 	"sync/atomic"
 
-	"nutriprofile/internal/lemma"
 	"nutriprofile/internal/ner"
-	"nutriprofile/internal/postag"
 	"nutriprofile/internal/textutil"
-	"nutriprofile/internal/units"
 )
-
-// unitHit memoizes one token's unit resolution.
-type unitHit struct {
-	name  string
-	known bool
-}
-
-// maxScratchEntries bounds the per-scratch memo maps. Recipe vocabulary
-// is a few thousand distinct tokens, so clearing only triggers on
-// adversarial input; the maps are cleared wholesale rather than evicted
-// entry-wise to keep the hot path branch-free.
-const maxScratchEntries = 4096
 
 // maxRetainedPhrase is the longest phrase whose state a Scratch keeps
 // once released (Trim). Its buffers grow to the longest phrase it has
-// seen (tokens, tags, lemmas, Viterbi rows: tens of bytes per token)
-// and its memo maps clone the tokens they key on, so one pathological
-// phrase near the request-body limit would otherwise pin several times
-// its own size for as long as the Scratch lives in a pool or a worker
-// environment. Real ingredient phrases are well under 200 bytes.
+// seen (tokens and Viterbi rows: tens of bytes per token) and its memo
+// maps clone the tokens they key on, so one pathological phrase near
+// the request-body limit would otherwise pin several times its own size
+// for as long as the Scratch lives in a pool or a worker environment.
+// Real ingredient phrases are well under 200 bytes.
 const maxRetainedPhrase = 4 << 10
 
 // Scratch is the arena. The zero value is ready to use; buffers grow to
@@ -51,16 +35,11 @@ const maxRetainedPhrase = 4 << 10
 // concurrent use.
 type Scratch struct {
 	// NER is the tagging/assembly sub-arena, passed to ner.ExtractScratch.
+	// Its memo also answers UnitFor.
 	NER ner.Scratch
 
-	tokens     []string
-	tags       []postag.Tag
-	lemmas     []string
-	haveLemmas bool
-
-	folder     textutil.Folder   // memoized case folding for cased tokens
-	lemmaCache map[string]string // token → noun lemma (stable strings)
-	unitCache  map[string]unitHit
+	tokens []string
+	folder textutil.Folder // memoized case folding for cased tokens
 
 	keyBuf  []byte // phrase-cache key scratch
 	qkeyBuf []byte // match-cache key scratch (distinct: both live at once)
@@ -72,88 +51,23 @@ type Scratch struct {
 // Token values equal textutil.Tokenize's; the slice aliases the arena.
 // A phrase with vulgar-fraction glyphs ("1½ cups") is expanded into
 // the folder's buffer rather than a new string, so its tokens view bytes
-// the next such phrase overwrites — every memo below clones what it
-// keeps, the rule that already covers phrases viewing a caller-reused
-// buffer.
+// the next such phrase overwrites — every memo clones what it keeps,
+// the rule that already covers phrases viewing a caller-reused buffer.
 func (sc *Scratch) Tokenize(phrase string) []string {
 	sc.longest = max(sc.longest, len(phrase))
 	sc.tokens = textutil.AppendTokensFolded(sc.tokens[:0], phrase, &sc.folder)
-	sc.haveLemmas = false
 	return sc.tokens
 }
 
 // Tokens returns the current phrase's tokens.
 func (sc *Scratch) Tokens() []string { return sc.tokens }
 
-// Tag POS-tags the current phrase. Values equal postag.TagPhrase's.
-func (sc *Scratch) Tag() []postag.Tag {
-	sc.tags = postag.TagInto(sc.tags[:0], sc.tokens)
-	return sc.tags
-}
-
-// Lemmas returns the noun lemma of every token of the current phrase,
-// equal to lemma.Phrase's output, computed lazily once per phrase and
-// memoized per distinct token spelling across phrases.
-func (sc *Scratch) Lemmas() []string {
-	if sc.haveLemmas {
-		return sc.lemmas
-	}
-	sc.lemmas = sc.lemmas[:0]
-	for _, t := range sc.tokens {
-		sc.lemmas = append(sc.lemmas, sc.lemmaOf(t))
-	}
-	sc.haveLemmas = true
-	return sc.lemmas
-}
-
-// lemmaOf is a memoized lemma.Word. Cached values never alias the phrase:
-// keys are cloned, and a token that is its own lemma maps to the clone.
-func (sc *Scratch) lemmaOf(tok string) string {
-	if l, ok := sc.lemmaCache[tok]; ok {
-		return l
-	}
-	l := lemma.Word(tok)
-	if sc.lemmaCache == nil {
-		sc.lemmaCache = make(map[string]string)
-	} else if len(sc.lemmaCache) >= maxScratchEntries {
-		clear(sc.lemmaCache)
-	}
-	key := strings.Clone(tok)
-	if l == tok {
-		l = key
-	} else {
-		// lemma.Word's suffix detachment can return a substring of tok
-		// (e.g. "slices"[:5] via the "s"→"" rule). The cached value must
-		// own its bytes: tok may be a view into a serving-layer buffer
-		// that is overwritten by the next request.
-		l = strings.Clone(l)
-	}
-	sc.lemmaCache[key] = l
-	return l
-}
-
 // UnitFor resolves token i of the current phrase as a unit, equal to
-// units.Normalize(token). The already-computed phrase lemma is plumbed
-// through (units.NormalizeTokenLemma) instead of re-lemmatizing, and the
-// outcome is memoized per token spelling.
+// units.Normalize(token), through the NER arena's memo (ner.Scratch.Unit)
+// — the one the rule tagger's unit predicate reads. The name never
+// aliases the phrase.
 func (sc *Scratch) UnitFor(i int) (string, bool) {
-	tok := sc.tokens[i]
-	if hit, ok := sc.unitCache[tok]; ok {
-		return hit.name, hit.known
-	}
-	name, known := units.NormalizeTokenLemma(tok, sc.Lemmas()[i])
-	if sc.unitCache == nil {
-		sc.unitCache = make(map[string]unitHit)
-	} else if len(sc.unitCache) >= maxScratchEntries {
-		clear(sc.unitCache)
-	}
-	// Clone the value too: units.lookupUnit echoes unknown (and some
-	// known) spellings back as-is, so name can alias tok — and tok can
-	// be a view into a serving-layer buffer. The memoized hit, and the
-	// IngredientResult.Unit built from it, must outlive that buffer.
-	name = strings.Clone(name)
-	sc.unitCache[strings.Clone(tok)] = unitHit{name: name, known: known}
-	return name, known
+	return sc.NER.Unit(sc.tokens[i])
 }
 
 // Extract tags the current phrase with t and assembles the Extraction
@@ -161,16 +75,6 @@ func (sc *Scratch) UnitFor(i int) (string, bool) {
 // ner.Extract over the raw phrase.
 func (sc *Scratch) Extract(t ner.Tagger) ner.Extraction {
 	return ner.ExtractScratch(t, sc.tokens, &sc.NER)
-}
-
-// Run processes one phrase through the whole front-end: tokenize, tag,
-// lemmatize, extract. It exists for tests and benchmarks that exercise
-// the path end to end; core threads the stages individually.
-func (sc *Scratch) Run(t ner.Tagger, phrase string) ner.Extraction {
-	sc.Tokenize(phrase)
-	sc.Tag()
-	sc.Lemmas()
-	return sc.Extract(t)
 }
 
 // PhraseKey renders the current token stream as the phrase-cache key,

@@ -155,16 +155,11 @@ func Tagging(tok string) Tag {
 
 // TagPhrase tags every token of a pre-tokenized phrase.
 func TagPhrase(tokens []string) []Tag {
-	return TagInto(make([]Tag, 0, len(tokens)), tokens)
-}
-
-// TagInto is TagPhrase appending into dst, so hot paths can reuse one
-// tag buffer across phrases instead of allocating per call.
-func TagInto(dst []Tag, tokens []string) []Tag {
+	out := make([]Tag, 0, len(tokens))
 	for _, t := range tokens {
-		dst = append(dst, Tagging(t))
+		out = append(out, Tagging(t))
 	}
-	return dst
+	return out
 }
 
 // FrequencyVector returns the per-tag frequency vector of a tagged phrase,

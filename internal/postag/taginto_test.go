@@ -1,29 +1,6 @@
 package postag
 
-import (
-	"reflect"
-	"strings"
-	"testing"
-	"testing/quick"
-)
-
-// TestTagIntoMatchesTagPhrase pins the appending path to TagPhrase,
-// including reuse of one destination buffer across calls.
-func TestTagIntoMatchesTagPhrase(t *testing.T) {
-	var dst []Tag
-	check := func(s string) bool {
-		tokens := strings.Fields(s)
-		want := TagPhrase(tokens)
-		dst = TagInto(dst[:0], tokens)
-		if len(want) == 0 && len(dst) == 0 {
-			return true
-		}
-		return reflect.DeepEqual(dst, want)
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 1000}); err != nil {
-		t.Error(err)
-	}
-}
+import "testing"
 
 // TestLexiconPrecedence: the merged lexicon must reproduce the original
 // case-chain precedence. "frozen" is in both the adjective and the

@@ -4,16 +4,14 @@ import (
 	"testing"
 	"testing/quick"
 
-	"nutriprofile/internal/lemma"
 	"nutriprofile/internal/textutil"
 )
 
-// checkTokenEquivalence asserts the single-token fast paths —
-// NormalizeToken and NormalizeTokenLemma with the phrase pass's cached
-// lemma — agree with Normalize. Known-ness must always agree; the name
-// must agree whenever the unit is known (unknown names are never
-// consumed, and inputs that are not Tokenize-emitted tokens, like the
-// "<s>" sentinel, legitimately clean differently when unknown).
+// checkTokenEquivalence asserts the single-token fast path,
+// NormalizeToken, agrees with Normalize. Known-ness must always agree;
+// the name must agree whenever the unit is known (unknown names are
+// never consumed, and inputs that are not Tokenize-emitted tokens, like
+// the "<s>" sentinel, legitimately clean differently when unknown).
 func checkTokenEquivalence(t *testing.T, tok string) {
 	t.Helper()
 	wantName, wantKnown := Normalize(tok)
@@ -21,16 +19,11 @@ func checkTokenEquivalence(t *testing.T, tok string) {
 		t.Errorf("NormalizeToken(%q) = (%q, %v), want (%q, %v)",
 			tok, gotName, gotKnown, wantName, wantKnown)
 	}
-	if gotName, gotKnown := NormalizeTokenLemma(tok, lemma.Word(tok)); gotKnown != wantKnown || (wantKnown && gotName != wantName) {
-		t.Errorf("NormalizeTokenLemma(%q, Word) = (%q, %v), want (%q, %v)",
-			tok, gotName, gotKnown, wantName, wantKnown)
-	}
 }
 
 // TestNormalizeTokenEquivalence sweeps the full canonical + alias
-// inventory (singular and pluralized spellings) plus the NER sentinels —
-// the regression gate for the units re-lemmatization fix: plumbing the
-// phrase pass's lemma through must never change a resolution.
+// inventory (singular and pluralized spellings) plus the NER sentinels:
+// skipping Normalize's re-tokenization must never change a resolution.
 func TestNormalizeTokenEquivalence(t *testing.T) {
 	var toks []string
 	for c := range canonical {
@@ -50,7 +43,7 @@ func TestNormalizeTokenEquivalence(t *testing.T) {
 
 // TestNormalizeTokenEquivalenceFuzz extends the sweep to arbitrary
 // input: every token Tokenize emits must resolve identically through
-// all three entry points.
+// both entry points.
 func TestNormalizeTokenEquivalenceFuzz(t *testing.T) {
 	check := func(s string) bool {
 		for _, tok := range textutil.Tokenize(s) {
@@ -58,12 +51,6 @@ func TestNormalizeTokenEquivalenceFuzz(t *testing.T) {
 			gotName, gotKnown := NormalizeToken(tok)
 			if gotName != wantName || gotKnown != wantKnown {
 				t.Logf("NormalizeToken(%q) = (%q, %v), want (%q, %v)",
-					tok, gotName, gotKnown, wantName, wantKnown)
-				return false
-			}
-			gotName, gotKnown = NormalizeTokenLemma(tok, lemma.Word(tok))
-			if gotName != wantName || gotKnown != wantKnown {
-				t.Logf("NormalizeTokenLemma(%q) = (%q, %v), want (%q, %v)",
 					tok, gotName, gotKnown, wantName, wantKnown)
 				return false
 			}

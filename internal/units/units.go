@@ -282,26 +282,9 @@ func CleanToken(tok string) string {
 	return textutil.StripNonAlpha(lemma.Word(tok))
 }
 
-// CleanTokenLemma is CleanToken when the caller has already lemmatized
-// the token (the phrase lemma pass produces every token's noun lemma):
-// the cached lemma is plumbed through instead of recomputing it.
-func CleanTokenLemma(tok, lem string) string {
-	if !textutil.IsWordToken(tok) {
-		return ""
-	}
-	return textutil.StripNonAlpha(lem)
-}
-
 // NormalizeToken is Normalize for a single Tokenize-emitted token.
 func NormalizeToken(tok string) (string, bool) {
 	return lookupUnit(CleanToken(tok))
-}
-
-// NormalizeTokenLemma is NormalizeToken with the token's noun lemma
-// supplied by the caller, avoiding a redundant lemmatization when the
-// phrase pipeline has already produced it.
-func NormalizeTokenLemma(tok, lem string) (string, bool) {
-	return lookupUnit(CleanTokenLemma(tok, lem))
 }
 
 // MustKind returns the Kind of a canonical unit name; it panics on unknown
