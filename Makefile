@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench experiments fuzz clean ci fmt-check bench-smoke bench-json cover-check serve-smoke cli-smoke load-smoke load-bench
+.PHONY: all build vet test race bench experiments experiments-check fuzz clean ci fmt-check bench-smoke bench-json cover-check serve-smoke cli-smoke load-smoke load-bench
 
 all: build vet test
 
@@ -59,6 +59,19 @@ bench-json:
 # Regenerate every table and figure at full harness scale.
 experiments:
 	$(GO) run ./cmd/experiments -run all
+
+# Gate every "byte-identical" claim: the harness's output must equal
+# the first EXPERIMENTS_CHECK_LINES lines of experiments_full.txt, the
+# part before its paper-scale appendix. A change that alters behaviour
+# updates experiments_full.txt in the same commit.
+EXPERIMENTS_CHECK_LINES = 180
+experiments-check:
+	@set -e; out=$$(mktemp); trap 'rm -f "$$out"' EXIT; \
+	$(GO) run ./cmd/experiments -run all >"$$out"; \
+	if ! head -n $(EXPERIMENTS_CHECK_LINES) experiments_full.txt | diff - "$$out"; then \
+		echo "experiments-check: output differs from experiments_full.txt (above: < committed, > now)" >&2; exit 1; \
+	fi; \
+	echo "experiments-check: output matches the first $(EXPERIMENTS_CHECK_LINES) lines of experiments_full.txt"
 
 # Short fuzzing pass over every parser surface, including the HTTP
 # request decoder (arbitrary bodies through the full serving path, and
@@ -142,7 +155,8 @@ serve-smoke:
 # nutriprofile -batch -workers 2 on two recipe files written to a temp
 # dir (two recipes on a two-worker pool), dbtool -search, and a nerlabel
 # save/load round trip (train a perceptron, save it, load it back and
-# tag per token). Each must exit 0. CI runs this in the serve-smoke job.
+# tag per token). Two saves of the same training run must be the same
+# bytes. Each must exit 0. CI runs this in the serve-smoke job.
 cli-smoke:
 	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) build -o "$$dir/nutriprofile" ./cmd/nutriprofile; \
@@ -156,8 +170,11 @@ cli-smoke:
 	"$$dir/nutriprofile" -batch -workers 2 "$$dir/pancakes.txt" "$$dir/butter.txt" >/dev/null; \
 	"$$dir/dbtool" -search "raw chicken" >/dev/null; \
 	"$$dir/nerlabel" -model trained -corpus 200 -save "$$dir/ner.model" "2 cups flour" >/dev/null; \
+	"$$dir/nerlabel" -model trained -corpus 200 -save "$$dir/ner2.model" "2 cups flour" >/dev/null; \
+	cmp "$$dir/ner.model" "$$dir/ner2.model" || \
+		{ echo "cli-smoke: two nerlabel -save runs wrote different model files" >&2; exit 1; }; \
 	"$$dir/nerlabel" -load "$$dir/ner.model" -tokens "2 cups flour" >/dev/null; \
-	echo "cli-smoke: nutriprofile -stats, nutriprofile -batch, dbtool -search and nerlabel -save/-load OK"
+	echo "cli-smoke: nutriprofile -stats, nutriprofile -batch, dbtool -search and nerlabel -save/-load OK, saves byte-identical"
 
 # Boot nutriserve and drive a small generated corpus through streaming
 # /v1/batch with interactive traffic mixed in, verifying zero lost/torn

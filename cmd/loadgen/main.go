@@ -312,9 +312,8 @@ func main() {
 		if hits+misses > 0 {
 			ratio = hits / (hits + misses)
 		}
-		fmt.Printf("loadgen: phrase-cache hit ratio over run: %.3f (%.0f hits / %.0f lookups, policy deltas: admit=%.0f reject=%.0f)\n",
+		fmt.Printf("loadgen: phrase-cache hit ratio over run: %.3f (%.0f hits / %.0f lookups, policy deltas: reject=%.0f)\n",
 			ratio, hits, hits+misses,
-			after[key("nutriserve_memo_admissions_total")]-before[key("nutriserve_memo_admissions_total")],
 			after[key("nutriserve_memo_rejections_total")]-before[key("nutriserve_memo_rejections_total")])
 		if *minHitRatio > 0 {
 			switch {

@@ -49,7 +49,7 @@ func main() {
 	batch := flag.Bool("batch", false, "treat every argument as a recipe file and estimate them concurrently")
 	workers := flag.Int("workers", 0, "recipe worker pool size for -batch (default: one per CPU)")
 	cacheSize := flag.Int("cache", 8192, "result-cache budget in entries: bounds the phrase cache and the match cache; 0 disables")
-	cachePolicy := flag.String("cache-policy", "tinylfu", "memo cache admission policy: lru or tinylfu")
+	cachePolicy := flag.String("cache-policy", "tinylfu", "memo cache admission policy: lru (store every miss) or tinylfu (store a key on its second lookup)")
 	stats := flag.Bool("stats", false, "print memoization-cache and matcher-engine statistics after estimation")
 	flag.Parse()
 
@@ -157,8 +157,7 @@ func printStats(e *core.Estimator) {
 	fmt.Printf("match cache:   %d hits / %d misses (%.0f%% hit rate), %d evictions, %d entries [%s]\n",
 		ms.Hits, ms.Misses, 100*ms.HitRate(), ms.Evictions, ms.Entries, ms.Policy)
 	if ps.Policy == "tinylfu" {
-		fmt.Printf("admission:     phrase %d admitted / %d rejected, match %d admitted / %d rejected, %d sketch resets\n",
-			ps.Admissions, ps.Rejections, ms.Admissions, ms.Rejections, ps.SketchResets+ms.SketchResets)
+		fmt.Printf("admission:     phrase %d rejected, match %d rejected\n", ps.Rejections, ms.Rejections)
 	}
 	st := e.MatcherStats()
 	fmt.Printf("matcher index: %d docs, %d-term vocabulary, %d posting lists, %d postings\n",

@@ -55,7 +55,7 @@ func main() {
 	batchWorkers := flag.Int("batch-workers", 0, "estimator workers per /v1/batch window (0: half the CPUs)")
 	maxBulkStreams := flag.Int("max-bulk-streams", 0, "concurrently open /v1/batch streams before shedding (0: max-in-flight/4)")
 	cacheSize := flag.Int("cache", 8192, "result-cache budget in entries: bounds the phrase cache and the match cache; 0 disables")
-	cachePolicy := flag.String("cache-policy", "tinylfu", "memo cache admission policy: lru or tinylfu")
+	cachePolicy := flag.String("cache-policy", "tinylfu", "memo cache admission policy: lru (store every miss) or tinylfu (store a key on its second lookup)")
 	regional := flag.Bool("regional", false, "use the merged SR+FAO composition table")
 	dbImage := flag.String("db", "", "serve from a baked DB image (cmd/dbbake); enables POST /admin/reload")
 	fuzzy := flag.Bool("fuzzy", false, "enable typo-tolerant matching")

@@ -106,13 +106,14 @@ type Options struct {
 	// 0 (the zero value) disables every tier. ObserveUnits invalidates
 	// the phrase cache, since it changes the most-frequent-unit state.
 	CacheSize int
-	// CachePolicy selects the memo caches' eviction policy: PolicyLRU
-	// (the zero value) or PolicyTinyLFU, which adds frequency-gated
-	// admission so skewed production traffic keeps its hot head
-	// resident through cold bulk scans (memo/tinylfu.go, DESIGN.md
-	// §15). The policy can never change estimation results — only
-	// which phrases stay cached — so it is a pure performance
-	// ablation, threaded to the CLIs as -cache-policy.
+	// CachePolicy selects the memo caches' admission policy: PolicyLRU
+	// (the zero value) stores every miss; PolicyTinyLFU stores a key
+	// only on its second lookup in an aging period (the doorkeeper,
+	// memo/door.go, DESIGN.md §15), so a cold bulk scan leaves nothing
+	// resident and skewed production traffic keeps its hot head. The
+	// policy can never change estimation results — only which phrases
+	// stay cached — so it is a pure performance ablation, threaded to
+	// the CLIs as -cache-policy.
 	CachePolicy memo.Policy
 	// Ablation switches.
 	DisableConversion   bool
@@ -350,7 +351,7 @@ func (e *Estimator) matchQuery(v view, q match.Query, sc *pipeline.Scratch, sess
 		return e.rawMatch(v, q, sess)
 	}
 	kh := memo.Hash(key)
-	if h, ok := e.matchCache.GetBytesHash(kh, key); ok {
+	if h := e.matchCache.GetBytesHashRef(kh, key); h != nil {
 		return h.res, h.ok
 	}
 	res, ok := e.rawMatch(v, q, sess)

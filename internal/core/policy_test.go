@@ -40,14 +40,14 @@ func TestColdMissesLeaveTiersEmpty(t *testing.T) {
 		st   memo.Stats
 	}{{"phrase", phrase}, {"match", match}} {
 		st := tier.st
-		t.Logf("%s tier: %d of %d entries, %d misses, %d hits, %d rejections, %d admissions",
-			tier.name, st.Entries, st.Capacity, st.Misses, st.Hits, st.Rejections, st.Admissions)
+		t.Logf("%s tier: %d of %d entries, %d misses, %d hits, %d rejections",
+			tier.name, st.Entries, st.Capacity, st.Misses, st.Hits, st.Rejections)
 		if st.Misses < n/2 {
 			t.Errorf("%s tier: %d misses over %d salted phrases; the salt did not make them new", tier.name, st.Misses, n)
 		}
-		if st.Entries > st.Capacity/100 || st.Admissions != 0 {
-			t.Errorf("%s tier: %d of %d entries resident, %d admissions after %d cold phrases; want at most 1 %% and none",
-				tier.name, st.Entries, st.Capacity, st.Admissions, n)
+		if st.Entries > st.Capacity/100 {
+			t.Errorf("%s tier: %d of %d entries resident after %d cold phrases; want at most 1 %%",
+				tier.name, st.Entries, st.Capacity, n)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"nutriprofile/internal/core"
@@ -135,6 +136,50 @@ func TestSpanF1(t *testing.T) {
 	t.Logf("rule baseline: span F1 %.4f, token accuracy %.4f", spanScore.F1, tok.TokenAccuracy)
 	if _, err := SpanF1(ner.RuleTagger{}, nil); err == nil {
 		t.Error("SpanF1 accepted empty gold")
+	}
+}
+
+// tagOnly hides a tagger's TagScratch, so evaluation decodes it
+// through Tag on a fresh scratch per phrase.
+type tagOnly struct{ t ner.Tagger }
+
+func (w tagOnly) Tag(tokens []string) []ner.Label { return w.t.Tag(tokens) }
+
+// TestNERScratchDecodeMatchesTag: decoding every phrase of an
+// evaluation into one reused scratch must score exactly as decoding
+// each on its own, for the rule tagger and a trained perceptron.
+func TestNERScratchDecodeMatchesTag(t *testing.T) {
+	exs := corpus(t, 150, 21).Examples()
+	model, err := ner.Train(corpus(t, 100, 22).Examples(), ner.TrainConfig{Epochs: 2, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tagger := range map[string]ner.Tagger{"rule": ner.RuleTagger{}, "perceptron": model} {
+		if _, ok := tagger.(ner.ScratchTagger); !ok {
+			t.Fatalf("%s: not a ner.ScratchTagger; the test compares nothing", name)
+		}
+		got, err := EvaluateNER(tagger, exs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := EvaluateNER(tagOnly{tagger}, exs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: EvaluateNER on one scratch = %+v, per phrase = %+v", name, got, want)
+		}
+		gotSpan, err := SpanF1(tagger, exs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantSpan, err := SpanF1(tagOnly{tagger}, exs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotSpan != wantSpan {
+			t.Errorf("%s: SpanF1 on one scratch = %+v, per phrase = %+v", name, gotSpan, wantSpan)
+		}
 	}
 }
 

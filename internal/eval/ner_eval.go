@@ -46,11 +46,26 @@ func prf(tp, fp, fn int) PRF {
 	return PRF{Precision: p, Recall: r, F1: f, Support: tp + fn}
 }
 
+// decoder returns tagger's decode function for one evaluation. A
+// ner.ScratchTagger — the rule tagger, the perceptron and the CRF all
+// are — decodes every phrase into one ner.Scratch, as
+// ner.ExtractScratch does, instead of building a scratch per phrase;
+// other taggers decode through Tag. A returned label slice is valid
+// only until the next call, so each is consumed before the next decode.
+func decoder(tagger ner.Tagger) func(tokens []string) []ner.Label {
+	if st, ok := tagger.(ner.ScratchTagger); ok {
+		sc := new(ner.Scratch)
+		return func(tokens []string) []ner.Label { return st.TagScratch(tokens, sc) }
+	}
+	return tagger.Tag
+}
+
 // EvaluateNER scores a tagger on gold examples.
 func EvaluateNER(tagger ner.Tagger, gold []ner.Example) (NERMetrics, error) {
 	if len(gold) == 0 {
 		return NERMetrics{}, errors.New("eval: no gold examples")
 	}
+	tag := decoder(tagger)
 	var tp, fp, fn [ner.NLabels]int
 	var confusion [ner.NLabels][ner.NLabels]int
 	correct, total := 0, 0
@@ -58,7 +73,7 @@ func EvaluateNER(tagger ner.Tagger, gold []ner.Example) (NERMetrics, error) {
 		if err := ex.Validate(); err != nil {
 			return NERMetrics{}, err
 		}
-		pred := tagger.Tag(ex.Tokens)
+		pred := tag(ex.Tokens)
 		for i, g := range ex.Labels {
 			p := pred[i]
 			total++
@@ -133,13 +148,14 @@ func SpanF1(tagger ner.Tagger, gold []ner.Example) (PRF, error) {
 	if len(gold) == 0 {
 		return PRF{}, errors.New("eval: no gold examples")
 	}
+	tag := decoder(tagger)
 	tp, fp, fn := 0, 0, 0
 	for _, ex := range gold {
 		if err := ex.Validate(); err != nil {
 			return PRF{}, err
 		}
 		goldSpans := extractSpans(ex.Labels)
-		predSpans := extractSpans(tagger.Tag(ex.Tokens))
+		predSpans := extractSpans(tag(ex.Tokens))
 		matched := make([]bool, len(goldSpans))
 		for _, p := range predSpans {
 			hit := false

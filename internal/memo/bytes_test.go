@@ -5,27 +5,27 @@ import (
 	"testing"
 )
 
-// TestGetBytesMatchesGet: the byte-key probe must be observably
-// identical to Get — same shard, same hit/miss outcome, same counters,
-// same LRU recency effect.
+// TestGetBytesMatchesGet: a key looked up under its byte hash must be
+// observably identical to the same key under its string hash — same
+// shard, same hit/miss outcome, same counters.
 func TestGetBytesMatchesGet(t *testing.T) {
-	c := New[int](64)
+	c := newLRU[int](64)
 	for i := 0; i < 32; i++ {
-		c.Put(fmt.Sprintf("key-%d", i), i)
+		put(c, fmt.Sprintf("key-%d", i), i)
 	}
 	for i := 0; i < 32; i++ {
 		key := fmt.Sprintf("key-%d", i)
-		sv, sok := c.Get(key)
-		bv, bok := c.GetBytes([]byte(key))
+		sv, sok := get(c, key)
+		bv, bok := getBytes(c, []byte(key))
 		if sv != bv || sok != bok {
-			t.Fatalf("key %q: Get = (%d, %v), GetBytes = (%d, %v)", key, sv, sok, bv, bok)
+			t.Fatalf("key %q: get = (%d, %v), getBytes = (%d, %v)", key, sv, sok, bv, bok)
 		}
 	}
-	if _, ok := c.GetBytes([]byte("absent")); ok {
-		t.Fatal("GetBytes(absent) hit")
+	if _, ok := getBytes(c, []byte("absent")); ok {
+		t.Fatal("getBytes(absent) hit")
 	}
-	if _, ok := c.GetBytes(nil); ok {
-		t.Fatal("GetBytes(nil) hit")
+	if _, ok := getBytes(c, nil); ok {
+		t.Fatal("getBytes(nil) hit")
 	}
 	st := c.Stats()
 	// 32 string hits + 32 byte hits; 2 byte misses.
@@ -39,15 +39,15 @@ func TestGetBytesMatchesGet(t *testing.T) {
 // one shard's capacity and re-probing everything both ways.
 func TestGetBytesSharding(t *testing.T) {
 	const n = 500
-	c := New[int](2 * n)
+	c := newLRU[int](2 * n)
 	for i := 0; i < n; i++ {
-		c.Put(fmt.Sprintf("ingredient-%d", i), i)
+		put(c, fmt.Sprintf("ingredient-%d", i), i)
 	}
 	for i := 0; i < n; i++ {
 		key := fmt.Sprintf("ingredient-%d", i)
-		v, ok := c.GetBytes([]byte(key))
+		v, ok := getBytes(c, []byte(key))
 		if !ok || v != i {
-			t.Fatalf("GetBytes(%q) = (%d, %v), want (%d, true)", key, v, ok, i)
+			t.Fatalf("getBytes(%q) = (%d, %v), want (%d, true)", key, v, ok, i)
 		}
 	}
 }
@@ -57,19 +57,19 @@ func TestGetBytesSharding(t *testing.T) {
 func TestGetBytesRefreshesLRU(t *testing.T) {
 	// One shard with room for two entries, so eviction order is
 	// observable without hunting for hash collisions.
-	c := NewSharded[int](2, 1)
-	c.Put("hot", 1)
-	c.Put("warm", 2)
-	if _, ok := c.GetBytes([]byte("hot")); !ok {
+	c := newSharded[int](2, 1)
+	put(c, "hot", 1)
+	put(c, "warm", 2)
+	if _, ok := getBytes(c, []byte("hot")); !ok {
 		t.Fatal("hot evaporated")
 	}
 	// "warm" is now the least recently used entry; the next insert must
 	// evict it, not the byte-refreshed "hot".
-	c.Put("new", 3)
-	if _, ok := c.Get("hot"); !ok {
+	put(c, "new", 3)
+	if _, ok := get(c, "hot"); !ok {
 		t.Fatal("hot evicted despite byte-key refresh")
 	}
-	if _, ok := c.Get("warm"); ok {
+	if _, ok := get(c, "warm"); ok {
 		t.Fatal("warm survived; LRU did not account the byte-key hit")
 	}
 }
@@ -79,8 +79,8 @@ func TestGetBytesRefreshesLRU(t *testing.T) {
 func TestFnv1aBytesMatchesString(t *testing.T) {
 	keys := []string{"", "a", "salt", "2 cups flour", "ingredient-42", "\x00\xff"}
 	for _, k := range keys {
-		if HashString(k) != Hash([]byte(k)) {
-			t.Errorf("HashString(%q) = %d, Hash = %d", k, HashString(k), Hash([]byte(k)))
+		if hashString(k) != Hash([]byte(k)) {
+			t.Errorf("hashString(%q) = %d, Hash = %d", k, hashString(k), Hash([]byte(k)))
 		}
 	}
 }

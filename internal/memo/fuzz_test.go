@@ -88,29 +88,25 @@ func checkModel(t *testing.T, p Policy, capacity, shards int, ops []byte) modelR
 		}
 	}
 
-	// put stores key through PutHash or PutHashGen at the current
-	// generation and checks the store's exact outcome against the
-	// counters, reporting whether the key is now resident.
-	put := func(key string, val uint16, bytes bool) bool {
+	// put stores key at the current generation and checks the store's
+	// exact outcome against the counters, reporting whether the key is
+	// now resident.
+	put := func(key string, val uint16) bool {
 		notePut(key)
 		lastVal[key] = val
 		putSincePurge[key] = true
-		h := HashString(key)
-		s := &c.shards[c.ShardIndex(h)]
+		h := hashString(key)
+		s := &c.shards[shardIndex(c, h)]
 		_, was := s.m[key]
 		before := c.Stats()
-		if bytes {
-			c.PutHashGen(h, []byte(key), val, c.Gen())
-		} else {
-			c.PutHash(h, key, val)
-		}
+		c.PutHashGen(h, []byte(key), val, c.Gen())
 		after := c.Stats()
 		e, landed := s.m[key]
 		switch {
 		case landed && e.val != val:
 			t.Fatalf("%v: put(%q, %d) left value %d", p, key, val, e.val)
 		case landed && was && (after.Entries != before.Entries || after.Evictions != before.Evictions ||
-			after.Rejections != before.Rejections || after.Admissions != before.Admissions):
+			after.Rejections != before.Rejections):
 			t.Fatalf("%v: refreshing resident %q moved counters: %+v -> %+v", p, key, before, after)
 		case landed && !was && uint64(after.Entries)+after.Evictions+after.Rejections !=
 			uint64(before.Entries)+before.Evictions+before.Rejections+1:
@@ -119,7 +115,7 @@ func checkModel(t *testing.T, p Policy, capacity, shards int, ops []byte) modelR
 		case !landed && (p != PolicyTinyLFU || was):
 			t.Fatalf("%v: put(%q) did not land (resident before: %v)", p, key, was)
 		case !landed && (after.Rejections != before.Rejections+1 || after.Entries != before.Entries ||
-			after.Evictions != before.Evictions || after.Admissions != before.Admissions):
+			after.Evictions != before.Evictions):
 			t.Fatalf("%v: refused put(%q) is not exactly one rejection: %+v -> %+v", p, key, before, after)
 		}
 		if !landed {
@@ -134,7 +130,7 @@ func checkModel(t *testing.T, p Policy, capacity, shards int, ops []byte) modelR
 		val := uint16(i)
 		switch op >> 4 {
 		case 1: // put
-			put(key, val, false)
+			put(key, val)
 		case 3: // purge
 			putSincePurge = map[string]bool{}
 			referenced = map[string]bool{}
@@ -145,7 +141,7 @@ func checkModel(t *testing.T, p Policy, capacity, shards int, ops []byte) modelR
 			c.Purge()
 			putSincePurge = map[string]bool{}
 			referenced = map[string]bool{}
-			c.PutHashGen(HashString(key), []byte(key), val, gen)
+			c.PutHashGen(hashString(key), []byte(key), val, gen)
 			// The stale store must drop, not even counted as a
 			// rejection; the model records nothing.
 			if st := c.Stats(); st.Entries != 0 || st.Rejections != before.Rejections {
@@ -154,17 +150,17 @@ func checkModel(t *testing.T, p Policy, capacity, shards int, ops []byte) modelR
 			}
 		case 5: // byte-spelling lookup
 			lookups++
-			if v, ok := c.GetBytes([]byte(key)); ok {
-				checkHit("GetBytes", key, v)
+			if v, ok := getBytes(c, []byte(key)); ok {
+				checkHit("getBytes", key, v)
 			}
 		case 6: // the estimator's miss path: a lookup, a store, a reference
 			lookups++
-			if v, ok := c.Get(key); ok {
-				checkHit("Get", key, v)
+			if v, ok := get(c, key); ok {
+				checkHit("get", key, v)
 			}
-			landed := put(key, val, true)
+			landed := put(key, val)
 			lookups++
-			r := c.GetBytesHashRef(HashString(key), []byte(key))
+			r := c.GetBytesHashRef(hashString(key), []byte(key))
 			if landed != (r != nil) {
 				t.Fatalf("%v: %q resolves to a reference: %v, after a put that landed: %v", p, key, r != nil, landed)
 			}
@@ -179,12 +175,12 @@ func checkModel(t *testing.T, p Policy, capacity, shards int, ops []byte) modelR
 			}
 		default: // lookup (the dominant op: 9 of 16 opcodes)
 			lookups++
-			if v, ok := c.Get(key); ok {
-				checkHit("Get", key, v)
+			if v, ok := get(c, key); ok {
+				checkHit("get", key, v)
 			}
 		}
-		if c.Len() > c.Capacity() {
-			t.Fatalf("%v: Len %d exceeds Capacity %d after op %d", p, c.Len(), c.Capacity(), i)
+		if length(c) > capacityOf(c) {
+			t.Fatalf("%v: Len %d exceeds Capacity %d after op %d", p, length(c), capacityOf(c), i)
 		}
 		for _, h := range held {
 			if *h.ref != h.want {
@@ -198,36 +194,13 @@ func checkModel(t *testing.T, p Policy, capacity, shards int, ops []byte) modelR
 	if st.Hits+st.Misses != lookups {
 		t.Fatalf("%v: hits(%d)+misses(%d) != %d lookups", p, st.Hits, st.Misses, lookups)
 	}
-	if p == PolicyLRU && (st.Rejections != 0 || st.Admissions != 0) {
+	if p == PolicyLRU && st.Rejections != 0 {
 		t.Fatalf("%v: admission counters moved under LRU: %+v", p, st)
 	}
 	if st.Entries > st.Capacity {
 		t.Fatalf("%v: entries %d exceed capacity %d", p, st.Entries, st.Capacity)
 	}
-	verifyShardStructureF(t, c, p)
+	verifyShardStructure(t, c)
 	run.stats = st
 	return run
-}
-
-// verifyShardStructureF is verifyShardStructure for fatal fuzz use —
-// list/map/segment bookkeeping must reconcile after every op stream.
-func verifyShardStructureF(t *testing.T, c *Cache[uint16], p Policy) {
-	for i := range c.shards {
-		s := &c.shards[i]
-		wn := 0
-		for e := s.whead; e != nil; e = e.next {
-			wn++
-		}
-		mn := 0
-		for e := s.head; e != nil; e = e.next {
-			mn++
-		}
-		if wn+mn != len(s.m) {
-			t.Fatalf("%v: shard %d lists hold %d entries, map %d", p, i, wn+mn, len(s.m))
-		}
-		if p == PolicyTinyLFU && (wn != s.windowLen || mn != s.mainLen) {
-			t.Fatalf("%v: shard %d lengths %d/%d disagree with windowLen=%d mainLen=%d",
-				p, i, wn, mn, s.windowLen, s.mainLen)
-		}
-	}
 }

@@ -3,7 +3,7 @@ package memo
 import "testing"
 
 func TestGenAdvancesOnPurge(t *testing.T) {
-	c := New[int](16)
+	c := newLRU[int](16)
 	g0 := c.Gen()
 	c.Purge()
 	if g1 := c.Gen(); g1 != g0+1 {
@@ -17,26 +17,26 @@ func TestGenAdvancesOnPurge(t *testing.T) {
 }
 
 func TestPutHashGenStoresAtCurrentGen(t *testing.T) {
-	c := New[string](16)
-	h := HashString("k")
+	c := newLRU[string](16)
+	h := hashString("k")
 	c.PutHashGen(h, []byte("k"), "v", c.Gen())
-	if got, ok := c.GetHash(h, "k"); !ok || got != "v" {
+	if got, ok := getHash(c, h, []byte("k")); !ok || got != "v" {
 		t.Fatalf("Get = %q,%v after current-gen put", got, ok)
 	}
 }
 
 func TestPutHashGenDropsStaleStore(t *testing.T) {
-	c := New[string](16)
-	h := HashString("k")
+	c := newLRU[string](16)
+	h := hashString("k")
 	stale := c.Gen()
 	c.Purge() // the generation the caller pinned is retired
 	c.PutHashGen(h, []byte("k"), "v", stale)
-	if got, ok := c.GetHash(h, "k"); ok {
+	if got, ok := getHash(c, h, []byte("k")); ok {
 		t.Fatalf("stale-gen put landed: Get = %q", got)
 	}
 	// A fresh-gen put for the same key still works.
 	c.PutHashGen(h, []byte("k"), "v2", c.Gen())
-	if got, ok := c.GetHash(h, "k"); !ok || got != "v2" {
+	if got, ok := getHash(c, h, []byte("k")); !ok || got != "v2" {
 		t.Fatalf("Get = %q,%v after fresh-gen put", got, ok)
 	}
 }

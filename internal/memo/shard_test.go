@@ -6,24 +6,24 @@ import (
 	"testing"
 )
 
-// TestShardIndexStable pins the ownership contract the sharded batch
-// dispatch builds on: a key's shard is a pure function of its bytes —
-// identical across Get/Put spellings, repeated calls, and concurrent
-// storms — so "the same phrase always lands on the same shard".
+// TestShardIndexStable pins shard ownership: a key's shard is a pure
+// function of its bytes — identical for its string and byte hashes,
+// across repeated calls and concurrent storms — so a key's lookups and
+// its stores always meet in the same shard.
 func TestShardIndexStable(t *testing.T) {
-	c := NewSharded[int](1024, 8)
+	c := newSharded[int](1024, 8)
 	keys := make([]string, 64)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("phrase %d cups flour", i)
 	}
 	want := make([]int, len(keys))
 	for i, k := range keys {
-		want[i] = c.ShardIndex(HashString(k))
-		if got := c.ShardIndex(Hash([]byte(k))); got != want[i] {
+		want[i] = shardIndex(c, hashString(k))
+		if got := shardIndex(c, Hash([]byte(k))); got != want[i] {
 			t.Fatalf("ShardIndex(Hash(%q)) = %d, string spelling gives %d", k, got, want[i])
 		}
-		if want[i] < 0 || want[i] >= c.ShardCount() {
-			t.Fatalf("ShardIndex(%q) = %d out of range [0,%d)", k, want[i], c.ShardCount())
+		if want[i] < 0 || want[i] >= len(c.shards) {
+			t.Fatalf("ShardIndex(%q) = %d out of range [0,%d)", k, want[i], len(c.shards))
 		}
 	}
 	var wg sync.WaitGroup
@@ -33,7 +33,7 @@ func TestShardIndexStable(t *testing.T) {
 			defer wg.Done()
 			for rep := 0; rep < 100; rep++ {
 				for i, k := range keys {
-					if got := c.ShardIndex(HashString(k)); got != want[i] {
+					if got := shardIndex(c, hashString(k)); got != want[i] {
 						t.Errorf("shard for %q moved: %d → %d", k, want[i], got)
 						return
 					}
@@ -44,31 +44,29 @@ func TestShardIndexStable(t *testing.T) {
 	wg.Wait()
 }
 
-// TestHashVariantsAgree: every Get/Put spelling (string, bytes, with or
-// without a precomputed hash) must hit the same entry.
+// TestHashVariantsAgree: a key stored under its string hash must be
+// found under its byte hash, through the reference and through the
+// by-value read of it alike.
 func TestHashVariantsAgree(t *testing.T) {
-	c := New[string](128)
+	c := newLRU[string](128)
 	key := "2 cups all-purpose flour"
-	h := HashString(key)
+	h := hashString(key)
 	if h != Hash([]byte(key)) {
-		t.Fatal("Hash and HashString disagree")
+		t.Fatal("Hash and hashString disagree")
 	}
-	c.PutHash(h, key, "v1")
-	if v, ok := c.Get(key); !ok || v != "v1" {
-		t.Fatalf("Get after PutHash = %q, %v", v, ok)
+	c.PutHashGen(h, []byte(key), "v1", c.Gen())
+	if v, ok := get(c, key); !ok || v != "v1" {
+		t.Fatalf("get after PutHashGen = %q, %v", v, ok)
 	}
-	if v, ok := c.GetHash(h, key); !ok || v != "v1" {
-		t.Fatalf("GetHash = %q, %v", v, ok)
+	if v, ok := getBytes(c, []byte(key)); !ok || v != "v1" {
+		t.Fatalf("getBytes = %q, %v", v, ok)
 	}
-	if v, ok := c.GetBytes([]byte(key)); !ok || v != "v1" {
-		t.Fatalf("GetBytes = %q, %v", v, ok)
-	}
-	if v, ok := c.GetBytesHash(h, []byte(key)); !ok || v != "v1" {
-		t.Fatalf("GetBytesHash = %q, %v", v, ok)
+	if r := c.GetBytesHashRef(Hash([]byte(key)), []byte(key)); r == nil || *r != "v1" {
+		t.Fatalf("GetBytesHashRef = %v", r)
 	}
 	st := c.Stats()
-	if st.Hits != 4 || st.Misses != 0 {
-		t.Fatalf("stats after 4 hits: %+v", st)
+	if st.Hits != 3 || st.Misses != 0 {
+		t.Fatalf("stats after 3 hits: %+v", st)
 	}
 }
 
@@ -80,7 +78,7 @@ func TestPerShardStatsSumExact(t *testing.T) {
 		goroutines = 32
 		perG       = 500
 	)
-	c := NewSharded[int](1<<14, 16)
+	c := newSharded[int](1<<14, 16)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -88,9 +86,9 @@ func TestPerShardStatsSumExact(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				key := fmt.Sprintf("g%d-i%d", g, i)
-				c.Get(key) // always a miss: keys are unique per goroutine
-				c.Put(key, i)
-				c.Get(key) // always a hit: capacity exceeds total keys
+				get(c, key) // always a miss: keys are unique per goroutine
+				put(c, key, i)
+				get(c, key) // always a hit: capacity exceeds total keys
 			}
 		}(g)
 	}
@@ -103,7 +101,7 @@ func TestPerShardStatsSumExact(t *testing.T) {
 		t.Errorf("misses = %d, want %d", st.Misses, want)
 	}
 	if st.Evictions != 0 {
-		t.Errorf("evictions = %d, want 0 (capacity %d > %d keys)", st.Evictions, c.Capacity(), goroutines*perG)
+		t.Errorf("evictions = %d, want 0 (capacity %d > %d keys)", st.Evictions, capacityOf(c), goroutines*perG)
 	}
 	if st.Entries != goroutines*perG {
 		t.Errorf("entries = %d, want %d", st.Entries, goroutines*perG)

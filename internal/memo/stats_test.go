@@ -29,9 +29,9 @@ func TestStatsSnapshotShape(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c := NewSharded[int](tc.capacity, tc.shards)
+			c := newSharded[int](tc.capacity, tc.shards)
 			for i := 0; i < tc.puts; i++ {
-				c.Put(fmt.Sprintf("k%02d", i), i)
+				put(c, fmt.Sprintf("k%02d", i), i)
 			}
 			s := c.Stats()
 			if s.Capacity != tc.wantCap {
@@ -55,10 +55,10 @@ func TestStatsSnapshotShape(t *testing.T) {
 
 // TestStatsJSON pins the JSON field names the serving layer publishes.
 func TestStatsJSON(t *testing.T) {
-	c := New[int](8)
-	c.Put("a", 1)
-	c.Get("a")
-	c.Get("b")
+	c := newLRU[int](8)
+	put(c, "a", 1)
+	get(c, "a")
+	get(c, "b")
 	b, err := json.Marshal(c.Stats())
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +85,7 @@ func TestEvictionAccountingConcurrent(t *testing.T) {
 		perG       = 2000
 		capacity   = 64
 	)
-	c := NewSharded[int](capacity, 4)
+	c := newSharded[int](capacity, 4)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -93,9 +93,9 @@ func TestEvictionAccountingConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				key := fmt.Sprintf("g%d-%d", g, i)
-				c.Put(key, i)
-				c.Get(key)                          // usually a hit
-				c.Get(fmt.Sprintf("other-%d-x", i)) // guaranteed miss
+				put(c, key, i)
+				get(c, key)                          // usually a hit
+				get(c, fmt.Sprintf("other-%d-x", i)) // guaranteed miss
 			}
 		}(g)
 	}
@@ -121,7 +121,7 @@ func TestEvictionAccountingConcurrent(t *testing.T) {
 // TestStatsMonotonicUnderLoad samples Stats concurrently with traffic
 // and asserts every counter is non-decreasing between samples.
 func TestStatsMonotonicUnderLoad(t *testing.T) {
-	c := New[int](128)
+	c := newLRU[int](128)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -134,8 +134,8 @@ func TestStatsMonotonicUnderLoad(t *testing.T) {
 					return
 				default:
 				}
-				c.Put(fmt.Sprintf("g%d-%d", g, i%512), i)
-				c.Get(fmt.Sprintf("g%d-%d", g, (i+1)%512))
+				put(c, fmt.Sprintf("g%d-%d", g, i%512), i)
+				get(c, fmt.Sprintf("g%d-%d", g, (i+1)%512))
 			}
 		}(g)
 	}

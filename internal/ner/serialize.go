@@ -4,34 +4,50 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"sort"
 )
 
 // modelData is the exported gob shadow of Model.
 type modelData struct {
-	Version     int
-	Emissions   map[string][]float64
+	Version int
+	// Features holds one row per emission feature, in strictly
+	// increasing Key order, so a model has exactly one encoding.
+	Features    []featureData
 	Transitions [][]float64
 }
 
-const modelVersion = 1
+// featureData is one emission feature and its per-label weights.
+type featureData struct {
+	Key     string
+	Weights []float64
+}
+
+// modelVersion 2 writes the features as a sorted slice; version 1
+// wrote them as a map, in Go's random map order.
+const modelVersion = 2
 
 // Save serializes the trained model. The format is gob with a version
-// header; Load rejects unknown versions.
+// header; Load rejects every other version. Features are written in
+// sorted order, so saving equal models from the same program writes
+// equal bytes (gob numbers a program's types in the order it first
+// encodes them, so a program that gob-encodes other types first may
+// number them differently).
 func (m *Model) Save(w io.Writer) error {
-	data := modelData{
-		Version:   modelVersion,
-		Emissions: make(map[string][]float64, len(m.emissions)),
+	keys := make([]string, 0, len(m.emissions))
+	for f := range m.emissions {
+		keys = append(keys, f)
 	}
-	for f, wv := range m.emissions {
-		row := make([]float64, NLabels)
-		copy(row, wv[:])
-		data.Emissions[f] = row
+	sort.Strings(keys)
+	data := modelData{
+		Version:  modelVersion,
+		Features: make([]featureData, len(keys)),
+	}
+	for i, f := range keys {
+		data.Features[i] = featureData{Key: f, Weights: append([]float64(nil), m.emissions[f][:]...)}
 	}
 	data.Transitions = make([][]float64, NLabels+1)
 	for from := 0; from <= int(NLabels); from++ {
-		row := make([]float64, NLabels)
-		copy(row, m.transitions[from][:])
-		data.Transitions[from] = row
+		data.Transitions[from] = append([]float64(nil), m.transitions[from][:]...)
 	}
 	if err := gob.NewEncoder(w).Encode(data); err != nil {
 		return fmt.Errorf("ner: encoding model: %w", err)
@@ -39,7 +55,9 @@ func (m *Model) Save(w io.Writer) error {
 	return nil
 }
 
-// Load deserializes a model written by Save.
+// Load deserializes a model written by Save. It rejects a file whose
+// features are not in strictly increasing order, which also rejects
+// a feature written twice.
 func Load(r io.Reader) (*Model, error) {
 	var data modelData
 	if err := gob.NewDecoder(r).Decode(&data); err != nil {
@@ -53,13 +71,17 @@ func Load(r io.Reader) (*Model, error) {
 			len(data.Transitions), NLabels+1)
 	}
 	m := NewModel()
-	for f, row := range data.Emissions {
-		if len(row) != int(NLabels) {
-			return nil, fmt.Errorf("ner: feature %q has %d weights, want %d", f, len(row), NLabels)
+	for i, f := range data.Features {
+		if i > 0 && f.Key <= data.Features[i-1].Key {
+			return nil, fmt.Errorf("ner: feature %q follows %q; want strictly increasing features",
+				f.Key, data.Features[i-1].Key)
+		}
+		if len(f.Weights) != int(NLabels) {
+			return nil, fmt.Errorf("ner: feature %q has %d weights, want %d", f.Key, len(f.Weights), NLabels)
 		}
 		wv := new([NLabels]float64)
-		copy(wv[:], row)
-		m.emissions[f] = wv
+		copy(wv[:], f.Weights)
+		m.emissions[f.Key] = wv
 	}
 	for from, row := range data.Transitions {
 		if len(row) != int(NLabels) {

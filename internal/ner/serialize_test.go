@@ -2,6 +2,7 @@ package ner
 
 import (
 	"bytes"
+	"encoding/gob"
 	"strings"
 	"testing"
 )
@@ -61,5 +62,69 @@ func TestSaveEmptyModel(t *testing.T) {
 	}
 	if m.FeatureCount() != 0 {
 		t.Errorf("empty model round-tripped with %d features", m.FeatureCount())
+	}
+}
+
+// TestSaveReproducible: two saves of one model write the same bytes,
+// and loading them back reproduces the exact weights
+// TestTrainedWeightsGolden pins.
+func TestSaveReproducible(t *testing.T) {
+	for _, g := range goldenModels(t) {
+		var a, b bytes.Buffer
+		if err := g.m.Save(&a); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.m.Save(&b); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Fatalf("%s: two saves of one model differ (%d and %d bytes)", g.name, a.Len(), b.Len())
+		}
+		back, err := Load(&a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := weightsDigest(back); got != g.want {
+			t.Errorf("%s: loaded weights digest %s, want %s", g.name, got, g.want)
+		}
+	}
+}
+
+// TestLoadRejectsOldAndUnorderedFiles: Load refuses the version-1
+// format, which wrote the features as a map, and any file whose
+// features are not strictly increasing — out of order, or one feature
+// written twice.
+func TestLoadRejectsOldAndUnorderedFiles(t *testing.T) {
+	rows := make([][]float64, NLabels+1)
+	for i := range rows {
+		rows[i] = make([]float64, NLabels)
+	}
+	w := make([]float64, NLabels)
+	encode := func(v any) *bytes.Buffer {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		return &buf
+	}
+	v1 := struct {
+		Version     int
+		Emissions   map[string][]float64
+		Transitions [][]float64
+	}{1, map[string][]float64{"a": w}, rows}
+	cases := map[string]*bytes.Buffer{
+		"version 1":      encode(v1),
+		"duplicate":      encode(modelData{Version: modelVersion, Features: []featureData{{"a", w}, {"a", w}}, Transitions: rows}),
+		"out of order":   encode(modelData{Version: modelVersion, Features: []featureData{{"b", w}, {"a", w}}, Transitions: rows}),
+		"short features": encode(modelData{Version: modelVersion, Features: []featureData{{"a", w[:1]}}, Transitions: rows}),
+	}
+	for name, buf := range cases {
+		if _, err := Load(buf); err == nil {
+			t.Errorf("%s: Load accepted it", name)
+		}
+	}
+	ok := encode(modelData{Version: modelVersion, Features: []featureData{{"a", w}, {"b", w}}, Transitions: rows})
+	if m, err := Load(ok); err != nil || m.FeatureCount() != 2 {
+		t.Fatalf("Load of two ordered features = %v, %v", m, err)
 	}
 }

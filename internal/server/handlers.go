@@ -210,7 +210,7 @@ type StatsResponse struct {
 // handleMetrics serves the registry in Prometheus text format — the
 // same counters as /v1/stats HTTP section, rendered for scrape stacks
 // — followed by the estimator's memo-cache families (hits, misses,
-// evictions, admission outcomes, and the derived hit-ratio gauge), the
+// evictions, doorkeeper rejections, and the derived hit-ratio gauge), the
 // matcher-engine families (index shape plus the pruned ranking
 // engine's work-avoidance counters), snapshotted at scrape time, and
 // the Go heap gauges from the same 1 s runtime sampler /v1/stats

@@ -29,18 +29,14 @@ var memoFamilies = []struct {
 	name, help, typ string
 	value           func(st memo.Stats) float64
 }{
-	{"nutriserve_memo_admissions_total", "Window-overflow candidates admitted to the cache's main segment (TinyLFU).", "counter",
-		func(st memo.Stats) float64 { return float64(st.Admissions) }},
 	{"nutriserve_memo_evictions_total", "Entries evicted from the memo cache.", "counter",
 		func(st memo.Stats) float64 { return float64(st.Evictions) }},
 	{"nutriserve_memo_hits_total", "Memo cache lookup hits.", "counter",
 		func(st memo.Stats) float64 { return float64(st.Hits) }},
 	{"nutriserve_memo_misses_total", "Memo cache lookup misses.", "counter",
 		func(st memo.Stats) float64 { return float64(st.Misses) }},
-	{"nutriserve_memo_rejections_total", "Keys TinyLFU admission turned away: stores refused on a key's first sighting, and window-overflow candidates that lost the frequency duel.", "counter",
+	{"nutriserve_memo_rejections_total", "Stores the TinyLFU doorkeeper refused: absent keys on their first sighting in an aging period.", "counter",
 		func(st memo.Stats) float64 { return float64(st.Rejections) }},
-	{"nutriserve_memo_sketch_resets_total", "Frequency-sketch aging resets (counters halved, doorkeeper cleared).", "counter",
-		func(st memo.Stats) float64 { return float64(st.SketchResets) }},
 	{"nutriserve_memo_entries", "Entries currently resident in the memo cache.", "gauge",
 		func(st memo.Stats) float64 { return float64(st.Entries) }},
 	{"nutriserve_memo_hit_ratio", "Lifetime hit ratio, hits/(hits+misses), computed at scrape.", "gauge",

@@ -125,13 +125,11 @@ func TestMemoMetricsExposition(t *testing.T) {
 		st    memo.Stats
 	}{{"phrase", phrase}, {"match", match}} {
 		wantCounters := map[string]float64{
-			"nutriserve_memo_hits_total":          float64(c.st.Hits),
-			"nutriserve_memo_misses_total":        float64(c.st.Misses),
-			"nutriserve_memo_evictions_total":     float64(c.st.Evictions),
-			"nutriserve_memo_rejections_total":    float64(c.st.Rejections),
-			"nutriserve_memo_admissions_total":    float64(c.st.Admissions),
-			"nutriserve_memo_sketch_resets_total": float64(c.st.SketchResets),
-			"nutriserve_memo_entries":             float64(c.st.Entries),
+			"nutriserve_memo_hits_total":       float64(c.st.Hits),
+			"nutriserve_memo_misses_total":     float64(c.st.Misses),
+			"nutriserve_memo_evictions_total":  float64(c.st.Evictions),
+			"nutriserve_memo_rejections_total": float64(c.st.Rejections),
+			"nutriserve_memo_entries":          float64(c.st.Entries),
 		}
 		for name, want := range wantCounters {
 			got, ok := samples[name+"/"+c.label]

@@ -20,8 +20,7 @@ import (
 func TestScrapeFamiliesGolden(t *testing.T) {
 	phrase := memo.Stats{
 		Hits: 1234567, Misses: 89, Evictions: 1 << 53, Rejections: 42,
-		Admissions: 7, SketchResets: 3, Entries: 8192,
-		Capacity: 8192, Shards: 64, Policy: "tinylfu",
+		Entries: 8192, Capacity: 8192, Shards: 64, Policy: "tinylfu",
 	}
 	matchStats := memo.Stats{Hits: 1, Misses: 2, Entries: 1e6}
 	ms := match.MatcherStats{

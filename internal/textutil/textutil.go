@@ -81,20 +81,15 @@ func Tokenize(s string) []string {
 	return appendTokens(nil, s, false, nil)
 }
 
-// AppendTokens is Tokenize appending into dst, so callers on hot paths
-// can reuse one scratch slice across phrases instead of allocating a
-// fresh token slice per call.
-func AppendTokens(dst []string, s string) []string {
-	return appendTokens(dst, s, false, nil)
-}
-
-// AppendTokensFolded is AppendTokens with a Folder caching the case
-// foldings, so phrases containing upper-case tokens stop allocating once
-// the Folder has seen each distinct spelling, and expanding fraction
-// glyphs into the Folder's buffer rather than a new string. Token values
-// are identical to Tokenize's, but the tokens of a phrase with a glyph
-// ("1½ cups") view that buffer and are valid only until the next call
-// with the same Folder: callers copy out whatever outlives it.
+// AppendTokensFolded is Tokenize appending into dst, so callers on hot
+// paths can reuse one scratch slice across phrases. A Folder caches the
+// case foldings, so phrases containing upper-case tokens stop
+// allocating once the Folder has seen each distinct spelling, and
+// fraction glyphs expand into the Folder's buffer rather than a new
+// string. Token values are identical to Tokenize's, but the tokens of a
+// phrase with a glyph ("1½ cups") view that buffer and are valid only
+// until the next call with the same Folder: callers copy out whatever
+// outlives it.
 func AppendTokensFolded(dst []string, s string, f *Folder) []string {
 	return appendTokens(dst, s, false, f)
 }
@@ -244,7 +239,8 @@ func Words(s string) []string {
 	return appendTokens(nil, s, true, nil)
 }
 
-// AppendWords is Words appending into dst (see AppendTokens).
+// AppendWords is Words appending into dst, so callers can reuse one
+// scratch slice across phrases.
 func AppendWords(dst []string, s string) []string {
 	return appendTokens(dst, s, true, nil)
 }

@@ -36,9 +36,9 @@ var withRegionalOnce = sync.OnceValue(func() *DB {
 // table's range.
 func IsRegionalNDB(ndb int) bool { return ndb >= 90000 && ndb < 91000 }
 
-// regionalFoods: energy densities for the ten ingredients the corpus
-// generator marks regional MUST stay in sync with the generator's
-// catalog (recipedb verifies this in its tests via RegionalEnergies).
+// regionalFoods is the regional table's rows. The corpus generator
+// takes its regional ingredients' gold data from this table
+// (usda.Regional), so nothing here is written down twice.
 func regionalFoods() []Food {
 	return []Food{
 		// Indian subcontinent
@@ -152,15 +152,4 @@ func regionalFoods() []Food {
 		fd(90035, "Achiote (annatto) paste", p(285, 4.00, 9.00, 45.00, 10.0, 5.00, 120, 5.00, 2200, 2.0, 0),
 			w(1, 1, "tbsp", 17.0)),
 	}
-}
-
-// RegionalEnergies exposes the energy density of the regional foods the
-// corpus generator also hard-codes, so tests can verify the two stay in
-// sync.
-func RegionalEnergies() map[string]float64 {
-	out := map[string]float64{}
-	for _, f := range regionalFoods() {
-		out[f.Desc] = f.Per100g.EnergyKcal
-	}
-	return out
 }

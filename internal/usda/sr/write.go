@@ -11,8 +11,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
-	"path/filepath"
 	"strconv"
 
 	"nutriprofile/internal/usda"
@@ -124,36 +122,4 @@ func Write(foodDes, nutData, weight io.Writer, db *usda.DB) error {
 		return err
 	}
 	return wt.Flush()
-}
-
-// WriteDir writes FOOD_DES.txt, NUT_DATA.txt and WEIGHT.txt into dir.
-func WriteDir(dir string, db *usda.DB) error {
-	create := func(name string) (*os.File, error) {
-		return os.Create(filepath.Join(dir, name))
-	}
-	fd, err := create("FOOD_DES.txt")
-	if err != nil {
-		return err
-	}
-	defer fd.Close()
-	nd, err := create("NUT_DATA.txt")
-	if err != nil {
-		return err
-	}
-	defer nd.Close()
-	wt, err := create("WEIGHT.txt")
-	if err != nil {
-		return err
-	}
-	defer wt.Close()
-	if err := Write(fd, nd, wt, db); err != nil {
-		return err
-	}
-	if err := fd.Sync(); err != nil {
-		return err
-	}
-	if err := nd.Sync(); err != nil {
-		return err
-	}
-	return wt.Sync()
 }
