@@ -338,8 +338,7 @@ func BenchmarkTagPhrase(b *testing.B) {
 func BenchmarkPipelineScratch(b *testing.B) {
 	phrases := batchCorpus(b, 50)
 	var rt ner.RuleTagger
-	sc := pipeline.Get()
-	defer pipeline.Put(sc)
+	sc := new(pipeline.Scratch)
 	for _, p := range phrases {
 		sc.Tokenize(p)
 		sc.Extract(rt)

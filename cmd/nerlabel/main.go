@@ -101,10 +101,11 @@ func main() {
 	}
 
 	if *tokens {
+		var sc ner.Scratch
 		for _, p := range phrases {
 			fmt.Printf("%s\n", p)
 			toks := textutil.Tokenize(p)
-			labels := tagger.Tag(toks)
+			labels := tagger.TagScratch(toks, &sc)
 			for i, tok := range toks {
 				fmt.Printf("  %-16s %s\n", tok, labels[i])
 			}

@@ -162,7 +162,7 @@ func printStats(e *core.Estimator) {
 	st := e.MatcherStats()
 	fmt.Printf("matcher index: %d docs, %d-term vocabulary, %d posting lists, %d postings\n",
 		st.Docs, st.VocabSize, st.PostingLists, st.PostingEntries)
-	fmt.Printf("matcher arena: %d queries, %d pool misses (%.0f%% pool hit rate)\n",
+	fmt.Printf("matcher arena: %d checkouts, %d pool misses (%.0f%% pool hit rate)\n",
 		st.PoolGets, st.PoolMisses, 100*st.PoolHitRate())
 	fmt.Printf("matcher prune: %d postings avoided, %d candidates dropped, %d compactions, %d gather exits, %d probe terms, %d terms skipped\n",
 		st.PrunePostingsAvoided, st.PruneDocsDropped, st.PruneCompactions,

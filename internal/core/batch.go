@@ -12,14 +12,15 @@ package core
 // in order on the caller's goroutine (EstimateRecipe), which finishes
 // no later than a fan-out and spends no goroutines on it.
 //
-// Every worker runs on an estimator-owned environment (NLP scratch +
-// pinned match session) held in a bounded LIFO free list rather than a
-// sync.Pool: pool per-P caches drain under GC and goroutine migration,
-// and every drained checkout re-warms a cold scratch — the measured
-// allocs/op inflation of the oversubscribed parallel path. Per-worker
-// stats accumulate in plain locals and flush to cache-line-striped
-// aggregates (metrics.Striped) once per batch, instead of per-phrase
-// atomics on shared counters.
+// Every phrase, whichever entry point it came through, runs on an
+// estimator-owned environment (NLP scratch + pinned match session) held
+// in a bounded LIFO free list rather than a sync.Pool: pool per-P caches
+// drain under GC and goroutine migration, and every drained checkout
+// re-warms a cold scratch — the measured allocs/op inflation of the
+// oversubscribed parallel path. Per-environment stats accumulate in
+// plain fields and flush to cache-line-striped aggregates
+// (metrics.Striped) once per checkout, instead of per-phrase atomics on
+// shared counters.
 
 import (
 	"context"
@@ -32,6 +33,7 @@ import (
 	"nutriprofile/internal/match"
 	"nutriprofile/internal/memo"
 	"nutriprofile/internal/metrics"
+	"nutriprofile/internal/nutrition"
 	"nutriprofile/internal/pipeline"
 	"nutriprofile/internal/yield"
 )
@@ -46,23 +48,17 @@ const (
 	statStripes = 16
 )
 
-// env is one worker environment: the per-goroutine NLP scratch arena
-// plus a match session pinned to one matcher (its own scoring arena).
-// Environments are checked out once per worker per batch and returned
-// warm; m records which matcher the session belongs to so a checkout
-// after a snapshot swap re-pins instead of scoring against the retired
-// index.
+// env is one worker environment, the estimator's only per-goroutine
+// estimation context: the NLP scratch arena plus a match session pinned
+// to one matcher (its own scoring arena). Environments are checked out
+// once per call (per worker for a parallel batch) and returned warm; m
+// records which matcher the session belongs to so a checkout after a
+// snapshot swap re-pins instead of scoring against the retired index.
 type env struct {
-	sc   *pipeline.Scratch
-	sess *match.Session
-	m    *match.Matcher
-}
-
-// worker is the per-batch-worker state: its environment and the
-// batch-local stat accumulator that flushes on release.
-type worker struct {
-	env     *env
-	phrases uint64 // phrases estimated by this worker this batch
+	sc      *pipeline.Scratch
+	sess    *match.Session
+	m       *match.Matcher
+	phrases uint64 // phrases estimated since checkout, flushed by putEnv
 }
 
 // batchState is the Estimator's batch machinery: the worker-environment
@@ -87,13 +83,13 @@ func (s *batchState) init() {
 // workers. nutriserve's GET /v1/stats exposes it as its "shard" block,
 // the name its readers parse.
 type ShardStats struct {
-	Phrases       uint64 `json:"phrases"`        // phrases estimated on worker environments
-	WorkerFlushes uint64 `json:"worker_flushes"` // per-worker batched stat flushes
+	Phrases       uint64 `json:"phrases"`        // phrases estimated, through every entry point but ObserveUnits
+	WorkerFlushes uint64 `json:"worker_flushes"` // environment releases, one batched stat flush each
 	Envs          uint64 `json:"envs"`           // worker environments ever created
 }
 
 // ShardStats reports the batch layer's counters. Totals are exact once
-// in-flight batches drain (each worker flushes exactly once).
+// in-flight calls drain (each checkout flushes exactly once).
 func (e *Estimator) ShardStats() ShardStats {
 	e.envMu.Lock()
 	envs := e.envsMade
@@ -130,10 +126,17 @@ func (e *Estimator) getEnv(snap *Snapshot) *env {
 	return &env{sc: new(pipeline.Scratch), sess: snap.matcher.NewSession(), m: snap.matcher}
 }
 
-// putEnv returns an environment; beyond maxFreeEnvs it is dismantled
-// (the session's arena goes back to the matcher pool) and dropped. A
-// kept environment first drops what an oversized phrase grew.
-func (e *Estimator) putEnv(v *env) {
+// putEnv releases an environment: it flushes the checkout's stats (one
+// striped Add per counter) and returns the environment to the free
+// list; beyond maxFreeEnvs it is dismantled (the session's arena goes
+// back to the matcher pool) and dropped. A kept environment first drops
+// what an oversized phrase grew.
+func (e *Estimator) putEnv(v *env, stripe int) {
+	if v.phrases != 0 {
+		e.phrasesDone.Add(stripe, v.phrases)
+		v.phrases = 0
+	}
+	e.flushes.Add(stripe, 1)
 	v.sc.Trim()
 	v.sess.Trim()
 	e.envMu.Lock()
@@ -146,20 +149,10 @@ func (e *Estimator) putEnv(v *env) {
 	v.sess.Close()
 }
 
-// flushWorker performs the batched stats flush: one striped Add per
-// counter per worker per batch, then returns the environment.
-func (e *Estimator) flushWorker(w *worker, stripe int) {
-	if w.phrases != 0 {
-		e.phrasesDone.Add(stripe, w.phrases)
-	}
-	e.flushes.Add(stripe, 1)
-	e.putEnv(w.env)
-}
-
-// estimateWorker estimates one phrase on w's environment.
-func (e *Estimator) estimateWorker(v view, phrase string, w *worker) IngredientResult {
+// estimateEnv estimates one phrase on w.
+func (e *Estimator) estimateEnv(v view, phrase string, w *env) IngredientResult {
 	w.phrases++
-	return e.estimateCached(v, phrase, w.env.sc, w.env.sess)
+	return e.estimateCached(v, phrase, w.sc, w.sess)
 }
 
 // normWorkers clamps a requested worker count: <= 0 selects
@@ -181,25 +174,25 @@ func normWorkers(workers, items int) int {
 // pool. Indices are handed out by an atomic counter, so the pool stays
 // busy even when per-item cost is skewed (cache hits vs full matches).
 // Each worker checks one environment out of the estimator's free list —
-// pinned to snap's matcher — and reuses it for every index it claims,
-// flushing its stats once on exit. Once ctx is done, workers stop
-// claiming new indices and the call returns ctx's error. Items already
-// in flight run to completion (per-item work is microseconds; there is
-// no partial-item state to unwind), so the cancellation latency is one
+// pinned to snap's matcher — reuses it for every index it claims, and
+// releases it once on exit. Once ctx is done, workers stop claiming new
+// indices and the call returns ctx's error. Items already in flight run
+// to completion (per-item work is microseconds; there is no
+// partial-item state to unwind), so the cancellation latency is one
 // item per worker.
-func (e *Estimator) forEachIndexCtx(ctx context.Context, snap *Snapshot, n, workers int, fn func(int, *worker)) error {
+func (e *Estimator) forEachIndexCtx(ctx context.Context, snap *Snapshot, n, workers int, fn func(int, *env)) error {
 	workers = normWorkers(workers, n)
 	done := ctx.Done()
 	if workers == 1 {
-		w := worker{env: e.getEnv(snap)}
-		defer e.flushWorker(&w, 0)
+		w := e.getEnv(snap)
+		defer e.putEnv(w, 0)
 		for i := 0; i < n; i++ {
 			select {
 			case <-done:
 				return ctx.Err()
 			default:
 			}
-			fn(i, &w)
+			fn(i, w)
 		}
 		return ctx.Err()
 	}
@@ -209,8 +202,8 @@ func (e *Estimator) forEachIndexCtx(ctx context.Context, snap *Snapshot, n, work
 	for wk := 0; wk < workers; wk++ {
 		go func(wk int) {
 			defer wg.Done()
-			w := worker{env: e.getEnv(snap)}
-			defer e.flushWorker(&w, wk%statStripes)
+			w := e.getEnv(snap)
+			defer e.putEnv(w, wk%statStripes)
 			for {
 				select {
 				case <-done:
@@ -221,7 +214,7 @@ func (e *Estimator) forEachIndexCtx(ctx context.Context, snap *Snapshot, n, work
 				if i >= n {
 					return
 				}
-				fn(i, &w)
+				fn(i, w)
 			}
 		}(wk)
 	}
@@ -247,8 +240,8 @@ func (e *Estimator) EstimateBatch(ctx context.Context, phrases []string, workers
 	// match session — resolves against the same snapshot, even if a
 	// reload lands mid-batch.
 	v := e.pin()
-	err := e.forEachIndexCtx(ctx, v.snap, len(phrases), workers, func(i int, w *worker) {
-		out[i] = e.estimateWorker(v, phrases[i], w)
+	err := e.forEachIndexCtx(ctx, v.snap, len(phrases), workers, func(i int, w *env) {
+		out[i] = e.estimateEnv(v, phrases[i], w)
 	})
 	if err != nil {
 		return nil, err
@@ -263,9 +256,11 @@ func (e *Estimator) EstimateBatch(ctx context.Context, phrases []string, workers
 // ctx.Err().
 func (e *Estimator) EstimateRecipe(ctx context.Context, r RecipeInput) (RecipeResult, error) {
 	v := e.pin()
-	w := worker{env: e.getEnv(v.snap)}
-	defer e.flushWorker(&w, 0)
-	o := e.estimateRecipeWorker(ctx, v, &r, &w, make([]IngredientResult, len(r.Phrases)))
+	w := e.getEnv(v.snap)
+	defer e.putEnv(w, 0)
+	var o RecipeOutcome
+	o.Result.Ingredients = make([]IngredientResult, len(r.Phrases))
+	e.estimateRecipeEnv(ctx, v, &r, w, &o)
 	return o.Result, o.Err
 }
 
@@ -290,22 +285,30 @@ func (r *RecipeInput) validate() error {
 	return nil
 }
 
-// aggregate sums r's per-ingredient results into a RecipeResult and
-// applies r's cooking-yield correction to the totals.
-func (r *RecipeInput) aggregate(ingredients []IngredientResult) RecipeResult {
-	out := RecipeResult{Servings: r.Servings, Ingredients: ingredients}
+// aggregate sums r's per-ingredient results into out and applies r's
+// cooking-yield correction to the totals. It writes every field of out,
+// in place: a RecipeResult is a few hundred bytes, and the one-phrase
+// /v1/estimate window would otherwise pay for copying it back. Every
+// yield.None factor is 1, so a raw recipe — every /v1/estimate window
+// among them — skips the correction without changing a bit.
+func (r *RecipeInput) aggregate(ingredients []IngredientResult, out *RecipeResult) {
+	var total nutrition.Profile
 	mapped := 0
 	for i := range ingredients {
-		out.Total = out.Total.Add(ingredients[i].Profile)
+		total = total.Add(ingredients[i].Profile)
 		if ingredients[i].Mapped {
 			mapped++
 		}
 	}
-	out.PerServing = out.Total.Scale(1 / float64(r.Servings))
+	out.Ingredients = ingredients
+	out.Servings = r.Servings
 	out.MappedFraction = float64(mapped) / float64(len(ingredients))
-	out.Total = yield.Apply(out.Total, r.Method)
-	out.PerServing = yield.Apply(out.PerServing, r.Method)
-	return out
+	out.Total = total
+	out.PerServing = total.Scale(1 / float64(r.Servings))
+	if r.Method != yield.None {
+		out.Total = yield.Apply(out.Total, r.Method)
+		out.PerServing = yield.Apply(out.PerServing, r.Method)
+	}
 }
 
 // RecipeOutcome pairs a recipe's result with its per-recipe validation
@@ -316,26 +319,31 @@ type RecipeOutcome struct {
 	Err    error
 }
 
-// estimateRecipeWorker runs one recipe's lines in order on an
+// estimateRecipeEnv runs one recipe's lines in order on an
 // already-held worker environment: all of EstimateRecipe, and the unit
 // of work EstimateRecipesInto's pool hands out, which parallelizes
-// across recipes rather than within one. ctx is checked before every
-// line; once it is done the outcome's Err is ctx.Err(). ingredients is
-// the caller-provided result destination, len(r.Phrases) long.
-func (e *Estimator) estimateRecipeWorker(ctx context.Context, v view, r *RecipeInput, w *worker, ingredients []IngredientResult) RecipeOutcome {
+// across recipes rather than within one. It writes the outcome into o,
+// whose Result.Ingredients must arrive with capacity for len(r.Phrases)
+// results: the caller-provided destination. ctx is checked before every
+// line; once it is done the outcome's Err is ctx.Err().
+func (e *Estimator) estimateRecipeEnv(ctx context.Context, v view, r *RecipeInput, w *env, o *RecipeOutcome) {
 	if err := r.validate(); err != nil {
-		return RecipeOutcome{Err: err}
+		*o = RecipeOutcome{Err: err}
+		return
 	}
+	ingredients := o.Result.Ingredients[:len(r.Phrases)]
 	done := ctx.Done()
 	for i, p := range r.Phrases {
 		select {
 		case <-done:
-			return RecipeOutcome{Err: ctx.Err()}
+			*o = RecipeOutcome{Err: ctx.Err()}
+			return
 		default:
 		}
-		ingredients[i] = e.estimateWorker(v, p, w)
+		ingredients[i] = e.estimateEnv(v, p, w)
 	}
-	return RecipeOutcome{Result: r.aggregate(ingredients)}
+	r.aggregate(ingredients, &o.Result)
+	o.Err = nil
 }
 
 // EstimateRecipes estimates a corpus of recipes on a bounded worker
@@ -385,8 +393,7 @@ func (e *Estimator) EstimateRecipesInto(ctx context.Context, recipes []RecipeInp
 	}
 	// Carve disjoint arena windows up front so workers write their
 	// recipe's results without coordination. The empty destination is
-	// parked in out[i] (workers overwrite out[i] wholesale, reclaiming
-	// the capacity through the carve below).
+	// parked in out[i], where estimateRecipeEnv finds it.
 	off := 0
 	for i := range recipes {
 		n := len(recipes[i].Phrases)
@@ -401,8 +408,8 @@ func (e *Estimator) EstimateRecipesInto(ctx context.Context, recipes []RecipeInp
 		// goroutines), which would cost one heap allocation per window —
 		// the difference between the bulk hot path's zero-alloc pin and
 		// almost-zero.
-		w := worker{env: e.getEnv(v.snap)}
-		defer e.flushWorker(&w, 0)
+		w := e.getEnv(v.snap)
+		defer e.putEnv(w, 0)
 		done := ctx.Done()
 		for i := range recipes {
 			select {
@@ -410,16 +417,14 @@ func (e *Estimator) EstimateRecipesInto(ctx context.Context, recipes []RecipeInp
 				return ctx.Err()
 			default:
 			}
-			dst := out[i].Result.Ingredients
-			out[i] = e.estimateRecipeWorker(ctx, v, &recipes[i], &w, dst[:len(recipes[i].Phrases)])
+			e.estimateRecipeEnv(ctx, v, &recipes[i], w, &out[i])
 		}
 		// A recipe cut short by ctx carries ctx.Err() in its outcome, and
 		// the call reports it even when that recipe was the last.
 		return ctx.Err()
 	}
-	return e.forEachIndexCtx(ctx, v.snap, len(recipes), workers, func(i int, w *worker) {
-		dst := out[i].Result.Ingredients
-		out[i] = e.estimateRecipeWorker(ctx, v, &recipes[i], w, dst[:len(recipes[i].Phrases)])
+	return e.forEachIndexCtx(ctx, v.snap, len(recipes), workers, func(i int, w *env) {
+		e.estimateRecipeEnv(ctx, v, &recipes[i], w, &out[i])
 	})
 }
 

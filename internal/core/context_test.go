@@ -46,7 +46,7 @@ func TestEstimateBatchContextCancelMidway(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var ran atomic.Int64
-	err := e.forEachIndexCtx(ctx, e.pin().snap, n, 4, func(i int, _ *worker) {
+	err := e.forEachIndexCtx(ctx, e.pin().snap, n, 4, func(i int, _ *env) {
 		if ran.Add(1) == 8 {
 			cancel()
 		}

@@ -134,7 +134,8 @@ func (o *Options) fill() {
 // (EstimateIngredient, EstimateRecipe, EstimateBatch, EstimateRecipes,
 // and even ObserveUnits may be called concurrently), provided the
 // Tagger is itself concurrency-safe — the built-in RuleTagger and a
-// trained ner.Model both are, since Tag only reads model state.
+// trained ner.Model both are, since TagScratch only reads model state
+// and writes the caller's scratch.
 type Estimator struct {
 	// snap is the live (database, matcher, version) snapshot; see
 	// snapshot.go for the hot-swap protocol. Every request pins it once
@@ -273,27 +274,26 @@ type RecipeResult struct {
 	MappedFraction float64
 }
 
-// EstimateIngredient runs the full pipeline over one phrase. With
+// EstimateIngredient runs the full pipeline over one phrase, on a
+// worker environment checked out for the call. With
 // Options.CacheSize > 0 the result is memoized under the normalized
 // (tokenized) phrase: two phrases with identical token streams share
 // one cached computation. Treat the result's reference-typed parts as
 // read-only (see IngredientResult).
 func (e *Estimator) EstimateIngredient(phrase string) IngredientResult {
-	sc := pipeline.Get()
-	defer pipeline.Put(sc)
-	return e.estimateCached(e.pin(), phrase, sc, nil)
+	v := e.pin()
+	w := e.getEnv(v.snap)
+	defer e.putEnv(w, 0)
+	return e.estimateEnv(v, phrase, w)
 }
 
-// estimateCached is EstimateIngredient on a caller-owned scratch: the
-// batch workers hold one scratch for their whole shard instead of
-// cycling the pool per phrase. The cache key is the normalized token
-// stream (rendered in the scratch, probed without allocating), the exact
-// input every downstream stage consumes. Its FNV-1a hash is computed
-// once and reused for the cache shard and the store — one pass over
-// the key bytes instead of two.
-//
-// sess, when non-nil, is the worker's pinned match session; nil callers
-// match through the pinned snapshot's pool-backed matcher entry points.
+// estimateCached runs one phrase on a scratch and a match session the
+// caller holds: a worker environment's pair, or EstimateIngredientScratch's
+// own scratch beside an environment's session. The cache key is the
+// normalized token stream (rendered in the scratch, probed without
+// allocating), the exact input every downstream stage consumes. Its
+// FNV-1a hash is computed once and reused for the cache shard and the
+// store — one pass over the key bytes instead of two.
 //
 // v is the request's pinned read context. Cache stores go through
 // PutHashGen with the generation captured at pin time, so a result
@@ -328,13 +328,18 @@ func (e *Estimator) estimateCached(v view, phrase string, sc *pipeline.Scratch, 
 }
 
 // EstimateIngredientScratch is EstimateIngredient on a caller-owned
-// scratch, for callers (like the serving layer) that pool their own
-// pipeline scratches across requests. The phrase may be backed by a
-// caller-reused buffer: the caches do not retain it past the call. The
-// same read-only contract as EstimateIngredient applies to the returned
-// result.
+// scratch, for callers that time or drive the NLP front end on a
+// scratch of their own (nutribench's replay). It checks a worker
+// environment out for its match session and leaves the environment's
+// scratch unused. The phrase may be backed by a caller-reused buffer:
+// the caches do not retain it past the call. The same read-only
+// contract as EstimateIngredient applies to the returned result.
 func (e *Estimator) EstimateIngredientScratch(phrase string, sc *pipeline.Scratch) IngredientResult {
-	return e.estimateCached(e.pin(), phrase, sc, nil)
+	v := e.pin()
+	w := e.getEnv(v.snap)
+	defer e.putEnv(w, 0)
+	w.phrases++
+	return e.estimateCached(v, phrase, sc, w.sess)
 }
 
 // matchQuery runs the configured description match, memoized when the
@@ -344,34 +349,28 @@ func (e *Estimator) EstimateIngredientScratch(phrase string, sc *pipeline.Scratc
 // the shard probe and the store.
 func (e *Estimator) matchQuery(v view, q match.Query, sc *pipeline.Scratch, sess *match.Session) (match.Result, bool) {
 	if e.matchCache == nil {
-		return e.rawMatch(v, q, sess)
+		return e.rawMatch(q, sess)
 	}
 	key := sc.JoinKey(q.Name, q.State, q.Temp, q.DryFresh)
 	if len(key) > maxCachedKey {
-		return e.rawMatch(v, q, sess)
+		return e.rawMatch(q, sess)
 	}
 	kh := memo.Hash(key)
 	if h := e.matchCache.GetBytesHashRef(kh, key); h != nil {
 		return h.res, h.ok
 	}
-	res, ok := e.rawMatch(v, q, sess)
+	res, ok := e.rawMatch(q, sess)
 	e.matchCache.PutHashGen(kh, key, matchHit{res: res, ok: ok}, v.matchGen)
 	return res, ok
 }
 
-// rawMatch dispatches to the worker's pinned session when one is given,
-// otherwise to the pinned snapshot's pool-backed matcher entry points.
-func (e *Estimator) rawMatch(v view, q match.Query, sess *match.Session) (match.Result, bool) {
-	if sess != nil {
-		if e.opts.FuzzyMatch {
-			return sess.MatchFuzzy(q)
-		}
-		return sess.Match(q)
-	}
+// rawMatch runs the configured description match on the environment's
+// session, which is pinned to the request's snapshot's matcher.
+func (e *Estimator) rawMatch(q match.Query, sess *match.Session) (match.Result, bool) {
 	if e.opts.FuzzyMatch {
-		return v.snap.matcher.MatchFuzzy(q)
+		return sess.MatchFuzzy(q)
 	}
-	return v.snap.matcher.Match(q)
+	return sess.Match(q)
 }
 
 // estimateIngredient is the uncached pipeline.
@@ -619,11 +618,11 @@ func (e *Estimator) ObserveUnits(phrases []string) {
 	}
 	v := e.pin()
 	observations := make([]obs, len(phrases))
-	e.forEachIndexCtx(context.Background(), v.snap, len(phrases), 0, func(i int, w *worker) {
+	e.forEachIndexCtx(context.Background(), v.snap, len(phrases), 0, func(i int, w *env) {
 		// Bypass the phrase cache: a cached most-frequent-unit result
 		// never contributes, and observation must not pollute the cache
 		// with entries that this very pass is about to invalidate.
-		r, _ := e.estimateIngredient(v, phrases[i], w.env.sc, w.env.sess)
+		r, _ := e.estimateIngredient(v, phrases[i], w.sc, w.sess)
 		if !r.Matched || r.Unit == "" {
 			return
 		}

@@ -36,7 +36,9 @@ func refEstimateIngredient(e *Estimator, phrase string) IngredientResult {
 		Temp:     res.Extraction.Temp,
 		DryFresh: res.Extraction.DryFresh,
 	}
-	m, ok := e.rawMatch(e.pin(), q, nil)
+	sess := e.Matcher().NewSession()
+	defer sess.Close()
+	m, ok := e.rawMatch(q, sess)
 	if !ok {
 		return res
 	}

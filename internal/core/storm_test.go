@@ -12,19 +12,19 @@ import (
 	"nutriprofile/internal/usda"
 )
 
-// gatedTagger wraps the rule tagger, counting Tag calls and blocking
-// each one on a gate. Implementing only ner.Tagger (not ScratchTagger)
-// keeps the count exact: every pipeline pass takes this path once.
+// gatedTagger wraps the rule tagger, counting decodes and blocking each
+// one on a gate. Every pipeline pass decodes exactly once, so the count
+// is the number of passes.
 type gatedTagger struct {
 	inner ner.RuleTagger
 	gate  chan struct{}
 	calls atomic.Int64
 }
 
-func (g *gatedTagger) Tag(tokens []string) []ner.Label {
+func (g *gatedTagger) TagScratch(tokens []string, sc *ner.Scratch) []ner.Label {
 	g.calls.Add(1)
 	<-g.gate
-	return g.inner.Tag(tokens)
+	return g.inner.TagScratch(tokens, sc)
 }
 
 // TestConcurrentMissStorm drives 32 goroutines across 4 unique phrases
@@ -55,13 +55,11 @@ func TestConcurrentMissStorm(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sc := pipeline.Get()
-			defer pipeline.Put(sc)
-			results[i] = e.EstimateIngredientScratch(phrases[i%len(phrases)], sc)
+			results[i] = e.EstimateIngredientScratch(phrases[i%len(phrases)], new(pipeline.Scratch))
 		}(i)
 	}
 
-	// Wait for the storm to assemble: every goroutine blocked in Tag,
+	// Wait for the storm to assemble: every goroutine blocked in TagScratch,
 	// which proves all 32 missed before any result landed.
 	deadline := time.Now().Add(10 * time.Second)
 	for tagger.calls.Load() != goroutines {

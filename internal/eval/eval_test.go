@@ -41,7 +41,7 @@ type oracleTagger struct {
 	m    map[string][]ner.Label
 }
 
-func (o *oracleTagger) Tag(tokens []string) []ner.Label {
+func (o *oracleTagger) TagScratch(tokens []string, _ *ner.Scratch) []ner.Label {
 	if o.m == nil {
 		o.m = map[string][]ner.Label{}
 		for _, ex := range o.gold {
@@ -139,11 +139,13 @@ func TestSpanF1(t *testing.T) {
 	}
 }
 
-// tagOnly hides a tagger's TagScratch, so evaluation decodes it
-// through Tag on a fresh scratch per phrase.
+// tagOnly decodes every phrase on a fresh scratch, whatever scratch
+// evaluation hands it.
 type tagOnly struct{ t ner.Tagger }
 
-func (w tagOnly) Tag(tokens []string) []ner.Label { return w.t.Tag(tokens) }
+func (w tagOnly) TagScratch(tokens []string, _ *ner.Scratch) []ner.Label {
+	return w.t.TagScratch(tokens, new(ner.Scratch))
+}
 
 // TestNERScratchDecodeMatchesTag: decoding every phrase of an
 // evaluation into one reused scratch must score exactly as decoding
@@ -155,9 +157,6 @@ func TestNERScratchDecodeMatchesTag(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, tagger := range map[string]ner.Tagger{"rule": ner.RuleTagger{}, "perceptron": model} {
-		if _, ok := tagger.(ner.ScratchTagger); !ok {
-			t.Fatalf("%s: not a ner.ScratchTagger; the test compares nothing", name)
-		}
 		got, err := EvaluateNER(tagger, exs)
 		if err != nil {
 			t.Fatal(err)

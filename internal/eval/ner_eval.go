@@ -46,26 +46,14 @@ func prf(tp, fp, fn int) PRF {
 	return PRF{Precision: p, Recall: r, F1: f, Support: tp + fn}
 }
 
-// decoder returns tagger's decode function for one evaluation. A
-// ner.ScratchTagger — the rule tagger, the perceptron and the CRF all
-// are — decodes every phrase into one ner.Scratch, as
-// ner.ExtractScratch does, instead of building a scratch per phrase;
-// other taggers decode through Tag. A returned label slice is valid
-// only until the next call, so each is consumed before the next decode.
-func decoder(tagger ner.Tagger) func(tokens []string) []ner.Label {
-	if st, ok := tagger.(ner.ScratchTagger); ok {
-		sc := new(ner.Scratch)
-		return func(tokens []string) []ner.Label { return st.TagScratch(tokens, sc) }
-	}
-	return tagger.Tag
-}
-
-// EvaluateNER scores a tagger on gold examples.
+// EvaluateNER scores a tagger on gold examples. Every phrase decodes
+// into one ner.Scratch, as ner.ExtractScratch does; each label slice is
+// consumed before the next decode reuses it.
 func EvaluateNER(tagger ner.Tagger, gold []ner.Example) (NERMetrics, error) {
 	if len(gold) == 0 {
 		return NERMetrics{}, errors.New("eval: no gold examples")
 	}
-	tag := decoder(tagger)
+	sc := new(ner.Scratch)
 	var tp, fp, fn [ner.NLabels]int
 	var confusion [ner.NLabels][ner.NLabels]int
 	correct, total := 0, 0
@@ -73,7 +61,7 @@ func EvaluateNER(tagger ner.Tagger, gold []ner.Example) (NERMetrics, error) {
 		if err := ex.Validate(); err != nil {
 			return NERMetrics{}, err
 		}
-		pred := tag(ex.Tokens)
+		pred := tagger.TagScratch(ex.Tokens, sc)
 		for i, g := range ex.Labels {
 			p := pred[i]
 			total++
@@ -143,19 +131,20 @@ func extractSpans(labels []ner.Label) []span {
 // SpanF1 scores a tagger at the entity-span level — the strict CoNLL-style
 // metric where a predicted span counts only if label, start and end all
 // match a gold span exactly. This is harsher than token-level F1 and is
-// the standard NER headline figure.
+// the standard NER headline figure. Phrases decode on one scratch, as in
+// EvaluateNER.
 func SpanF1(tagger ner.Tagger, gold []ner.Example) (PRF, error) {
 	if len(gold) == 0 {
 		return PRF{}, errors.New("eval: no gold examples")
 	}
-	tag := decoder(tagger)
+	sc := new(ner.Scratch)
 	tp, fp, fn := 0, 0, 0
 	for _, ex := range gold {
 		if err := ex.Validate(); err != nil {
 			return PRF{}, err
 		}
 		goldSpans := extractSpans(ex.Labels)
-		predSpans := extractSpans(tag(ex.Tokens))
+		predSpans := extractSpans(tagger.TagScratch(ex.Tokens, sc))
 		matched := make([]bool, len(goldSpans))
 		for _, p := range predSpans {
 			hit := false

@@ -535,7 +535,7 @@ type MatcherStats struct {
 	VocabSize      int    `json:"vocab_size"`      // distinct interned terms
 	PostingLists   int    `json:"posting_lists"`   // non-empty posting lists (== VocabSize here)
 	PostingEntries int    `json:"posting_entries"` // total (term, doc) postings
-	PoolGets       uint64 `json:"pool_gets"`       // arena checkouts (one per query)
+	PoolGets       uint64 `json:"pool_gets"`       // arena checkouts: one per Session, plus one per pooled Match/Rank call
 	PoolMisses     uint64 `json:"pool_misses"`     // checkouts that had to allocate a fresh arena
 
 	// Pruned-engine counters (prune.go).
@@ -547,9 +547,9 @@ type MatcherStats struct {
 	AdaptiveProbeTerms   uint64 `json:"adaptive_probe_terms"`   // terms scored by candidate probes instead of posting walks
 }
 
-// PoolHitRate returns the fraction of queries served by a recycled
-// arena; the steady state is ~1 (only pool cold-starts and GC-reclaimed
-// arenas miss).
+// PoolHitRate returns the fraction of arena checkouts served by a
+// recycled arena; the steady state is ~1 (only pool cold-starts and
+// GC-reclaimed arenas miss).
 func (s MatcherStats) PoolHitRate() float64 {
 	if s.PoolGets == 0 {
 		return 0

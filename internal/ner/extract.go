@@ -15,9 +15,11 @@ type Extraction struct {
 }
 
 // Tagger is anything that labels tokenized phrases: the learned Model,
-// the RuleTagger baseline, or a test double.
+// the RuleTagger baseline, or a test double. TagScratch decodes into a
+// caller-owned Scratch, so a warm one decodes without allocating; the
+// returned slice aliases sc and is valid until its next use.
 type Tagger interface {
-	Tag(tokens []string) []Label
+	TagScratch(tokens []string, sc *Scratch) []Label
 }
 
 // Extract runs a tagger over a raw ingredient phrase and assembles the
@@ -26,7 +28,7 @@ type Tagger interface {
 // values like "ground lean" and "black pepper").
 func Extract(t Tagger, phrase string) Extraction {
 	tokens := tokenize(phrase)
-	labels := t.Tag(tokens)
+	labels := t.TagScratch(tokens, new(Scratch))
 	return Assemble(tokens, labels)
 }
 

@@ -154,25 +154,10 @@ func (sc *Scratch) FirstWordIndex(l Label) int {
 	return sc.firstWord[l]
 }
 
-// ScratchTagger is a Tagger that can decode into a caller-owned Scratch,
-// avoiding per-phrase allocations. The returned slice aliases the
-// Scratch and is valid until its next use.
-type ScratchTagger interface {
-	Tagger
-	TagScratch(tokens []string, sc *Scratch) []Label
-}
-
 // ExtractScratch is Extract over pre-tokenized input, decoding and
-// assembling through sc. Taggers that do not implement ScratchTagger
-// fall back to their allocating Tag path; assembly still reuses sc.
+// assembling through sc.
 func ExtractScratch(t Tagger, tokens []string, sc *Scratch) Extraction {
-	var labels []Label
-	if st, ok := t.(ScratchTagger); ok {
-		labels = st.TagScratch(tokens, sc)
-	} else {
-		labels = t.Tag(tokens)
-	}
-	return AssembleScratch(tokens, labels, sc)
+	return AssembleScratch(tokens, t.TagScratch(tokens, sc), sc)
 }
 
 // AssembleScratch is Assemble building its field strings in sc's byte

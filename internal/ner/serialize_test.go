@@ -2,7 +2,10 @@ package ner
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/gob"
+	"encoding/hex"
 	"strings"
 	"testing"
 )
@@ -90,41 +93,118 @@ func TestSaveReproducible(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsOldAndUnorderedFiles: Load refuses the version-1
-// format, which wrote the features as a map, and any file whose
-// features are not strictly increasing — out of order, or one feature
-// written twice.
+// modelFile assembles a model file by hand: the header with the given
+// version and label count, all-zero transitions, then the features in
+// the order given, each with all-zero weights.
+func modelFile(version, labels uint32, features ...string) []byte {
+	b := []byte(modelMagic)
+	b = binary.LittleEndian.AppendUint32(b, version)
+	b = binary.LittleEndian.AppendUint32(b, labels)
+	b = append(b, make([]byte, (int(NLabels)+1)*weightsBytes)...)
+	b = binary.AppendUvarint(b, uint64(len(features)))
+	for _, f := range features {
+		b = binary.AppendUvarint(b, uint64(len(f)))
+		b = append(b, f...)
+		b = append(b, make([]byte, weightsBytes)...)
+	}
+	return b
+}
+
+// TestLoadRejectsOldAndUnorderedFiles: Load refuses the gob formats
+// (versions 1 and 2), a different label count, truncated input,
+// trailing bytes, a varint longer than its shortest form, and any file
+// whose features are not strictly increasing — out of order, or one
+// feature written twice.
 func TestLoadRejectsOldAndUnorderedFiles(t *testing.T) {
-	rows := make([][]float64, NLabels+1)
-	for i := range rows {
-		rows[i] = make([]float64, NLabels)
+	ok := modelFile(modelVersion, uint32(NLabels), "a", "b")
+	if m, err := Load(bytes.NewReader(ok)); err != nil || m.FeatureCount() != 2 {
+		t.Fatalf("Load of two ordered features = %v, %v", m, err)
 	}
-	w := make([]float64, NLabels)
-	encode := func(v any) *bytes.Buffer {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-			t.Fatal(err)
-		}
-		return &buf
+	var gobV2 bytes.Buffer
+	if err := gob.NewEncoder(&gobV2).Encode(struct{ Version int }{2}); err != nil {
+		t.Fatal(err)
 	}
-	v1 := struct {
-		Version     int
-		Emissions   map[string][]float64
-		Transitions [][]float64
-	}{1, map[string][]float64{"a": w}, rows}
-	cases := map[string]*bytes.Buffer{
-		"version 1":      encode(v1),
-		"duplicate":      encode(modelData{Version: modelVersion, Features: []featureData{{"a", w}, {"a", w}}, Transitions: rows}),
-		"out of order":   encode(modelData{Version: modelVersion, Features: []featureData{{"b", w}, {"a", w}}, Transitions: rows}),
-		"short features": encode(modelData{Version: modelVersion, Features: []featureData{{"a", w[:1]}}, Transitions: rows}),
+	// The feature count sits right after the transitions; 0x81 0x00 is
+	// a two-byte spelling of 1.
+	countAt := headerBytes + (int(NLabels)+1)*weightsBytes
+	overlong := append(append(append([]byte(nil), ok[:countAt]...), 0x81, 0x00), modelFile(modelVersion, uint32(NLabels), "a")[countAt+1:]...)
+	huge := append(append([]byte(nil), ok[:countAt]...), binary.AppendUvarint(nil, 1<<40)...)
+	cases := map[string][]byte{
+		"gob version 2":      gobV2.Bytes(),
+		"version 1":          modelFile(1, uint32(NLabels), "a"),
+		"version 2":          modelFile(2, uint32(NLabels), "a"),
+		"label count":        modelFile(modelVersion, uint32(NLabels)+1, "a"),
+		"duplicate":          modelFile(modelVersion, uint32(NLabels), "a", "a"),
+		"out of order":       modelFile(modelVersion, uint32(NLabels), "b", "a"),
+		"truncated":          ok[:len(ok)-1],
+		"truncated header":   ok[:headerBytes-1],
+		"trailing byte":      append(append([]byte(nil), ok...), 0),
+		"overlong varint":    overlong,
+		"count beyond input": huge,
 	}
-	for name, buf := range cases {
-		if _, err := Load(buf); err == nil {
+	for name, b := range cases {
+		if _, err := Load(bytes.NewReader(b)); err == nil {
 			t.Errorf("%s: Load accepted it", name)
 		}
 	}
-	ok := encode(modelData{Version: modelVersion, Features: []featureData{{"a", w}, {"b", w}}, Transitions: rows})
-	if m, err := Load(ok); err != nil || m.FeatureCount() != 2 {
-		t.Fatalf("Load of two ordered features = %v, %v", m, err)
+}
+
+// TestSaveGolden pins the bytes Save writes for the models
+// TestTrainedWeightsGolden trains, so a change to the file format fails
+// here across commits, and checks that loading them back reproduces
+// the pinned weights.
+func TestSaveGolden(t *testing.T) {
+	want := map[string]string{
+		"perceptron": "ea86986f05dedbfba2544c9c69df5e6b2c5e60f71be86fb7b47c4e320f94ac29",
+		"crf":        "16717291178e11132736b83cd0be618fe4b5efce9350cc3f781f2788452285da",
 	}
+	for _, g := range goldenModels(t) {
+		var buf bytes.Buffer
+		if err := g.m.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != want[g.name] {
+			t.Errorf("%s: saved file digest %s, want %s (%d bytes)", g.name, got, want[g.name], buf.Len())
+		}
+		back, err := Load(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := weightsDigest(back); got != g.want {
+			t.Errorf("%s: loaded weights digest %s, want %s", g.name, got, g.want)
+		}
+	}
+}
+
+// FuzzLoadModel: Load never panics, and any input it accepts re-saves
+// to exactly its own bytes — a model file has one encoding. Seeded with
+// a saved model and its truncations.
+func FuzzLoadModel(f *testing.F) {
+	m, err := Train(goldCorpus(20, 3), TrainConfig{Epochs: 1, Seed: 3})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		f.Fatal(err)
+	}
+	saved := buf.Bytes()
+	for _, n := range []int{0, 3, headerBytes, headerBytes + 8, len(saved) / 2, len(saved) - 1, len(saved)} {
+		f.Add(saved[:n])
+	}
+	f.Add(modelFile(modelVersion, uint32(NLabels), "", "a"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := m.Save(&out); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), data) {
+			t.Fatalf("accepted %d bytes re-save as %d different bytes", len(data), out.Len())
+		}
+	})
 }

@@ -95,3 +95,32 @@ func TestFractionExpansionOwnsNoMemo(t *testing.T) {
 		t.Errorf(`memoized unit for "slices" = (%q, %v), want ("slice", true)`, name, known)
 	}
 }
+
+// TestCaseFoldingOwnsNoMemo: a cased token is lowered into the
+// scratch's own buffer, so a cased phrase's tokens view bytes the next
+// cased phrase overwrites. Everything the scratch memoizes from them —
+// and every Extraction field — must survive that overwrite.
+func TestCaseFoldingOwnsNoMemo(t *testing.T) {
+	var sc Scratch
+	sc.Tokenize("2 Slices Bread")
+	unit, known := sc.UnitFor(1)
+	ex := sc.Extract(ner.RuleTagger{})
+	if ex.Quantity != "2" || ex.Name != "bread" {
+		t.Fatalf("extraction of the cased phrase: %+v", ex)
+	}
+
+	// Same length, different bytes: rewrites the lowering buffer in place.
+	sc.Tokenize("9 XXXXXX YYYYY")
+	sc.Extract(ner.RuleTagger{})
+
+	if unit != "slice" || !known {
+		t.Errorf(`unit of "Slices" = (%q, %v) after the buffer was reused, want ("slice", true)`, unit, known)
+	}
+	if ex.Name != "bread" || ex.Quantity != "2" || ex.Unit != "slices" {
+		t.Errorf("extraction changed after the buffer was reused: %+v", ex)
+	}
+	sc.Tokenize("4 Slices ham")
+	if name, known := sc.UnitFor(1); name != "slice" || !known {
+		t.Errorf(`memoized unit for "slices" = (%q, %v), want ("slice", true)`, name, known)
+	}
+}

@@ -1,22 +1,21 @@
 // Package pipeline provides the per-goroutine scratch arena the NLP
 // front-end (tokenize → NER → unit lookup → cache keys) runs in. One
 // Scratch holds every buffer and memo the per-phrase hot path needs, so
-// a warm Scratch processes a phrase with zero heap allocations;
-// core.Estimator checks one out per batch worker and reuses it across
-// the worker's whole shard.
+// a warm Scratch processes a phrase with zero heap allocations.
+// core.Estimator's worker environments each own one: every estimated
+// phrase, through whichever entry point, runs on an environment's
+// scratch, reused across every phrase of the checkout.
 //
 // Ownership model (DESIGN.md §10): a Scratch belongs to exactly one
-// goroutine between Get and Put. Results that outlive the phrase
-// (Extraction fields, unit names, cache keys) are copied out of the
-// arena before the next phrase reuses it; everything else (token
-// slices, Viterbi arrays, key buffers) aliases the arena and is valid
-// only until the next Tokenize call.
+// goroutine at a time — its environment's, between checkout and
+// release. Results that outlive the phrase (Extraction fields, unit
+// names, cache keys) are copied out of the arena before the next phrase
+// reuses it; everything else (token slices, Viterbi arrays, key
+// buffers) aliases the arena and is valid only until the next Tokenize
+// call.
 package pipeline
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"nutriprofile/internal/ner"
 	"nutriprofile/internal/textutil"
 )
@@ -26,7 +25,7 @@ import (
 // seen (tokens and Viterbi rows: tens of bytes per token) and its memo
 // maps clone the tokens they key on, so one pathological phrase near
 // the request-body limit would otherwise pin several times its own size
-// for as long as the Scratch lives in a pool or a worker environment.
+// for as long as the Scratch lives in a worker environment.
 // Real ingredient phrases are well under 200 bytes.
 const maxRetainedPhrase = 4 << 10
 
@@ -39,7 +38,7 @@ type Scratch struct {
 	NER ner.Scratch
 
 	tokens []string
-	folder textutil.Folder // memoized case folding for cased tokens
+	folder textutil.Folder // buffers for lowered cased tokens and expanded glyphs
 
 	keyBuf  []byte // phrase-cache key scratch
 	qkeyBuf []byte // match-cache key scratch (distinct: both live at once)
@@ -49,10 +48,11 @@ type Scratch struct {
 
 // Tokenize resets the scratch to a new phrase and returns its tokens.
 // Token values equal textutil.Tokenize's; the slice aliases the arena.
-// A phrase with vulgar-fraction glyphs ("1½ cups") is expanded into
-// the folder's buffer rather than a new string, so its tokens view bytes
-// the next such phrase overwrites — every memo clones what it keeps,
-// the rule that already covers phrases viewing a caller-reused buffer.
+// A cased token ("Cups") is lowered, and a phrase with vulgar-fraction
+// glyphs ("1½ cups") expanded, into the folder's buffers rather than
+// new strings, so such tokens view bytes the next phrase overwrites —
+// every memo clones what it keeps, the rule that already covers phrases
+// viewing a caller-reused buffer.
 func (sc *Scratch) Tokenize(phrase string) []string {
 	sc.longest = max(sc.longest, len(phrase))
 	sc.tokens = textutil.AppendTokensFolded(sc.tokens[:0], phrase, &sc.folder)
@@ -107,52 +107,13 @@ func (sc *Scratch) JoinKey(fields ...string) []byte {
 	return b
 }
 
-// pool recycles scratches across batches. Scratches are never reset on
-// Put: the memo maps are the warm state the next batch wants, and every
-// per-phrase buffer is re-initialized by Tokenize. No finalizers — an
-// abandoned Scratch is plain garbage (DESIGN.md §10).
-var pool = sync.Pool{New: func() any { poolMisses.Add(1); return new(Scratch) }}
-
-var (
-	poolGets   atomic.Uint64
-	poolMisses atomic.Uint64
-)
-
-// PoolStats counts scratch-pool checkouts and the subset that had to
-// allocate a fresh (cold) Scratch. sync.Pool keeps per-P caches that GC
-// cycles and goroutine migration drain, so under an oversubscribed
-// multi-core pool the miss rate is the tell for cold-scratch re-warming
-// costs (re-interning, memo-map cloning) — the per-worker allocation
-// leak the estimator's own worker environments exist to avoid
-// (DESIGN.md §12).
-type PoolStats struct {
-	Gets   uint64 `json:"gets"`
-	Misses uint64 `json:"misses"`
-}
-
-// Stats snapshots the pool counters.
-func Stats() PoolStats {
-	return PoolStats{Gets: poolGets.Load(), Misses: poolMisses.Load()}
-}
-
-// Get checks a Scratch out of the pool.
-func Get() *Scratch { poolGets.Add(1); return pool.Get().(*Scratch) }
-
-// Put returns a Scratch to the pool, trimmed. The caller must not
-// retain any alias into it afterwards.
-func Put(sc *Scratch) {
-	sc.Trim()
-	pool.Put(sc)
-}
-
 // Trim readies the scratch to be kept between requests. It drops the
 // last phrase's token views, which would otherwise pin the buffer the
 // phrase was read into (a pooled batch buffer can be megabytes). If a
 // phrase longer than maxRetainedPhrase went through it since the last
 // reset, it resets the scratch to its zero value, dropping every buffer
 // and memo; otherwise the memos stay warm. Owners that keep a Scratch
-// across requests (the pool, worker environments, the serving layer's
-// per-request arenas) call it on release.
+// across requests (core's worker environments) call it on release.
 func (sc *Scratch) Trim() {
 	if sc.longest > maxRetainedPhrase {
 		*sc = Scratch{}

@@ -3,7 +3,6 @@ package pipeline_test
 import (
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 
 	"nutriprofile/internal/ner"
@@ -95,8 +94,7 @@ func TestScratchDifferential(t *testing.T) {
 	}
 	for _, tc := range taggers {
 		t.Run(tc.name, func(t *testing.T) {
-			sc := pipeline.Get()
-			defer pipeline.Put(sc)
+			sc := new(pipeline.Scratch)
 			for _, p := range phrases {
 				checkPhrase(t, sc, tc.t, p)
 			}
@@ -160,8 +158,7 @@ func TestColdPathZeroAllocs(t *testing.T) {
 	}
 	for _, tc := range taggers {
 		t.Run(tc.name, func(t *testing.T) {
-			sc := pipeline.Get()
-			defer pipeline.Put(sc)
+			sc := new(pipeline.Scratch)
 			run := func() {
 				for _, p := range phrases {
 					sc.Tokenize(p)
@@ -182,43 +179,4 @@ func TestColdPathZeroAllocs(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestPoolStress hammers the pool from 8 goroutines (run under -race in
-// CI): pooled, recycled scratches must produce outputs identical to a
-// fresh reference on every phrase, proving no cross-goroutine state
-// leaks through the arena.
-func TestPoolStress(t *testing.T) {
-	phrases := corpusPhrases(t, 60)
-	var rt ner.RuleTagger
-	want := make([]ner.Extraction, len(phrases))
-	for i, p := range phrases {
-		want[i] = ner.Extract(rt, p)
-	}
-	const goroutines = 8
-	const rounds = 4
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				sc := pipeline.Get()
-				// Walk the corpus from a goroutine-specific offset so
-				// concurrent scratches are always on different phrases.
-				for k := range phrases {
-					i := (k + g*len(phrases)/goroutines) % len(phrases)
-					sc.Tokenize(phrases[i])
-					if got := sc.Extract(rt); got != want[i] {
-						t.Errorf("goroutine %d round %d phrase %q: %+v, want %+v",
-							g, r, phrases[i], got, want[i])
-						pipeline.Put(sc)
-						return
-					}
-				}
-				pipeline.Put(sc)
-			}
-		}(g)
-	}
-	wg.Wait()
 }

@@ -3,7 +3,8 @@ package server
 // The request codec every estimation route shares. /v1/estimate and
 // /v1/recipe answer as one-item windows of the /v1/batch codec: one
 // pooled arena, one decoder (decodeLine, told which grammar its caller
-// accepts), one success renderer (appendAnswer). Only failures render
+// accepts), one estimate call (estimate, into core.EstimateRecipesInto),
+// one success renderer (appendAnswer). Only failures render
 // differently: an interactive route sends a status and an ErrorBody, a
 // /v1/batch stream a numbered in-stream BatchErrorBody.
 //
@@ -358,8 +359,8 @@ func (bs *batchScratch) badJSON(line int, g grammar, err error) {
 
 // estimate runs the decoded inputs through core.EstimateRecipesInto
 // into the arena's outcome and result slices: on the calling goroutine
-// when workers is 1 (an interactive recipe), on the estimator's pool
-// otherwise (a /v1/batch window).
+// when workers is 1 (an interactive request, estimate or recipe), on
+// the estimator's pool otherwise (a /v1/batch window).
 func (bs *batchScratch) estimate(ctx context.Context, est *core.Estimator, workers int) error {
 	total := 0
 	for i := range bs.inputs {

@@ -241,7 +241,8 @@ func FuzzBatchHandler(f *testing.F) {
 //     no_ingredients, bad_servings, bad_method), the route its keys
 //     select answers the same status, code and message.
 //
-// Wired into the nightly fuzz job via `make fuzz`.
+// CI's test job fuzzes it for 20 s on every push; `make fuzz` also
+// runs it.
 func FuzzRouteLineParity(f *testing.F) {
 	f.Add([]byte(`{"phrase":"2 cups all-purpose flour"}`))
 	f.Add([]byte(`{"ingredients":["2 cups flour","1 cup sugar"],"servings":4,"method":"baked"}`))

@@ -25,7 +25,6 @@ import (
 	"nutriprofile/internal/memo"
 	"nutriprofile/internal/metrics"
 	"nutriprofile/internal/nutrition"
-	"nutriprofile/internal/pipeline"
 )
 
 // ErrorBody is the structured error wrapper on every non-200 response.
@@ -143,10 +142,11 @@ func (s *Server) handleItem(g grammar) http.HandlerFunc {
 // answer is the interactive steady-state path: one request answered as
 // a one-item window of the /v1/batch codec — read, decode with the
 // route's grammar, estimate, render — everything in arena-owned memory.
-// An estimate runs through core.EstimateIngredient, a recipe through
-// core.EstimateRecipesInto on this goroutine. With a warm arena and
-// phrase-cache hits it performs zero heap allocations on either route
-// (TestServeEstimateHotZeroAllocs, TestServeRecipeHotAllocs). The
+// Both routes estimate through core.EstimateRecipesInto on this
+// goroutine, as their /v1/batch line would: the decoder turns an
+// estimate into a one-phrase recipe of one serving. With a warm arena
+// and phrase-cache hits it performs zero heap allocations on either
+// route (TestServeEstimateHotZeroAllocs, TestServeRecipeHotAllocs). The
 // returned body aliases bs.out.
 func (s *Server) answer(bs *batchScratch, ctx context.Context, body io.Reader, g grammar) (int, []byte) {
 	bs.rewind()
@@ -155,22 +155,14 @@ func (s *Server) answer(bs *batchScratch, ctx context.Context, body io.Reader, g
 	}
 	bs.decodeLine(bs.buf, 0, g)
 	it := &bs.items[0]
-	switch it.kind {
-	case itemError:
+	if it.kind == itemError {
 		return bs.errorBody(it.status, it.code, it.msg)
-	case itemEstimate:
-		if err := ctx.Err(); err != nil {
-			return bs.timeoutBody(err)
-		}
-		bs.arena = append(bs.arena, s.est.EstimateIngredient(bs.inputs[0].Phrases[0]))
-		bs.outcomes = append(bs.outcomes, core.RecipeOutcome{Result: core.RecipeResult{Ingredients: bs.arena}})
-	default:
-		if err := bs.estimate(ctx, s.est, 1); err != nil {
-			return bs.timeoutBody(err)
-		}
-		if err := bs.outcomes[0].Err; err != nil {
-			return bs.errorBody(http.StatusBadRequest, "bad_recipe", err.Error())
-		}
+	}
+	if err := bs.estimate(ctx, s.est, 1); err != nil {
+		return bs.timeoutBody(err)
+	}
+	if err := bs.outcomes[0].Err; err != nil {
+		return bs.errorBody(http.StatusBadRequest, "bad_recipe", err.Error())
 	}
 	bs.out = append(bs.appendAnswer(bs.out[:0], it), '\n')
 	return http.StatusOK, bs.out
@@ -200,7 +192,6 @@ type StatsResponse struct {
 		Match  memo.Stats `json:"match"`
 	} `json:"memo"`
 	Shard   core.ShardStats      `json:"shard"`
-	Scratch pipeline.PoolStats   `json:"scratch_pool"`
 	Matcher match.MatcherStats   `json:"matcher"`
 	DB      core.SnapshotStats   `json:"db"`
 	HTTP    metrics.Snapshot     `json:"http"`
@@ -234,7 +225,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	var out StatsResponse
 	out.Memo.Phrase, out.Memo.Match = s.est.CacheStats()
 	out.Shard = s.est.ShardStats()
-	out.Scratch = pipeline.Stats()
 	out.Matcher = s.est.MatcherStats()
 	out.DB = s.est.SnapshotStats()
 	out.HTTP = s.reg.Snapshot()

@@ -24,7 +24,7 @@ var matchFamilies = []struct {
 	name, help, typ string
 	value           func(st match.MatcherStats) float64
 }{
-	{"nutriserve_match_pool_gets_total", "Scoring-arena checkouts (one per ranking query).", "counter",
+	{"nutriserve_match_pool_gets_total", "Scoring arenas checked out of the matcher's pool: one per match session a worker environment opens, plus one per pooled Match/Rank call.", "counter",
 		func(st match.MatcherStats) float64 { return float64(st.PoolGets) }},
 	{"nutriserve_match_pool_misses_total", "Arena checkouts that allocated instead of reusing a pooled arena.", "counter",
 		func(st match.MatcherStats) float64 { return float64(st.PoolMisses) }},

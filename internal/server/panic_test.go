@@ -17,17 +17,16 @@ import (
 const panicMarker = "zqpanic"
 
 // panicTagger is the rule tagger, except that it panics on a phrase
-// holding panicMarker: a stand-in for a defect in the NER stage. It
-// implements only ner.Tagger, so every pipeline pass calls Tag.
+// holding panicMarker: a stand-in for a defect in the NER stage.
 type panicTagger struct{ inner ner.RuleTagger }
 
-func (p panicTagger) Tag(tokens []string) []ner.Label {
+func (p panicTagger) TagScratch(tokens []string, sc *ner.Scratch) []ner.Label {
 	for _, tok := range tokens {
 		if tok == panicMarker {
 			panic("panicTagger: marker token")
 		}
 	}
-	return p.inner.Tag(tokens)
+	return p.inner.TagScratch(tokens, sc)
 }
 
 // TestRecipePanicContained: a stage that panics while an interactive

@@ -316,39 +316,38 @@ func TestHealthzAndStatsShape(t *testing.T) {
 		}
 	}
 
-	// scratch_pool counts the pipeline scratches /v1/estimate checks out:
-	// one per estimated phrase. /v1/recipe and /v1/batch run on the
-	// estimator's worker environments and never touch the pool.
-	poolGets := func() uint64 {
+	// shard.phrases counts every estimated phrase, whichever route sent
+	// it: each runs on one of the estimator's worker environments.
+	phrases := func() uint64 {
 		t.Helper()
 		var st StatsResponse
 		if err := json.Unmarshal(getPath(t, h, "/v1/stats").Body.Bytes(), &st); err != nil {
 			t.Fatal(err)
 		}
-		return st.Scratch.Gets
+		return st.Shard.Phrases
 	}
 	traffic := []struct {
-		name string
-		send func()
-		gets uint64
+		name    string
+		send    func()
+		phrases uint64
 	}{
 		{"three estimates", func() {
 			for _, p := range []string{"2 cups flour", "2 cups flour", "1 small onion , finely chopped"} {
 				postJSON(t, h, "/v1/estimate", `{"phrase":"`+p+`"}`)
 			}
 		}, 3},
-		{"a recipe", func() {
+		{"a two-line recipe", func() {
 			postJSON(t, h, "/v1/recipe", `{"ingredients":["2 cups flour","2 eggs"],"servings":2}`)
-		}, 0},
+		}, 2},
 		{"a batch stream", func() {
 			postBatch(t, h, `{"phrase":"2 cups flour"}`+"\n"+`{"ingredients":["2 cups flour","2 eggs"]}`+"\n")
-		}, 0},
+		}, 3},
 	}
 	for _, tc := range traffic {
-		before := poolGets()
+		before := phrases()
 		tc.send()
-		if got := poolGets() - before; got != tc.gets {
-			t.Errorf("scratch_pool.gets advanced by %d on %s, want %d", got, tc.name, tc.gets)
+		if got := phrases() - before; got != tc.phrases {
+			t.Errorf("shard.phrases advanced by %d on %s, want %d", got, tc.name, tc.phrases)
 		}
 	}
 }

@@ -5,51 +5,40 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
-// TestFolderLowerMatchesToLower pins Folder.Lower (nil and warm) to
+// TestFolderLowerMatchesToLower pins Folder.lower (nil and warm) to
 // strings.ToLower on arbitrary input.
 func TestFolderLowerMatchesToLower(t *testing.T) {
 	var f Folder
 	check := func(s string) bool {
 		want := strings.ToLower(s)
-		if (*Folder)(nil).Lower(s) != want {
+		if (*Folder)(nil).lower(s) != want {
 			return false
 		}
-		// Twice through the same folder: miss then hit.
-		return f.Lower(s) == want && f.Lower(s) == want
+		// Twice into the same buffer: the second lowering must leave the
+		// first intact, as a phrase's later tokens leave its earlier ones.
+		first := f.lower(s)
+		return f.lower(s) == want && first == want
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
 }
 
-// TestFolderLowerZeroCopy: already-lowercase input must come back as the
-// identical string without touching the cache.
+// TestFolderLowerZeroCopy: already-lowercase input, accented or not,
+// must come back as the identical string without touching the buffer.
 func TestFolderLowerZeroCopy(t *testing.T) {
 	var f Folder
-	for _, s := range []string{"", "flour", "1/2", "all-purpose"} {
-		if got := f.Lower(s); got != s {
-			t.Errorf("Lower(%q) = %q, want input unchanged", s, got)
+	for _, s := range []string{"", "flour", "1/2", "all-purpose", "crème"} {
+		got := f.lower(s)
+		if got != s || unsafe.StringData(got) != unsafe.StringData(s) {
+			t.Errorf("lower(%q) = %q, want the input itself", s, got)
 		}
 	}
-	if f.m != nil {
-		t.Errorf("lowercase inputs populated the cache: %v", f.m)
-	}
-}
-
-// TestFolderBounded: overflowing the cache clears it but never changes
-// results.
-func TestFolderBounded(t *testing.T) {
-	var f Folder
-	for i := 0; i < maxFolderEntries+50; i++ {
-		s := "Word" + strings.Repeat("X", i%7) + string(rune('A'+i%26))
-		if got, want := f.Lower(s), strings.ToLower(s); got != want {
-			t.Fatalf("Lower(%q) = %q, want %q", s, got, want)
-		}
-	}
-	if len(f.m) > maxFolderEntries {
-		t.Fatalf("folder grew past bound: %d entries", len(f.m))
+	if len(f.lowered) != 0 {
+		t.Errorf("lowercase inputs were copied into the buffer: %q", f.lowered)
 	}
 }
 
@@ -108,22 +97,5 @@ func TestInternerLookupBytes(t *testing.T) {
 	}
 	if _, ok := in.LookupBytes(nil); ok {
 		t.Error("LookupBytes(nil) = hit, want miss")
-	}
-}
-
-// TestFolderMemoOwnsItsBytes: a token whose lowering changes nothing
-// ("crème") is memoized by value as well as by key, and the value must
-// not view the phrase. A phrase with fraction glyphs is expanded into
-// the folder's own buffer, which the next such phrase overwrites; before
-// the fix the memo kept a view of it, so a later "crème" tokenized as
-// whatever bytes the next phrase left there.
-func TestFolderMemoOwnsItsBytes(t *testing.T) {
-	var f Folder
-	AppendTokensFolded(nil, "2 medium sweet potatoes crème brûlée ½", &f)
-	AppendTokensFolded(nil, "1 ½ teaspoon paprika, then some more", &f)
-	for _, s := range []string{"crème brûlée", "1 ½ cup crème"} {
-		if got, want := AppendTokensFolded(nil, s, &f), Tokenize(s); !reflect.DeepEqual(got, want) {
-			t.Errorf("AppendTokensFolded(%q) = %q after other glyph phrases, want %q", s, got, want)
-		}
 	}
 }

@@ -17,6 +17,7 @@ func FuzzTokenize(f *testing.F) {
 	} {
 		f.Add(seed)
 	}
+	var warm Folder // reused across inputs, as a pipeline scratch's is
 	f.Fuzz(func(t *testing.T, s string) {
 		toks := Tokenize(s)
 		for _, tok := range toks {
@@ -28,6 +29,19 @@ func FuzzTokenize(f *testing.F) {
 			}
 			if !utf8.ValidString(tok) {
 				t.Fatalf("invalid UTF-8 token %q from %q", tok, s)
+			}
+		}
+		// The folded tokenizer lowers into the Folder's buffers: byte-equal
+		// to Tokenize's strings.ToLower on a warm Folder and a fresh one.
+		for _, fo := range []*Folder{&warm, new(Folder)} {
+			folded := AppendTokensFolded(nil, s, fo)
+			if len(folded) != len(toks) {
+				t.Fatalf("AppendTokensFolded(%q) = %q, Tokenize = %q", s, folded, toks)
+			}
+			for i := range toks {
+				if folded[i] != toks[i] {
+					t.Fatalf("AppendTokensFolded(%q) = %q, Tokenize = %q", s, folded, toks)
+				}
 			}
 		}
 		// Words ⊆ Tokenize.

@@ -82,33 +82,30 @@ func Tokenize(s string) []string {
 }
 
 // AppendTokensFolded is Tokenize appending into dst, so callers on hot
-// paths can reuse one scratch slice across phrases. A Folder caches the
-// case foldings, so phrases containing upper-case tokens stop
-// allocating once the Folder has seen each distinct spelling, and
-// fraction glyphs expand into the Folder's buffer rather than a new
-// string. Token values are identical to Tokenize's, but the tokens of a
-// phrase with a glyph ("1½ cups") view that buffer and are valid only
-// until the next call with the same Folder: callers copy out whatever
-// outlives it.
+// paths can reuse one scratch slice across phrases. A cased token is
+// lowered into f's buffer, and fraction glyphs expand into another of
+// its buffers, rather than into new strings, so a warm Folder tokenizes
+// without allocating. Token values are identical to Tokenize's, but the
+// tokens of a phrase with a cased token ("2 Cups") or a glyph ("1½
+// cups") may view those buffers and are valid only until the next call
+// with the same Folder: callers copy out whatever outlives it.
 func AppendTokensFolded(dst []string, s string, f *Folder) []string {
+	if f != nil {
+		f.lowered = f.lowered[:0]
+	}
 	return appendTokens(dst, s, false, f)
 }
 
-// maxFolderEntries bounds a Folder's memory; real token vocabularies are
-// far smaller, so the reset path only guards against adversarial input.
-const maxFolderEntries = 4096
-
-// Folder is a tokenizer's reusable state. It memoizes strings.ToLower
-// for cased tokens — tokens that are already lower-case never touch the
-// cache (they are returned as zero-copy substrings before the Folder is
-// consulted), so the map only holds the rare cased spellings — and owns
-// the buffer phrases with fraction glyphs are expanded into. A nil
+// Folder is a tokenizer's reusable state: the buffer the current
+// phrase's cased tokens are lowered into and the buffer phrases with
+// fraction glyphs are expanded into. Tokens that are already lower-case
+// never touch it (they are returned as zero-copy substrings). A nil
 // *Folder is valid and simply falls back to strings.ToLower and
 // ExpandFractions. Not safe for concurrent use — a Folder belongs to one
 // goroutine's scratch state.
 type Folder struct {
-	m    map[string]string
-	frac []byte // the last phrase with fraction glyphs, expanded
+	lowered []byte // the current phrase's cased tokens, lowered
+	frac    []byte // the last phrase with fraction glyphs, expanded
 }
 
 // expandFractions is ExpandFractions rendering into f.frac, so a warm
@@ -125,12 +122,13 @@ func (f *Folder) expandFractions(s string) string {
 	return unsafe.String(unsafe.SliceData(f.frac), len(f.frac))
 }
 
-// Lower returns strings.ToLower(s), serving repeated cased spellings
-// from the cache without allocating.
-func (f *Folder) Lower(s string) string {
-	// Fast path: nothing to fold. Any non-ASCII rune falls through to
-	// ToLower, which still returns s unchanged (no alloc) when the rune
-	// has no lower-case form.
+// lower returns strings.ToLower(s). A token with nothing to fold comes
+// back as s itself; a cased one is lowered into f.lowered, behind the
+// phrase's earlier lowered tokens, and views it. Each rune is written
+// as unicode.ToLower maps it, an invalid byte as U+FFFD: the bytes
+// strings.ToLower builds.
+func (f *Folder) lower(s string) string {
+	// Fast path: nothing to fold in an ASCII prefix without capitals.
 	i := 0
 	for i < len(s) && s[i] < utf8.RuneSelf && (s[i] < 'A' || s[i] > 'Z') {
 		i++
@@ -141,26 +139,19 @@ func (f *Folder) Lower(s string) string {
 	if f == nil {
 		return strings.ToLower(s)
 	}
-	if lowered, ok := f.m[s]; ok {
-		return lowered
+	for j, r := range s[i:] {
+		if unicode.ToLower(r) == r && r != utf8.RuneError {
+			continue
+		}
+		start := len(f.lowered)
+		f.lowered = append(f.lowered, s[:i+j]...)
+		for _, r := range s[i+j:] {
+			f.lowered = utf8.AppendRune(f.lowered, unicode.ToLower(r))
+		}
+		b := f.lowered[start:]
+		return unsafe.String(unsafe.SliceData(b), len(b))
 	}
-	lowered := strings.ToLower(s)
-	if f.m == nil {
-		f.m = make(map[string]string)
-	} else if len(f.m) >= maxFolderEntries {
-		clear(f.m)
-	}
-	// Clone the key: s is a substring of the caller's phrase and caching
-	// it verbatim would pin the whole phrase in memory. ToLower returns s
-	// itself when no rune changes ("crème"), so the value must own its
-	// bytes too: s may view f.frac or a serving-layer buffer, which the
-	// next phrase overwrites.
-	key := strings.Clone(s)
-	if lowered == s {
-		lowered = key
-	}
-	f.m[key] = lowered
-	return lowered
+	return s // non-ASCII runes without a lower-case form ("crème")
 }
 
 // appendTokens walks the string directly with utf8.DecodeRuneInString and
@@ -193,7 +184,7 @@ func appendTokens(dst []string, s string, wordsOnly bool, f *Folder) []string {
 				break
 			}
 			if !wordsOnly {
-				dst = append(dst, f.Lower(s[i:j]))
+				dst = append(dst, f.lower(s[i:j]))
 			}
 			i = j
 		case unicode.IsLetter(r):
@@ -212,7 +203,7 @@ func appendTokens(dst []string, s string, wordsOnly bool, f *Folder) []string {
 				}
 				break
 			}
-			dst = append(dst, f.Lower(s[i:j]))
+			dst = append(dst, f.lower(s[i:j]))
 			i = j
 		case r == '%':
 			if !wordsOnly {
