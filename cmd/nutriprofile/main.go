@@ -164,9 +164,8 @@ func printStats(e *core.Estimator) {
 		st.Docs, st.VocabSize, st.PostingLists, st.PostingEntries)
 	fmt.Printf("matcher arena: %d checkouts, %d pool misses (%.0f%% pool hit rate)\n",
 		st.PoolGets, st.PoolMisses, 100*st.PoolHitRate())
-	fmt.Printf("matcher prune: %d postings avoided, %d candidates dropped, %d compactions, %d gather exits, %d probe terms, %d terms skipped\n",
-		st.PrunePostingsAvoided, st.PruneDocsDropped, st.PruneCompactions,
-		st.PruneGatherExits, st.AdaptiveProbeTerms, st.PruneTermsSkipped)
+	fmt.Printf("matcher prune: %d postings avoided, %d candidates dropped, %d gather exits, %d terms skipped\n",
+		st.PrunePostingsAvoided, st.PruneDocsDropped, st.PruneGatherExits, st.PruneTermsSkipped)
 }
 
 // newEstimator builds the shared estimator from the CLI switches.

@@ -18,9 +18,8 @@ package core
 // drain under GC and goroutine migration, and every drained checkout
 // re-warms a cold scratch — the measured allocs/op inflation of the
 // oversubscribed parallel path. Per-environment stats accumulate in
-// plain fields and flush to cache-line-striped aggregates
-// (metrics.Striped) once per checkout, instead of per-phrase atomics on
-// shared counters.
+// plain fields and flush to one atomic per counter once per checkout,
+// instead of per-phrase atomics on shared counters.
 
 import (
 	"context"
@@ -32,21 +31,15 @@ import (
 
 	"nutriprofile/internal/match"
 	"nutriprofile/internal/memo"
-	"nutriprofile/internal/metrics"
 	"nutriprofile/internal/nutrition"
 	"nutriprofile/internal/pipeline"
 	"nutriprofile/internal/yield"
 )
 
-const (
-	// maxFreeEnvs bounds the worker-environment free list: more
-	// environments than this can exist transiently (concurrent batches
-	// each holding several), but only this many are retained.
-	maxFreeEnvs = 64
-
-	// statStripes is the stripe count of the batched stats aggregates.
-	statStripes = 16
-)
+// maxFreeEnvs bounds the worker-environment free list: more
+// environments than this can exist transiently (concurrent batches each
+// holding several), but only this many are retained.
+const maxFreeEnvs = 64
 
 // env is one worker environment, the estimator's only per-goroutine
 // estimation context: the NLP scratch arena plus a match session pinned
@@ -69,14 +62,9 @@ type batchState struct {
 	envsMade uint64 // lifetime environments created, under envMu
 
 	// Batched-flush aggregates: workers accumulate locally and Add once
-	// per batch, striped so concurrent flushes don't share lines.
-	phrasesDone *metrics.Striped
-	flushes     *metrics.Striped
-}
-
-func (s *batchState) init() {
-	s.phrasesDone = metrics.NewStriped(statStripes)
-	s.flushes = metrics.NewStriped(statStripes)
+	// per checkout, so a parallel batch adds once per worker per call.
+	phrasesDone atomic.Uint64
+	flushes     atomic.Uint64
 }
 
 // ShardStats is the observability snapshot of the batch layer's
@@ -95,8 +83,8 @@ func (e *Estimator) ShardStats() ShardStats {
 	envs := e.envsMade
 	e.envMu.Unlock()
 	return ShardStats{
-		Phrases:       e.phrasesDone.Sum(),
-		WorkerFlushes: e.flushes.Sum(),
+		Phrases:       e.phrasesDone.Load(),
+		WorkerFlushes: e.flushes.Load(),
 		Envs:          envs,
 	}
 }
@@ -127,16 +115,16 @@ func (e *Estimator) getEnv(snap *Snapshot) *env {
 }
 
 // putEnv releases an environment: it flushes the checkout's stats (one
-// striped Add per counter) and returns the environment to the free
-// list; beyond maxFreeEnvs it is dismantled (the session's arena goes
-// back to the matcher pool) and dropped. A kept environment first drops
-// what an oversized phrase grew.
-func (e *Estimator) putEnv(v *env, stripe int) {
+// Add per counter) and returns the environment to the free list; beyond
+// maxFreeEnvs it is dismantled (the session's arena goes back to the
+// matcher pool) and dropped. A kept environment first drops what an
+// oversized phrase grew.
+func (e *Estimator) putEnv(v *env) {
 	if v.phrases != 0 {
-		e.phrasesDone.Add(stripe, v.phrases)
+		e.phrasesDone.Add(v.phrases)
 		v.phrases = 0
 	}
-	e.flushes.Add(stripe, 1)
+	e.flushes.Add(1)
 	v.sc.Trim()
 	v.sess.Trim()
 	e.envMu.Lock()
@@ -185,7 +173,7 @@ func (e *Estimator) forEachIndexCtx(ctx context.Context, snap *Snapshot, n, work
 	done := ctx.Done()
 	if workers == 1 {
 		w := e.getEnv(snap)
-		defer e.putEnv(w, 0)
+		defer e.putEnv(w)
 		for i := 0; i < n; i++ {
 			select {
 			case <-done:
@@ -199,11 +187,11 @@ func (e *Estimator) forEachIndexCtx(ctx context.Context, snap *Snapshot, n, work
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
-	for wk := 0; wk < workers; wk++ {
-		go func(wk int) {
+	for range workers {
+		go func() {
 			defer wg.Done()
 			w := e.getEnv(snap)
-			defer e.putEnv(w, wk%statStripes)
+			defer e.putEnv(w)
 			for {
 				select {
 				case <-done:
@@ -216,7 +204,7 @@ func (e *Estimator) forEachIndexCtx(ctx context.Context, snap *Snapshot, n, work
 				}
 				fn(i, w)
 			}
-		}(wk)
+		}()
 	}
 	wg.Wait()
 	return ctx.Err()
@@ -257,7 +245,7 @@ func (e *Estimator) EstimateBatch(ctx context.Context, phrases []string, workers
 func (e *Estimator) EstimateRecipe(ctx context.Context, r RecipeInput) (RecipeResult, error) {
 	v := e.pin()
 	w := e.getEnv(v.snap)
-	defer e.putEnv(w, 0)
+	defer e.putEnv(w)
 	var o RecipeOutcome
 	o.Result.Ingredients = make([]IngredientResult, len(r.Phrases))
 	e.estimateRecipeEnv(ctx, v, &r, w, &o)
@@ -409,7 +397,7 @@ func (e *Estimator) EstimateRecipesInto(ctx context.Context, recipes []RecipeInp
 		// the difference between the bulk hot path's zero-alloc pin and
 		// almost-zero.
 		w := e.getEnv(v.snap)
-		defer e.putEnv(w, 0)
+		defer e.putEnv(w)
 		done := ctx.Done()
 		for i := range recipes {
 			select {

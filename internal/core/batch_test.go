@@ -99,7 +99,7 @@ func TestShardedBatchStorm32(t *testing.T) {
 }
 
 // TestShardStatsFlushTotals: workers accumulate stats locally and flush
-// once per batch; the striped aggregates must still sum to the exact
+// once per batch; the atomic aggregates must still hold the exact
 // true totals once all batches drain — 32 goroutines, no lost updates.
 func TestShardStatsFlushTotals(t *testing.T) {
 	phrases := stormPhrases(t)

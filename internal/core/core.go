@@ -87,10 +87,6 @@ func (v GramsVia) String() string {
 // Options configures the Estimator; zero-value disables nothing. The
 // Disable* switches exist for the ablation benchmarks.
 type Options struct {
-	// MaxGramsPerLine is the §II-C sanity threshold on quantity×unit
-	// ("putting a threshold on the quantity per unit"): lines computing
-	// heavier than this trigger quantity/unit re-pairing. Default 2500 g.
-	MaxGramsPerLine float64
 	// FuzzyMatch enables the typo-correction fallback: queries that find
 	// no description are retried with out-of-vocabulary words corrected
 	// to their closest vocabulary word (extension; see match.MatchFuzzy).
@@ -121,12 +117,6 @@ type Options struct {
 	DisableMostFrequent bool
 	DisableDefaultRow   bool
 	DisableRepair       bool
-}
-
-func (o *Options) fill() {
-	if o.MaxGramsPerLine <= 0 {
-		o.MaxGramsPerLine = 2500
-	}
 }
 
 // Estimator is the end-to-end pipeline. Construct with New. A single
@@ -161,7 +151,7 @@ type Estimator struct {
 	matchCache  *memo.Cache[matchHit]
 
 	// batchState is the batch machinery: worker environments and the
-	// striped batched-flush stat aggregates (batch.go).
+	// batched-flush stat aggregates (batch.go).
 	batchState
 }
 
@@ -197,7 +187,6 @@ func NewWithIndex(db *usda.DB, tagger ner.Tagger, opts Options, idx *match.Index
 	if db == nil {
 		return nil, errors.New("core: nil database")
 	}
-	opts.fill()
 	m, err := match.NewFromIndex(db, match.DefaultOptions(), idx)
 	if err != nil {
 		return nil, err
@@ -209,7 +198,6 @@ func newEstimator(db *usda.DB, m *match.Matcher, tagger ner.Tagger, opts Options
 	if tagger == nil {
 		tagger = ner.RuleTagger{}
 	}
-	opts.fill()
 	e := &Estimator{
 		tagger:    tagger,
 		opts:      opts,
@@ -220,7 +208,6 @@ func newEstimator(db *usda.DB, m *match.Matcher, tagger ner.Tagger, opts Options
 		e.phraseCache = memo.NewPolicy[record](opts.CacheSize, memo.DefaultShards, opts.CachePolicy)
 		e.matchCache = memo.NewPolicy[matchHit](opts.CacheSize, memo.DefaultShards, opts.CachePolicy)
 	}
-	e.batchState.init()
 	return e, nil
 }
 
@@ -283,7 +270,7 @@ type RecipeResult struct {
 func (e *Estimator) EstimateIngredient(phrase string) IngredientResult {
 	v := e.pin()
 	w := e.getEnv(v.snap)
-	defer e.putEnv(w, 0)
+	defer e.putEnv(w)
 	return e.estimateEnv(v, phrase, w)
 }
 
@@ -337,7 +324,7 @@ func (e *Estimator) estimateCached(v view, phrase string, sc *pipeline.Scratch, 
 func (e *Estimator) EstimateIngredientScratch(phrase string, sc *pipeline.Scratch) IngredientResult {
 	v := e.pin()
 	w := e.getEnv(v.snap)
-	defer e.putEnv(w, 0)
+	defer e.putEnv(w)
 	w.phrases++
 	return e.estimateCached(v, phrase, sc, w.sess)
 }
@@ -427,6 +414,11 @@ func (e *Estimator) quantity(raw string) float64 {
 	return v
 }
 
+// maxGramsPerLine is the §II-C sanity threshold on quantity×unit
+// ("putting a threshold on the quantity per unit"): lines computing
+// heavier than this, in grams, trigger quantity/unit re-pairing.
+const maxGramsPerLine = 2500
+
 // resolveUnit runs the §II-C fallback chain, filling Unit, UnitOrigin,
 // GramsVia and Grams. The phrase's tokens are already in sc; entity
 // fields resolve through their recorded first-word index and the
@@ -437,13 +429,13 @@ func (e *Estimator) resolveUnit(res *IngredientResult, food usda.Row, sc *pipeli
 		if grams <= 0 {
 			return false
 		}
-		if grams > e.opts.MaxGramsPerLine {
+		if grams > maxGramsPerLine {
 			if e.opts.DisableRepair {
 				return false
 			}
 			// §II-C threshold: implausibly heavy lines ("500 cups") are
 			// re-paired by scanning for an adjacent quantity+unit pair.
-			if g2, u2, q2, ok := e.repair(food, sc); ok && g2 <= e.opts.MaxGramsPerLine {
+			if g2, u2, q2, ok := e.repair(food, sc); ok && g2 <= maxGramsPerLine {
 				res.Unit, res.UnitOrigin, res.GramsVia = u2, UnitSearched, GramsWeightRow
 				res.Quantity, res.Grams = q2, g2
 				if _, exact := food.GramsForUnit(u2); !exact {
@@ -579,7 +571,7 @@ func (e *Estimator) repair(food usda.Row, sc *pipeline.Scratch) (grams float64, 
 			continue
 		}
 		g, via := e.gramsFor(food, name, q)
-		if via != GramsNone && g > 0 && g <= e.opts.MaxGramsPerLine {
+		if via != GramsNone && g > 0 && g <= maxGramsPerLine {
 			return g, name, q, true
 		}
 	}

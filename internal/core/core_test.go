@@ -117,7 +117,7 @@ func TestThresholdRejectsAbsurdLines(t *testing.T) {
 	r := e.EstimateIngredient("500 cups flour")
 	// 500 cups = 62.5 kg; with no repairable pair the line must not map
 	// at the absurd weight.
-	if r.Mapped && r.Grams > e.opts.MaxGramsPerLine {
+	if r.Mapped && r.Grams > maxGramsPerLine {
 		t.Errorf("absurd line mapped at %vg", r.Grams)
 	}
 }

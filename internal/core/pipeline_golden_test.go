@@ -64,11 +64,11 @@ func refResolveUnit(e *Estimator, res *IngredientResult, food usda.Row) {
 		if grams <= 0 {
 			return false
 		}
-		if grams > e.opts.MaxGramsPerLine {
+		if grams > maxGramsPerLine {
 			if e.opts.DisableRepair {
 				return false
 			}
-			if g2, u2, q2, ok := refRepair(e, food, tokens); ok && g2 <= e.opts.MaxGramsPerLine {
+			if g2, u2, q2, ok := refRepair(e, food, tokens); ok && g2 <= maxGramsPerLine {
 				res.Unit, res.UnitOrigin, res.GramsVia = u2, UnitSearched, GramsWeightRow
 				res.Quantity, res.Grams = q2, g2
 				if _, exact := food.GramsForUnit(u2); !exact {
@@ -137,7 +137,7 @@ func refRepair(e *Estimator, food usda.Row, tokens []string) (grams float64, uni
 			continue
 		}
 		g, via := e.gramsFor(food, name, q)
-		if via != GramsNone && g > 0 && g <= e.opts.MaxGramsPerLine {
+		if via != GramsNone && g > 0 && g <= maxGramsPerLine {
 			return g, name, q, true
 		}
 	}

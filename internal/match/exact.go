@@ -1,6 +1,10 @@
 package match
 
-import "nutriprofile/internal/textutil"
+import (
+	"slices"
+
+	"nutriprofile/internal/textutil"
+)
 
 // ExactMatcher is the naive string-matching baseline the paper's
 // introduction positions itself against ("Previous studies have testified
@@ -22,22 +26,14 @@ func NewExact(m *Matcher) *ExactMatcher { return &ExactMatcher{m: m} }
 // Match returns the first (shortest-description) food containing every
 // query word, or ok=false.
 func (e *ExactMatcher) Match(q Query) (Result, bool) {
-	anchor, scored, _ := e.m.querySet(q)
-	if anchor.Len() == 0 {
+	a := e.m.getArena()
+	defer e.m.putArena(a)
+	// A scored word absent from the interned vocabulary appears in no
+	// description, so full containment is impossible for the whole query.
+	if !a.prepare(e.m, q) || len(a.ids) != a.scoredLen {
 		return Result{}, false
 	}
-	// Lift the scored words into ID space. A word absent from the
-	// interned vocabulary appears in no description, so full containment
-	// is impossible for the whole query.
-	ids := make([]uint32, 0, scored.Len())
-	for w := range scored {
-		id, ok := e.m.vocab.Lookup(w)
-		if !ok {
-			return Result{}, false
-		}
-		ids = append(ids, id)
-	}
-	want := textutil.NewIDSet(ids)
+	want := textutil.NewIDSet(a.ids)
 	bestIdx, bestLen := -1, 1<<31-1
 	for d := 0; d < e.m.db.Len(); d++ {
 		doc := e.m.docIDs(int32(d))
@@ -52,8 +48,10 @@ func (e *ExactMatcher) Match(q Query) (Result, bool) {
 		return Result{}, false
 	}
 	food := e.m.db.At(bestIdx)
+	matched := slices.Clone(a.words)
+	slices.Sort(matched)
 	return Result{
 		NDB: food.NDB(), Desc: food.Desc(), Score: 1.0,
-		Matched: scored.Sorted(), index: bestIdx,
+		Matched: matched, index: bestIdx,
 	}, true
 }

@@ -8,6 +8,8 @@ package match
 // (whose preprocessing assumes clean tokens); the typo experiment
 // quantifies the match-rate it recovers.
 
+import "strings"
+
 // withinDL1 reports whether two words are within Damerau–Levenshtein
 // distance 1 (one insertion, deletion, substitution, or adjacent
 // transposition).
@@ -100,23 +102,8 @@ func (m *Matcher) CorrectQuery(q Query) (Query, bool) {
 		return q, false
 	}
 	out := q
-	out.Name = join(tokens)
+	out.Name = strings.Join(tokens, " ")
 	return out, true
-}
-
-func join(tokens []string) string {
-	n := 0
-	for _, t := range tokens {
-		n += len(t) + 1
-	}
-	b := make([]byte, 0, n)
-	for i, t := range tokens {
-		if i > 0 {
-			b = append(b, ' ')
-		}
-		b = append(b, t...)
-	}
-	return string(b)
 }
 
 // MatchFuzzy matches with the typo-correction fallback: an exact Match

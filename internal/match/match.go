@@ -153,9 +153,7 @@ type Matcher struct {
 	pruneTermsSkipped    atomic.Uint64
 	prunePostingsAvoided atomic.Uint64
 	pruneDocsDropped     atomic.Uint64
-	pruneCompactions     atomic.Uint64
 	pruneGatherExits     atomic.Uint64
-	adaptiveProbeTerms   atomic.Uint64
 }
 
 // Index is the matcher's prebuilt scoring index in its exact in-memory
@@ -400,29 +398,6 @@ func (m *Matcher) docLen(d int32) int {
 	return int(m.docOff[d+1] - m.docOff[d])
 }
 
-// querySet builds the preprocessed ingredient word set A of §II-B(e) in
-// string space. The scoring engine works in interned-ID space (see
-// arena.prepare); this helper remains for the containment baseline
-// (ExactMatcher) and for tests that inspect the sets directly.
-// rawEligible reports whether the §II-B(g) provision applies (no STATE
-// entity and "raw" not already a query word).
-func (m *Matcher) querySet(q Query) (anchor, scored textutil.Set, rawEligible bool) {
-	nameTokens := NormalizeTokens(q.Name)
-	tokens := nameTokens
-	for _, extra := range []string{q.State, q.Temp, q.DryFresh} {
-		if extra != "" {
-			tokens = append(tokens, NormalizeTokens(extra)...)
-		}
-	}
-	scored = textutil.NewSet(tokens)
-	anchor = scored
-	if m.opts.NameAnchoring {
-		anchor = textutil.NewSet(nameTokens)
-	}
-	rawEligible = m.opts.RawProvision && q.State == "" && !scored.Has("raw")
-	return anchor, scored, rawEligible
-}
-
 // Match returns the best description for the query, or ok=false when no
 // description shares a word with it (the unmatched ~5.5% of §III). It
 // allocates nothing on the warm path beyond the optional ExplainMatched
@@ -540,11 +515,9 @@ type MatcherStats struct {
 
 	// Pruned-engine counters (prune.go).
 	PruneTermsSkipped    uint64 `json:"prune_terms_skipped"`    // scored terms never applied (candidate set emptied)
-	PrunePostingsAvoided uint64 `json:"prune_postings_avoided"` // posting entries never sequentially scanned
-	PruneDocsDropped     uint64 `json:"prune_docs_dropped"`     // candidates dropped by bar compaction
-	PruneCompactions     uint64 `json:"prune_compactions"`      // bar compaction passes over the candidate set
+	PrunePostingsAvoided uint64 `json:"prune_postings_avoided"` // posting entries never walked (candidate set emptied)
+	PruneDocsDropped     uint64 `json:"prune_docs_dropped"`     // candidates skipped by the exact final selection bar
 	PruneGatherExits     uint64 `json:"prune_gather_exits"`     // queries that switched gather → update-only mode
-	AdaptiveProbeTerms   uint64 `json:"adaptive_probe_terms"`   // terms scored by candidate probes instead of posting walks
 }
 
 // PoolHitRate returns the fraction of arena checkouts served by a
@@ -575,9 +548,7 @@ func (m *Matcher) Stats() MatcherStats {
 		PruneTermsSkipped:    m.pruneTermsSkipped.Load(),
 		PrunePostingsAvoided: m.prunePostingsAvoided.Load(),
 		PruneDocsDropped:     m.pruneDocsDropped.Load(),
-		PruneCompactions:     m.pruneCompactions.Load(),
 		PruneGatherExits:     m.pruneGatherExits.Load(),
-		AdaptiveProbeTerms:   m.adaptiveProbeTerms.Load(),
 	}
 }
 

@@ -3,6 +3,7 @@ package match
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -96,13 +97,17 @@ func TestAppleRawProvisionAndPriority(t *testing.T) {
 func TestRawProvisionDisabledChangesNothingWithState(t *testing.T) {
 	// With a STATE present the provision must not add "raw".
 	m := defaultMatcher(t)
-	_, scored, eligibleNoState := m.querySet(Query{Name: "apple"})
-	_, _, eligibleWithState := m.querySet(Query{Name: "apple", State: "chopped"})
+	a := m.getArena()
+	defer m.putArena(a)
+	a.prepare(m, Query{Name: "apple"})
+	eligibleNoState := a.rawEligible
+	if slices.Contains(a.words, "raw") {
+		t.Error("raw must never enter the scored set")
+	}
+	a.prepare(m, Query{Name: "apple", State: "chopped"})
+	eligibleWithState := a.rawEligible
 	if !eligibleNoState {
 		t.Error("raw provision not eligible for stateless query")
-	}
-	if scored.Has("raw") {
-		t.Error("raw must never enter the scored set")
 	}
 	if eligibleWithState {
 		t.Error("raw provision wrongly eligible with STATE present")

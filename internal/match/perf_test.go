@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"testing"
 
+	"nutriprofile/internal/ner"
+	"nutriprofile/internal/recipedb"
 	"nutriprofile/internal/usda"
 )
 
@@ -75,10 +77,10 @@ func BenchmarkRankLargeDB(b *testing.B) {
 // longPostingQueries are the pruning engine's target workload: names
 // and folded entities that drag stop-word-like terms ("raw", "whole",
 // "with salt") whose posting lists span hundreds-to-thousands of
-// documents at SR26 scale. The mix covers the three pruning wins:
-// heavy terms inside the anchor (merged gather+score), a rare anchor
-// with a heavy folded state (adaptive candidate probing), and
-// many-term names (gather-exit + bar compaction).
+// documents at SR26 scale. The mix covers heavy terms inside the
+// anchor (merged gather+score), a rare anchor with a heavy folded
+// state (an update-only walk over a long posting list), and many-term
+// names (gather exit and the selection bar).
 var longPostingQueries = []Query{
 	{Name: "chicken raw"},
 	{Name: "raw whole milk"},
@@ -134,6 +136,54 @@ func BenchmarkRankLongPostings(b *testing.B) {
 		db   *usda.DB
 	}{{"seed", usda.Seed()}, {"sr26", usda.Merged(7500, 3)}} {
 		b.Run(sc.name, func(b *testing.B) { benchRankEngines(b, sc.db, longPostingQueries) })
+	}
+}
+
+// saltedCorpusQueries is bulk-cold's ranking workload: one query per
+// ingredient phrase of the 3,000-recipe seed-42 corpus, each phrase
+// salted with a token unique to it the way nutribench's bulk-cold salts
+// its first pass (" zq", two pass letters, six letters numbering the
+// phrase) so no cache could answer it, then extracted by the rule
+// tagger as the served pipeline extracts it.
+func saltedCorpusQueries(tb testing.TB) []Query {
+	corpus, err := recipedb.Generate(recipedb.Config{NumRecipes: 3000, Seed: 42})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	const letters = "bcdfghjklmnpqrtv"
+	phrases := corpus.Phrases()
+	queries := make([]Query, len(phrases))
+	for id, p := range phrases {
+		salted := append([]byte(p), " zq"...)
+		salted = append(salted, letters[0], letters[0]) // pass 0
+		for shift := 20; shift >= 0; shift -= 4 {
+			salted = append(salted, letters[id>>shift&15])
+		}
+		ex := ner.Extract(ner.RuleTagger{}, string(salted))
+		queries[id] = Query{Name: ex.Name, State: ex.State, Temp: ex.Temp, DryFresh: ex.DryFresh}
+	}
+	return queries
+}
+
+// BenchmarkRankCorpus ranks bulk-cold's queries (saltedCorpusQueries)
+// at k=1 over the table nutribench serves, both engines: the workload
+// the pruning mechanisms are audited on (EXPERIMENTS.md). Some salted
+// queries match nothing, as on the served path.
+func BenchmarkRankCorpus(b *testing.B) {
+	m := NewDefault(usda.Merged(7500, 1))
+	queries := saltedCorpusQueries(b)
+	for _, eng := range []struct {
+		name     string
+		rankInto func(Query, int, []Result) []Result
+	}{{"pruned", m.RankInto}, {"exhaustive", newSpec(m).RankInto}} {
+		b.Run(eng.name+"/k=1", func(b *testing.B) {
+			var buf []Result
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf = eng.rankInto(queries[i%len(queries)], 1, buf)
+			}
+		})
 	}
 }
 

@@ -4,8 +4,8 @@ package match
 // produces byte-identical results to the straight-line exhaustive
 // engine — the executable spec in spec_test.go, which walks every
 // scored term's posting list in full and scores every touched
-// document — while doing strictly less posting work on three classical
-// IR axes:
+// document — while doing strictly less work through three classical
+// IR mechanisms and an exact selection bar:
 //
 //  1. df-ordered term scheduling. Scored terms are processed
 //     rarest-first (anchor terms — the only terms allowed to CREATE
@@ -13,8 +13,8 @@ package match
 //     the accumulators are as discriminating as possible before the
 //     long stop-word-like posting lists arrive. Accumulation is
 //     commutative integer addition, so any processing order yields the
-//     same final counters; order only decides how early the pruning
-//     bars engage.
+//     same final counters; order only decides how early the gather bar
+//     engages.
 //
 //  2. A merged gather+score pass. The exhaustive engine walks every
 //     anchor posting list twice — once to mark candidates, once to
@@ -22,32 +22,21 @@ package match
 //     query whose heaviest term sits in the NAME itself ("raw chicken")
 //     pays for that term's posting list exactly once.
 //
-//  3. Adaptive posting-vs-candidate scoring. A term in update-only mode
-//     must only touch documents that are already candidates. When its
-//     posting list is ≥ probeCrossover× longer than the live candidate
-//     set, the engine binary-probes the posting list once per candidate
-//     (O(|touched|·log df)) instead of walking it (O(df)) — killing the
-//     pathology where a 3-candidate anchor set pays a 2,000-entry "raw"
-//     posting scan. The posting list is probed rather than the doc's
-//     term IDSet because the §II-B(h) priority lives in the posting
-//     entry; presence alone would not reproduce the tie-break chain.
+//  3. The gather→update bar (Modified Jaccard, bounded k). Under
+//     J* = |A∩B|/|A| every scored term contributes exactly 1/|A|, so
+//     intersection COUNTS order scores exactly. Before anchor term i
+//     (of T total scored terms), a document not yet touched can finish
+//     with at most T−i intersections. If at least k live candidates
+//     already hold strictly more (worst-at-root bar B > T−i), no unseen
+//     document can ever displace them — switch to update-only mode and
+//     stop materializing new accumulators for the remaining long-tail
+//     terms. An update-only term walks its posting list and bumps only
+//     documents that are already candidates.
 //
-//  4. Quit/continue early termination (Modified Jaccard, bounded k).
-//     Under J* = |A∩B|/|A| every scored term contributes exactly 1/|A|,
-//     so intersection COUNTS order scores exactly and two integer bars
-//     are available:
-//
-//     gather→update: before anchor term i (of T total scored terms), a
-//     document not yet touched can finish with at most T−i
-//     intersections. If at least k live candidates already hold
-//     strictly more (worst-at-root bar B > T−i), no unseen document can
-//     ever displace them — switch to update-only mode and stop
-//     materializing new accumulators for the remaining long-tail terms.
-//
-//     compaction: in update-only mode, with r terms still unapplied, a
-//     candidate with inter+r < B is strictly dominated by ≥ k live
-//     candidates and is dropped (unstamped + removed from touched), so
-//     late long-tail terms and the final selection scan only survivors.
+// The selection bar: once every term is applied, the k-th largest
+// intersection count is an exact floor, and a candidate strictly below
+// it is skipped with one integer compare instead of a float score,
+// filter and heap round-trip.
 //
 // Exactness of the bars despite the raw-bonus/priority/doc-order
 // tie-break chain: both bars demand a STRICT intersection-count
@@ -56,37 +45,19 @@ package match
 // integers, so float division preserves strict order), and `better`
 // consults the tie-break chain only on EQUAL scores — a strictly
 // dominated candidate loses to all k witnesses no matter how its raw
-// bonus, priority sum or database index compare. Ties (inter+r == B)
-// are always kept. The witnesses themselves are never dropped
-// (inter ≥ B > inter+r is unsatisfiable for them) and only ever gain
-// intersections, so the final selection provably contains the same k
-// results, with bit-identical scores, priorities and raw flags, in the
-// same total order. Vanilla Jaccard divides by |A∪B|, which varies per
-// document, so intersection counts do not order scores across
-// documents: the bars stay off (useBar == false) and vanilla queries
-// keep df-ordering, the merged gather pass and adaptive probing only —
-// all of which are order/lookup changes with identical arithmetic.
+// bonus, priority sum or database index compare. Ties are always kept,
+// so the final selection provably contains the same k results, with
+// bit-identical scores, priorities and raw flags, in the same total
+// order. Vanilla Jaccard divides by |A∪B|, which varies per document,
+// so intersection counts do not order scores across documents: the
+// bars stay off (useBar == false) and vanilla queries keep df-ordering
+// and the merged gather pass only — order changes with identical
+// arithmetic.
 //
-// MinScore interacts safely with both bars: a dropped candidate either
+// MinScore interacts safely with both bars: a skipped candidate either
 // fails the MinScore filter (and was never returned by the spec
 // engine) or passes it — in which case its k strict dominators pass it
 // too and fill the selection ahead of it.
-
-// probeCrossover is the adaptive scoring heuristic: an update-only term
-// is binary-probed per candidate instead of walked when its posting
-// list is at least this many times longer than the live candidate set.
-// A probe costs ~log2(df) branchy comparisons against the walk's one
-// sequential load per posting, so the ratio is set well above break-even
-// to keep the walk — which also prefetches — on all close calls.
-const probeCrossover = 8
-
-// Compaction gates: a compaction pass costs O(|touched|), so it only
-// runs when the candidate set is big enough for drops to pay for the
-// scan, both absolutely and relative to k.
-const (
-	compactMinTouched = 64
-	compactMinFanout  = 4
-)
 
 // schedTerm is one scored term in the df-ordered schedule.
 type schedTerm struct {
@@ -117,8 +88,6 @@ type pruneLocal struct {
 	termsSkipped    uint64
 	postingsAvoided uint64
 	docsDropped     uint64
-	compactions     uint64
-	probeTerms      uint64
 	gatherExit      bool
 }
 
@@ -229,8 +198,7 @@ func (m *Matcher) rankCands(a *arena, q Query, k int) []cand {
 
 		// Update-only mode: no anchor term can create candidates anymore
 		// (either they are exhausted — anchors sort first — or the gather
-		// bar retired them), so dropped documents can never resurface and
-		// compaction is exact.
+		// bar retired them).
 		if len(touched) == 0 {
 			// No candidates at all: nothing left can score, and the spec
 			// engine would return the same empty selection.
@@ -240,61 +208,9 @@ func (m *Matcher) rankCands(a *arena, q Query, k int) []cand {
 			}
 			break
 		}
-		if useBar && len(touched) >= compactMinTouched && len(touched) > compactMinFanout*k {
-			// Compaction: r = this term plus everything after it.
-			// A touched doc has inter ≥ 1, so a drop (inter+r < bar)
-			// requires bar ≥ r+2 — skip the touched walk entirely when
-			// the bar cannot be that discriminating yet.
-			r := int32(total - i)
-			if bar := kthInter(hist, k); bar >= r+2 {
-				pc.compactions++
-				keep := touched[:0]
-				for _, d := range touched {
-					e := &a.acc[d]
-					if e.inter+r < bar {
-						e.stamp = epoch - 1 // unmark: walks and selection skip it
-						hist[e.inter]--
-						pc.docsDropped++
-					} else {
-						keep = append(keep, d)
-					}
-				}
-				touched = keep
-			}
-		}
-
 		off, end := m.postOff[st.id], m.postOff[st.id+1]
 		docs := m.postDocs[off:end]
 		pris := m.postPri[off:end]
-		if int(st.df) > probeCrossover*len(touched) {
-			// Candidate-probe mode: binary-search each live candidate in
-			// the posting list instead of scanning it.
-			pc.probeTerms++
-			pc.postingsAvoided += uint64(len(docs))
-			for _, d := range touched {
-				lo, hi := 0, len(docs)
-				for lo < hi {
-					mid := int(uint(lo+hi) >> 1)
-					if docs[mid] < d {
-						lo = mid + 1
-					} else {
-						hi = mid
-					}
-				}
-				if lo < len(docs) && docs[lo] == d {
-					e := &a.acc[d]
-					v := e.inter
-					e.inter = v + 1
-					e.pri += pris[lo]
-					if hist != nil {
-						hist[v]--
-						hist[v+1]++
-					}
-				}
-			}
-			continue
-		}
-		// Posting-walk mode: the classic TAAT update over stamped docs.
 		for j, d := range docs {
 			e := &a.acc[d]
 			if e.stamp == epoch {
@@ -326,7 +242,7 @@ func (m *Matcher) rankCands(a *arena, q Query, k int) []cand {
 	}
 
 	// Score, filter and select — identical arithmetic and total order to
-	// the exhaustive spec, over the surviving candidates.
+	// the exhaustive spec, over every touched candidate.
 	sel := a.cands[:0]
 	vanilla := m.opts.Metric == VanillaJaccard
 	scoredLen := float64(a.scoredLen)
@@ -391,12 +307,6 @@ func (m *Matcher) flushPrune(pc *pruneLocal) {
 	}
 	if pc.docsDropped != 0 {
 		m.pruneDocsDropped.Add(pc.docsDropped)
-	}
-	if pc.compactions != 0 {
-		m.pruneCompactions.Add(pc.compactions)
-	}
-	if pc.probeTerms != 0 {
-		m.adaptiveProbeTerms.Add(pc.probeTerms)
 	}
 	if pc.gatherExit {
 		m.pruneGatherExits.Add(1)

@@ -242,8 +242,9 @@ func TestPruneGoldenSR26Corpus(t *testing.T) {
 
 // TestPruneCountersAccount pins the observability contract: the
 // matcher reports its work avoidance through MatcherStats. The
-// long-posting workload must trigger every counter class the /metrics
-// families export.
+// long-posting workload, plus one query whose out-of-vocabulary name
+// leaves the candidate set empty before its folded state term, must
+// trigger every counter class the /metrics families export.
 func TestPruneCountersAccount(t *testing.T) {
 	m := New(usda.Merged(2000, 3), DefaultOptions())
 	for _, q := range longPostingQueries {
@@ -253,13 +254,17 @@ func TestPruneCountersAccount(t *testing.T) {
 			}
 		}
 	}
+	empty := Query{Name: "zzqxv", State: "raw"}
+	if rs := m.Rank(empty, 1); len(rs) != 0 {
+		t.Fatalf("%+v ranked %d results, want none", empty, len(rs))
+	}
 
 	st := m.Stats()
 	for name, v := range map[string]uint64{
+		"PruneTermsSkipped":    st.PruneTermsSkipped,
 		"PrunePostingsAvoided": st.PrunePostingsAvoided,
 		"PruneDocsDropped":     st.PruneDocsDropped,
 		"PruneGatherExits":     st.PruneGatherExits,
-		"AdaptiveProbeTerms":   st.AdaptiveProbeTerms,
 	} {
 		if v == 0 {
 			t.Errorf("%s = 0 after the long-posting workload", name)

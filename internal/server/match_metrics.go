@@ -5,7 +5,7 @@ package server
 // for why these are snapshotted at scrape time rather than
 // registered). The prune counters expose the candidate-pruned
 // ranking engine's work avoidance — postings never walked, candidates
-// retired by the bar tests, gather→update transitions — so a ±10%
+// skipped by the selection bar, gather→update transitions — so a ±10%
 // regression in pruning effectiveness is visible on a dashboard long
 // before it shows up as cold-batch latency. One MatcherStats snapshot
 // per scrape; the families carry no labels (there is one matcher per
@@ -28,15 +28,11 @@ var matchFamilies = []struct {
 		func(st match.MatcherStats) float64 { return float64(st.PoolGets) }},
 	{"nutriserve_match_pool_misses_total", "Arena checkouts that allocated instead of reusing a pooled arena.", "counter",
 		func(st match.MatcherStats) float64 { return float64(st.PoolMisses) }},
-	{"nutriserve_match_probe_terms_total", "Update terms scored by candidate probes of the posting list instead of a full walk.", "counter",
-		func(st match.MatcherStats) float64 { return float64(st.AdaptiveProbeTerms) }},
-	{"nutriserve_match_prune_compactions_total", "Candidate-set compaction passes run by the pruned engine.", "counter",
-		func(st match.MatcherStats) float64 { return float64(st.PruneCompactions) }},
-	{"nutriserve_match_prune_docs_dropped_total", "Candidates retired by the exact bar tests (compaction and final selection).", "counter",
+	{"nutriserve_match_prune_docs_dropped_total", "Candidates skipped by the exact final selection bar.", "counter",
 		func(st match.MatcherStats) float64 { return float64(st.PruneDocsDropped) }},
 	{"nutriserve_match_prune_gather_exits_total", "Queries whose gather phase ended early (gather-to-update transition).", "counter",
 		func(st match.MatcherStats) float64 { return float64(st.PruneGatherExits) }},
-	{"nutriserve_match_prune_postings_avoided_total", "Posting entries never walked thanks to probing, skipping, or early exit.", "counter",
+	{"nutriserve_match_prune_postings_avoided_total", "Posting entries never walked because the candidate set emptied.", "counter",
 		func(st match.MatcherStats) float64 { return float64(st.PrunePostingsAvoided) }},
 	{"nutriserve_match_prune_terms_skipped_total", "Scheduled terms skipped outright (empty candidate set).", "counter",
 		func(st match.MatcherStats) float64 { return float64(st.PruneTermsSkipped) }},

@@ -109,8 +109,6 @@ func TestMatchMetricsExposition(t *testing.T) {
 	want := map[string]float64{
 		"nutriserve_match_pool_gets_total":              float64(st.PoolGets),
 		"nutriserve_match_pool_misses_total":            float64(st.PoolMisses),
-		"nutriserve_match_probe_terms_total":            float64(st.AdaptiveProbeTerms),
-		"nutriserve_match_prune_compactions_total":      float64(st.PruneCompactions),
 		"nutriserve_match_prune_docs_dropped_total":     float64(st.PruneDocsDropped),
 		"nutriserve_match_prune_gather_exits_total":     float64(st.PruneGatherExits),
 		"nutriserve_match_prune_postings_avoided_total": float64(st.PrunePostingsAvoided),

@@ -27,7 +27,7 @@ func TestScrapeFamiliesGolden(t *testing.T) {
 		Docs: 8214, VocabSize: 5120, PostingLists: 5120, PostingEntries: 123456789012,
 		PoolGets: 12345678901234567890, PoolMisses: 0,
 		PruneTermsSkipped: 11, PrunePostingsAvoided: 1e15, PruneDocsDropped: 999999,
-		PruneCompactions: 5, PruneGatherExits: 6, AdaptiveProbeTerms: 77,
+		PruneGatherExits: 6,
 	}
 	var got bytes.Buffer
 	if err := writeMemoMetrics(&got, phrase, matchStats); err != nil {

@@ -334,16 +334,31 @@ func (s *Server) instrumentBulk(route string, h http.HandlerFunc) http.Handler {
 
 // Serve runs the API on ln until ctx is cancelled, then shuts down
 // gracefully: the listener closes immediately, in-flight requests get
-// up to drain to complete, and stragglers are cut off. The returned
-// error is nil on a clean drain, context.DeadlineExceeded when the
-// drain timed out, or the listener failure that stopped the server.
+// up to drain to complete, and stragglers are cut off. Serve returns
+// only once every connection has closed, so no handler outlives it.
+// The returned error is nil on a clean drain, context.DeadlineExceeded
+// when the drain timed out, or the listener failure that stopped the
+// server.
 func (s *Server) Serve(ctx context.Context, ln net.Listener, drain time.Duration) error {
 	// Shutdown (below) stops the listener but does not cancel in-flight
 	// request contexts, so admitted work finishes within the drain
-	// window — the ordering DESIGN.md §9 documents.
+	// window — the ordering DESIGN.md §9 documents. Shutdown can close
+	// a keep-alive connection it sees as idle just after that
+	// connection read its next request, and that request's handler then
+	// runs after Shutdown returns; conns counts connections until they
+	// close, which is after their last handler returned.
+	var conns sync.WaitGroup
 	hs := &http.Server{
 		Handler:           s.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
+		ConnState: func(_ net.Conn, st http.ConnState) {
+			switch st {
+			case http.StateNew:
+				conns.Add(1)
+			case http.StateClosed, http.StateHijacked:
+				conns.Done()
+			}
+		},
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
@@ -362,6 +377,20 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener, drain time.Duration
 	// Serve always returns ErrServerClosed after Shutdown; swallow it.
 	if serr := <-errc; serr != nil && !errors.Is(serr, http.ErrServerClosed) && err == nil {
 		err = serr
+	}
+	// hs.Serve counts every connection it accepted (StateNew) before it
+	// returns, so no Add races this Wait.
+	closed := make(chan struct{})
+	go func() {
+		conns.Wait()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-dctx.Done():
+		if err == nil {
+			err = dctx.Err()
+		}
 	}
 	return err
 }
