@@ -84,6 +84,7 @@ fuzz:
 	$(GO) test -fuzz FuzzExpandFractions -fuzztime 15s ./internal/textutil/
 	$(GO) test -fuzz FuzzPipelineScratch -fuzztime 15s ./internal/pipeline/
 	$(GO) test -fuzz FuzzTagScratchSpec -fuzztime 15s ./internal/ner/
+	$(GO) test -fuzz FuzzScratchAdmission -fuzztime 15s ./internal/ner/
 	$(GO) test -fuzz FuzzLoadModel -fuzztime 15s ./internal/ner/
 	$(GO) test -fuzz FuzzReadCSV -fuzztime 15s ./internal/recipedb/
 	$(GO) test -fuzz FuzzMemoAdmission -fuzztime 15s ./internal/memo/

@@ -10,6 +10,7 @@ package bench
 import (
 	"context"
 	"testing"
+	"unsafe"
 
 	"nutriprofile/internal/core"
 	"nutriprofile/internal/experiments"
@@ -354,6 +355,51 @@ func BenchmarkPipelineScratch(b *testing.B) {
 		}
 		sc.PhraseKey()
 		sc.JoinKey(ex.Name, ex.State, ex.Temp, ex.DryFresh)
+	}
+}
+
+// BenchmarkPipelineScratchCold is BenchmarkPipelineScratch's loop over
+// never-seen phrases on a warm scratch: each phrase ends in a new
+// letters-only salt word, as nutribench's bulk-cold phrases do, so its
+// salt token and the field the salt joins are one-offs. The allocs/op
+// column is what a one-off costs the front end: 1, that field's string,
+// since the scratch memos store a spelling only on its second sighting.
+func BenchmarkPipelineScratchCold(b *testing.B) {
+	phrases := batchCorpus(b, 50)
+	var rt ner.RuleTagger
+	sc := new(pipeline.Scratch)
+	front := func(p string) {
+		sc.Tokenize(p)
+		ex := sc.Extract(rt)
+		for j := range sc.Tokens() {
+			sc.UnitFor(j)
+		}
+		sc.PhraseKey()
+		sc.JoinKey(ex.Name, ex.State, ex.Temp, ex.DryFresh)
+	}
+	for range 2 {
+		for _, p := range phrases {
+			front(p)
+		}
+	}
+	// Phrase i's salt is "zq" and i's six base-16 digits in letters
+	// without s, e or y (nutribench's alphabet), rewritten in place in
+	// its phrase's buffer as the server reuses its request buffers: salts
+	// never recur within 16^6 phrases, and building one allocates nothing.
+	const letters = "bcdfghjklmnpqrtv"
+	bufs := make([][]byte, len(phrases))
+	for k, p := range phrases {
+		bufs[k] = append([]byte(p), " zq------"...)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf := bufs[i%len(bufs)]
+		salt := buf[len(buf)-6:]
+		for k := range salt {
+			salt[k] = letters[i>>(20-4*k)&15]
+		}
+		front(unsafe.String(&buf[0], len(buf)))
 	}
 }
 

@@ -260,6 +260,11 @@ type RecipeInput struct {
 	// — the Bognár-style adjustment the paper cites as the accuracy gap
 	// of the raw-ingredient-sum approximation — to the recipe's totals.
 	Method yield.Method
+	// LinesOnly marks an input whose caller reads only the per-line
+	// results, as the serving codec's estimate items do: the recipe
+	// totals are not summed, and the outcome's Result holds only
+	// Ingredients.
+	LinesOnly bool
 }
 
 // validate reports why r cannot be estimated, or nil.
@@ -275,10 +280,9 @@ func (r *RecipeInput) validate() error {
 
 // aggregate sums r's per-ingredient results into out and applies r's
 // cooking-yield correction to the totals. It writes every field of out,
-// in place: a RecipeResult is a few hundred bytes, and the one-phrase
-// /v1/estimate window would otherwise pay for copying it back. Every
-// yield.None factor is 1, so a raw recipe — every /v1/estimate window
-// among them — skips the correction without changing a bit.
+// in place: a RecipeResult is a few hundred bytes. Every yield.None
+// factor is 1, so a raw recipe skips the correction without changing a
+// bit.
 func (r *RecipeInput) aggregate(ingredients []IngredientResult, out *RecipeResult) {
 	var total nutrition.Profile
 	mapped := 0
@@ -330,7 +334,11 @@ func (e *Estimator) estimateRecipeEnv(ctx context.Context, v view, r *RecipeInpu
 		}
 		ingredients[i] = e.estimateEnv(v, p, w)
 	}
-	r.aggregate(ingredients, &o.Result)
+	if r.LinesOnly {
+		o.Result.Ingredients = ingredients
+	} else {
+		r.aggregate(ingredients, &o.Result)
+	}
 	o.Err = nil
 }
 

@@ -8,9 +8,11 @@ package core
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
+	"nutriprofile/internal/nutrition"
 	"nutriprofile/internal/usda"
 )
 
@@ -210,6 +212,29 @@ func TestEstimateRecipesSharedWorkers(t *testing.T) {
 			if got := renderResult(o.Result, o.Err); got != want[i] {
 				t.Fatalf("workers=%d recipe %d diverged:\n got: %s\nwant: %s", workers, i, got, want[i])
 			}
+		}
+	}
+}
+
+// TestLinesOnlySkipsTotals: a LinesOnly input yields the same per-line
+// results as the full recipe, with the recipe totals left unsummed.
+func TestLinesOnlySkipsTotals(t *testing.T) {
+	_, phrases := testCorpus(t, 10)
+	e := NewDefault()
+	for i, lines := range phrases {
+		full, err := e.EstimateRecipe(context.Background(), RecipeInput{Phrases: lines, Servings: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		only, err := e.EstimateRecipe(context.Background(), RecipeInput{Phrases: lines, Servings: 2, LinesOnly: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(only.Ingredients, full.Ingredients) {
+			t.Fatalf("recipe %d: LinesOnly lines %+v, want %+v", i, only.Ingredients, full.Ingredients)
+		}
+		if only.Total != (nutrition.Profile{}) || only.Servings != 0 || only.MappedFraction != 0 {
+			t.Fatalf("recipe %d: LinesOnly summed totals: %+v", i, only)
 		}
 	}
 }

@@ -105,7 +105,7 @@ type Options struct {
 	// CachePolicy selects the memo caches' admission policy: PolicyLRU
 	// (the zero value) stores every miss; PolicyTinyLFU stores a key
 	// only on its second lookup in an aging period (the doorkeeper,
-	// memo/door.go, DESIGN.md §15), so a cold bulk scan leaves nothing
+	// package admit, DESIGN.md §15), so a cold bulk scan leaves nothing
 	// resident and skewed production traffic keeps its hot head. The
 	// policy can never change estimation results — only which phrases
 	// stay cached — so it is a pure performance ablation, threaded to

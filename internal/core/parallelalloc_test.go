@@ -56,15 +56,24 @@ func TestParallelBatchZeroAllocPerPhrase(t *testing.T) {
 	}
 }
 
-// TestPhraseMissAllocs pins the cost of a phrase-cache miss whose
-// description match is cached: each phrase carries a numeric salt token
-// that leaves its NER name — and so its match query — unchanged but
-// makes it new to the phrase cache. On the benchmark's database and
-// cache budget such a miss allocates the NER scratch's interned
-// Quantity field (the salt joins it, "2 100123") and, under LRU, the
-// phrase-cache key string and the memo entry that holds the result's
-// record by value: 3 allocations. Under TinyLFU the miss is the key's
-// first sighting, so the store is refused and allocates nothing: 1.
+// TestPhraseMissAllocs pins the cost of a phrase-cache miss on the
+// benchmark's database and cache budget, for two salt shapes that each
+// make every phrase new to the phrase cache.
+//
+// A numeric salt leaves the NER name, and so the match query, unchanged
+// (its description match is cached) and joins the Quantity field
+// ("2 100123"). Such a miss allocates the field, a one-off the scratch
+// does not keep, and under LRU also the phrase-cache key string and the
+// memo entry that holds the result's record by value: 3 allocations.
+// Under TinyLFU the miss is the key's first sighting, so the store is
+// refused and allocates nothing: 1.
+//
+// A letters-only salt, nutribench's bulk-cold shape, lands in the NER
+// name, so the rule tagger probes it as a unit and the match query is
+// new too. Under TinyLFU such a miss allocates exactly the one-off Name
+// field: the salt's unit facts are computed and not stored, and its
+// unknown unit name is not cloned. Under LRU the phrase and match tiers
+// each store a key string and an entry: 5.
 func TestPhraseMissAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -73,33 +82,55 @@ func TestPhraseMissAllocs(t *testing.T) {
 	corpus, _ := testCorpus(t, 40)
 	flat := corpus.Phrases()
 	const warm, runs = 2000, 500
-	salted := make([]string, warm+runs+1)
-	for i := range salted {
-		salted[i] = flat[i%len(flat)] + " " + strconv.Itoa(100000+i)
+	salts := []struct {
+		name         string
+		salt         func(i int) string
+		lru, tinyLFU float64
+	}{
+		{"numeric", func(i int) string { return strconv.Itoa(100000 + i) }, 3, 1},
+		{"letters", letterSalt, 5, 1},
 	}
-	for _, policy := range []memo.Policy{memo.PolicyLRU, memo.PolicyTinyLFU} {
-		e, err := New(db, nil, Options{CacheSize: 8192, CachePolicy: policy})
-		if err != nil {
-			t.Fatal(err)
+	for _, st := range salts {
+		salted := make([]string, warm+runs+1)
+		for i := range salted {
+			salted[i] = flat[i%len(flat)] + " " + st.salt(i)
 		}
-		sc := new(pipeline.Scratch)
-		// Warm the match cache, the NER scratch and every scratch buffer.
-		for _, p := range salted[:warm] {
-			e.EstimateIngredientScratch(p, sc)
-		}
-		next := warm
-		allocs := testing.AllocsPerRun(runs, func() {
-			e.EstimateIngredientScratch(salted[next], sc)
-			next++
-		})
-		want := 3.0
-		if policy == memo.PolicyTinyLFU {
-			want = 1
-		}
-		if allocs != want {
-			t.Errorf("%v: a phrase-cache miss allocates %v times, want %v", policy, allocs, want)
+		for _, policy := range []memo.Policy{memo.PolicyLRU, memo.PolicyTinyLFU} {
+			e, err := New(db, nil, Options{CacheSize: 8192, CachePolicy: policy})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc := new(pipeline.Scratch)
+			// Warm the match cache, the NER scratch and every scratch buffer.
+			for _, p := range salted[:warm] {
+				e.EstimateIngredientScratch(p, sc)
+			}
+			next := warm
+			allocs := testing.AllocsPerRun(runs, func() {
+				e.EstimateIngredientScratch(salted[next], sc)
+				next++
+			})
+			want := st.lru
+			if policy == memo.PolicyTinyLFU {
+				want = st.tinyLFU
+			}
+			if allocs != want {
+				t.Errorf("%s salt, %v: a phrase-cache miss allocates %v times, want %v", st.name, policy, allocs, want)
+			}
 		}
 	}
+}
+
+// letterSalt spells salt i as nutribench does: "zq" and six letters
+// from an alphabet without s, e or y, so the tokenizer keeps it one word
+// and no lemmatizer suffix rule folds two salts together.
+func letterSalt(i int) string {
+	const letters = "bcdfghjklmnpqrtv"
+	b := []byte("zq")
+	for shift := 20; shift >= 0; shift -= 4 {
+		b = append(b, letters[i>>shift&15])
+	}
+	return string(b)
 }
 
 // TestWarmFractionPhraseZeroAllocs: a warm phrase with a vulgar-fraction

@@ -28,10 +28,10 @@
 // state (core.Estimator.ObserveUnits) must Purge.
 //
 // Admission: PolicyLRU stores every miss. PolicyTinyLFU puts a
-// doorkeeper in front of the list (door.go): a store of an absent key
-// lands only on the key's second lookup in an aging period, so a miss
-// that is never repeated allocates no key and no entry, and a cold bulk
-// scan cannot evict the hot head of a skewed workload. A refused store
+// doorkeeper (package admit) in front of the list: a store of an absent
+// key lands only on the key's second lookup in an aging period, so a
+// miss that is never repeated allocates no key and no entry, and a cold
+// bulk scan cannot evict the hot head of a skewed workload. A refused store
 // counts as a rejection (Stats.Rejections). Which policy runs never
 // changes what a lookup returns, only which keys are resident. See
 // DESIGN.md §15.
@@ -40,6 +40,8 @@ package memo
 import (
 	"sync"
 	"sync/atomic"
+
+	"nutriprofile/internal/admit"
 )
 
 // DefaultShards is the shard count production caches use. 16 keeps
@@ -106,7 +108,7 @@ type shard[V any] struct {
 	capacity   int
 	m          map[string]*entry[V]
 	head, tail *entry[V]
-	door       door // PolicyTinyLFU only; door.period is 0 otherwise
+	door       admit.Door // PolicyTinyLFU only; unsized (Period 0) otherwise
 
 	// Per-shard counters, updated under mu (no atomics: the lock is
 	// already held at every update site). Each shard's counters share
@@ -146,7 +148,7 @@ func NewPolicy[V any](capacity, shards int, policy Policy) *Cache[V] {
 		s.capacity = perShard
 		s.m = make(map[string]*entry[V])
 		if policy == PolicyTinyLFU && perShard > 0 {
-			s.door.init(perShard)
+			s.door.Init(perShard)
 		}
 	}
 	return c
@@ -156,18 +158,7 @@ func NewPolicy[V any](capacity, shards int, policy Policy) *Cache[V] {
 // key's shard, so a key's shard is a pure function of its bytes.
 // Callers (core's phrase and match caches) hash a key once for both its
 // lookup and its store.
-func Hash(b []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(b); i++ {
-		h ^= uint64(b[i])
-		h *= prime64
-	}
-	return h
-}
+func Hash(b []byte) uint64 { return admit.Hash(b) }
 
 // GetBytesHashRef looks key up (h is Hash(key)), marks it most-recently
 // used on a hit and returns a reference to its stored value, or nil on
@@ -177,8 +168,8 @@ func Hash(b []byte) uint64 {
 func (c *Cache[V]) GetBytesHashRef(h uint64, key []byte) *V {
 	s := &c.shards[h&c.mask]
 	s.mu.Lock()
-	if s.door.period > 0 {
-		s.door.mark(h)
+	if s.door.Period() > 0 {
+		s.door.Mark(h)
 	}
 	// The compiler does not copy key for a map index expression.
 	e, ok := s.m[string(key)]
@@ -228,7 +219,7 @@ func (c *Cache[V]) PutHashGen(h uint64, key []byte, val V, gen uint64) {
 	}
 	e, ok := s.m[string(key)]
 	switch {
-	case !ok && s.door.period > 0 && !s.door.seen(h):
+	case !ok && s.door.Period() > 0 && !s.door.Seen(h):
 		s.rejections++
 	case !ok:
 		if len(s.m) >= s.capacity {

@@ -61,7 +61,7 @@ func TestRefContract(t *testing.T) {
 		r := putRef(c, "cold", -1)
 		putSeen(c, "b", 2)
 		putSeen(c, "c", 3) // evicts cold, the least recent
-		for i := 0; i < c.shards[0].door.period; i++ {
+		for i := 0; i < c.shards[0].door.Period(); i++ {
 			get(c, fmt.Sprintf("flood-%d", i)) // ends the door's period
 		}
 		before := c.Stats().Rejections

@@ -43,6 +43,7 @@ func TrainCRF(examples []Example, cfg CRFConfig) (*Model, error) {
 	feats := make([][][]string, len(examples))
 	for i, ex := range examples {
 		feats[i] = make([][]string, len(ex.Tokens))
+		sc.BeginPhrase(len(ex.Tokens))
 		for j := range ex.Tokens {
 			buf = emitFeatures(ex.Tokens, j, buf, &sc, func(key []byte) {
 				feats[i][j] = append(feats[i][j], string(key))

@@ -19,8 +19,9 @@ func tokenize(phrase string) []string { return textutil.Tokenize(phrase) }
 // the perceptron updates them (Train), and the CRF collects the key
 // strings (TrainCRF). Handing keys over one at a time keeps decoding
 // allocation-free and its float accumulation order fixed. sc memoizes
-// the unit predicate (nil computes it directly). It returns buf for
-// reuse.
+// the unit predicate in its slots for tokens, which it must have been
+// readied for (BeginPhrase); nil computes it directly. It returns buf
+// for reuse.
 func emitFeatures(tokens []string, i int, buf []byte, sc *Scratch, emit func(key []byte)) []byte {
 	at := func(j int) string {
 		switch {
@@ -103,7 +104,7 @@ func emitFeatures(tokens []string, i int, buf []byte, sc *Scratch, emit func(key
 	if isQuantityToken(w) {
 		emit(append(buf[:0], "lex:qty"...))
 	}
-	if sc.isUnit(w) {
+	if sc.isUnitAt(tokens, i) {
 		emit(append(buf[:0], "lex:unit"...))
 	}
 	if sizeWords[w] {
@@ -124,7 +125,7 @@ func emitFeatures(tokens []string, i int, buf []byte, sc *Scratch, emit func(key
 	if isQuantityToken(at(i - 1)) {
 		emit(append(buf[:0], "prev:qty"...))
 	}
-	if sc.isUnit(at(i - 1)) {
+	if i > 0 && sc.isUnitAt(tokens, i-1) { // "<s>" names no unit
 		emit(append(buf[:0], "prev:unit"...))
 	}
 	if at(i-1) == "," {

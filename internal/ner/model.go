@@ -29,9 +29,10 @@ func (m *Model) Tag(tokens []string) []Label {
 // TagScratch decodes the best label sequence into sc. Each position's
 // emission row sums the weights of the keys emitFeatures builds, probed
 // straight in the emission table (the m[string(key)] probe does not
-// allocate), so a warm sc decodes without allocating. The returned
-// slice aliases sc.
+// allocate), so a warm sc decodes without allocating. It readies sc for
+// tokens (BeginPhrase). The returned slice aliases sc.
 func (m *Model) TagScratch(tokens []string, sc *Scratch) []Label {
+	sc.BeginPhrase(len(tokens))
 	if len(tokens) == 0 {
 		return nil
 	}

@@ -18,8 +18,10 @@ func (RuleTagger) Tag(tokens []string) []Label {
 }
 
 // TagScratch is Tag decoding into sc, with the unit predicate memoized
-// per scratch. The returned slice aliases sc.
+// per scratch. It readies sc for tokens (BeginPhrase). The returned
+// slice aliases sc.
 func (RuleTagger) TagScratch(tokens []string, sc *Scratch) []Label {
+	sc.BeginPhrase(len(tokens))
 	sc.labels = appendRuleTags(sc.labels[:0], tokens, sc)
 	return sc.labels
 }
@@ -31,7 +33,7 @@ func appendRuleTags(dst []Label, tokens []string, sc *Scratch) []Label {
 	seenName := false
 	afterComma := false
 	skipAlternative := false
-	for _, tok := range tokens {
+	for i, tok := range tokens {
 		// "3/4 cup butter or 3/4 cup margarine": once the NAME has been
 		// seen, an "or" introduces an alternative ingredient, which the
 		// paper's Table I drops entirely.
@@ -63,7 +65,7 @@ func appendRuleTags(dst []Label, tokens []string, sc *Scratch) []Label {
 			dst = append(dst, State)
 		case fillerWords[tok]:
 			dst = append(dst, Out)
-		case sc.isUnit(tok) && !seenName:
+		case sc.isUnitAt(tokens, i) && !seenName:
 			// Unit words before the name are true units ("2 cups flour");
 			// after the name they are usually part of it or noise
 			// ("chicken breast" — breast is a count unit but here NAME).

@@ -107,6 +107,9 @@ func TestEmitFeaturesParity(t *testing.T) {
 		var buf []byte
 		for _, p := range scratchTestPhrases {
 			toks := tokenize(p)
+			if sc != nil {
+				sc.BeginPhrase(len(toks))
+			}
 			for i := range toks {
 				var got []string
 				buf = emitFeatures(toks, i, buf, sc, func(key []byte) {
@@ -140,16 +143,19 @@ func checkModelSpec(t testing.TB, m *Model, toks []string, sc *Scratch) {
 	}
 }
 
-// checkUnitMemo checks sc's memoized unit answers for tok against
+// checkUnitMemo checks sc's memoized unit answers for every position of
+// toks, the phrase sc was last readied for, against
 // units.NormalizeToken and the spec's isUnitToken.
-func checkUnitMemo(t testing.TB, sc *Scratch, tok string) {
+func checkUnitMemo(t testing.TB, sc *Scratch, toks []string) {
 	t.Helper()
-	gotName, gotKnown := sc.Unit(tok)
-	if wantName, wantKnown := units.NormalizeToken(tok); gotName != wantName || gotKnown != wantKnown {
-		t.Fatalf("Unit(%q) = (%q, %v), want (%q, %v)", tok, gotName, gotKnown, wantName, wantKnown)
-	}
-	if got, want := sc.isUnit(tok), isUnitToken(tok); got != want {
-		t.Fatalf("isUnit(%q) = %v, want %v", tok, got, want)
+	for i, tok := range toks {
+		gotName, gotKnown := sc.UnitAt(toks, i)
+		if wantName, wantKnown := units.NormalizeToken(tok); gotName != wantName || gotKnown != wantKnown {
+			t.Fatalf("UnitAt(%q) = (%q, %v), want (%q, %v)", tok, gotName, gotKnown, wantName, wantKnown)
+		}
+		if got, want := sc.isUnitAt(toks, i), isUnitToken(tok); got != want {
+			t.Fatalf("isUnitAt(%q) = %v, want %v", tok, got, want)
+		}
 	}
 }
 
@@ -214,9 +220,7 @@ func FuzzTagScratchSpec(f *testing.F) {
 				t.Fatalf("tokens %q: rule TagScratch %v, want %v", toks, got, wantRule)
 			}
 			checkModelSpec(t, m, toks, sc)
-			for _, tok := range toks {
-				checkUnitMemo(t, sc, tok)
-			}
+			checkUnitMemo(t, sc, toks)
 		}
 	})
 }
@@ -319,18 +323,21 @@ func TestScratchIsUnitMemo(t *testing.T) {
 	sc := &Scratch{}
 	toks := []string{"cup", "cups", "flour", "<s>", "</s>", "small", "lb", "g", "", "Tbsp", "slices", "2"}
 	for round := 0; round < 3; round++ {
-		for _, tok := range toks {
-			checkUnitMemo(t, sc, tok)
+		sc.BeginPhrase(len(toks))
+		checkUnitMemo(t, sc, toks)
+	}
+	// Overflow the bound with spellings each seen in two phrases, so
+	// each is stored; correctness must survive the wholesale clear.
+	for i := 0; i < maxScratchEntries+10; i++ {
+		one := []string{strings.Repeat("x", 1+i%7) + fmt.Sprint(i)}
+		for range 2 {
+			sc.BeginPhrase(1)
+			sc.isUnitAt(one, 0)
 		}
 	}
-	// Overflow the bound; correctness must survive the wholesale clear.
-	for i := 0; i < maxScratchEntries+10; i++ {
-		sc.isUnit(strings.Repeat("x", 1+i%7) + fmt.Sprint(i))
+	if n := len(sc.unitMemo); n > maxScratchEntries || n == 0 {
+		t.Fatalf("unit memo holds %d entries, want 1..%d", n, maxScratchEntries)
 	}
-	if len(sc.unitMemo) > maxScratchEntries {
-		t.Fatalf("unit memo holds %d entries, bound %d", len(sc.unitMemo), maxScratchEntries)
-	}
-	for _, tok := range toks {
-		checkUnitMemo(t, sc, tok)
-	}
+	sc.BeginPhrase(len(toks))
+	checkUnitMemo(t, sc, toks)
 }

@@ -52,10 +52,12 @@ type Scratch struct {
 // glyphs ("1½ cups") expanded, into the folder's buffers rather than
 // new strings, so such tokens view bytes the next phrase overwrites —
 // every memo clones what it keeps, the rule that already covers phrases
-// viewing a caller-reused buffer.
+// viewing a caller-reused buffer. It readies the NER arena's unit slots
+// for the new tokens.
 func (sc *Scratch) Tokenize(phrase string) []string {
 	sc.longest = max(sc.longest, len(phrase))
 	sc.tokens = textutil.AppendTokensFolded(sc.tokens[:0], phrase, &sc.folder)
+	sc.NER.BeginPhrase(len(sc.tokens))
 	return sc.tokens
 }
 
@@ -63,11 +65,11 @@ func (sc *Scratch) Tokenize(phrase string) []string {
 func (sc *Scratch) Tokens() []string { return sc.tokens }
 
 // UnitFor resolves token i of the current phrase as a unit, equal to
-// units.Normalize(token), through the NER arena's memo (ner.Scratch.Unit)
-// — the one the rule tagger's unit predicate reads. The name never
-// aliases the phrase.
+// units.Normalize(token), through the NER arena's per-position slots and
+// memo (ner.Scratch.UnitAt) — the ones the tagger's unit predicate
+// reads. A known unit's name never aliases the phrase.
 func (sc *Scratch) UnitFor(i int) (string, bool) {
-	return sc.NER.Unit(sc.tokens[i])
+	return sc.NER.UnitAt(sc.tokens, i)
 }
 
 // Extract tags the current phrase with t and assembles the Extraction
@@ -108,12 +110,13 @@ func (sc *Scratch) JoinKey(fields ...string) []byte {
 }
 
 // Trim readies the scratch to be kept between requests. It drops the
-// last phrase's token views, which would otherwise pin the buffer the
-// phrase was read into (a pooled batch buffer can be megabytes). If a
-// phrase longer than maxRetainedPhrase went through it since the last
-// reset, it resets the scratch to its zero value, dropping every buffer
-// and memo; otherwise the memos stay warm. Owners that keep a Scratch
-// across requests (core's worker environments) call it on release.
+// last phrase's token views, and the unit slots' views of it, which
+// would otherwise pin the buffer the phrase was read into (a pooled
+// batch buffer can be megabytes). If a phrase longer than
+// maxRetainedPhrase went through it since the last reset, it resets the
+// scratch to its zero value, dropping every buffer and memo; otherwise
+// the memos stay warm. Owners that keep a Scratch across requests
+// (core's worker environments) call it on release.
 func (sc *Scratch) Trim() {
 	if sc.longest > maxRetainedPhrase {
 		*sc = Scratch{}
@@ -121,4 +124,5 @@ func (sc *Scratch) Trim() {
 	}
 	clear(sc.tokens[:cap(sc.tokens)])
 	sc.tokens = sc.tokens[:0]
+	sc.NER.BeginPhrase(0)
 }

@@ -300,7 +300,7 @@ func (bs *batchScratch) decodeLine(src []byte, line int, g grammar) {
 		}
 		bs.ings = append(bs.ings, p)
 		n := len(bs.ings)
-		bs.addItem(itemEstimate, line, core.RecipeInput{Phrases: bs.ings[n-1 : n : n], Servings: 1})
+		bs.addItem(itemEstimate, line, core.RecipeInput{Phrases: bs.ings[n-1 : n : n], Servings: 1, LinesOnly: true})
 		return
 	}
 	if !hasIngs || len(bs.ings) == ingsStart {
