@@ -127,7 +127,7 @@ serve-smoke:
 	$(GO) build -o /tmp/nutriserve ./cmd/nutriserve; \
 	$(GO) build -o /tmp/dbbake ./cmd/dbbake; \
 	/tmp/dbbake -o /tmp/smoke-a.img >/dev/null; \
-	/tmp/dbbake -o /tmp/smoke-b.img -synth 50 >/dev/null; \
+	/tmp/dbbake -o /tmp/smoke-b.img -db synth:50 >/dev/null; \
 	/tmp/nutriserve -addr $(SMOKE_ADDR) -db /tmp/smoke-a.img -quiet & pid=$$!; \
 	trap 'kill $$pid 2>/dev/null || true' EXIT; \
 	ok=0; for i in $$(seq 1 50); do \
@@ -152,17 +152,23 @@ serve-smoke:
 	rm -f /tmp/smoke-a.img /tmp/smoke-b.img; \
 	echo "serve-smoke: all routes OK, hot reload v1->v2 OK, SIGTERM drained cleanly"
 
-# Run nutriprofile, dbtool and nerlabel end to end: nutriprofile -stats
-# on three phrases (its matcher lines print unconditionally),
+# Run nutriprofile, dbtool, dbbake and nerlabel end to end: nutriprofile
+# -stats on three phrases (its matcher lines print unconditionally),
+# nutriprofile -db regional on a phrase only the FAO supplement matches,
 # nutriprofile -batch -workers 2 on two recipe files written to a temp
-# dir (two recipes on a two-worker pool), dbtool -search, and a nerlabel
-# save/load round trip (train a perceptron, save it, load it back and
-# tag per token). Two saves of the same training run must be the same
-# bytes. Each must exit 0. CI runs this in the serve-smoke job.
+# dir (two recipes on a two-worker pool), dbtool -search, a CSV round
+# trip (dbtool -export, then -db csv: must print the same -stats),
+# dbtool -stats on a baked image (must print the CRC-32C stored in the
+# image header), dbbake from a one-food SR26 release (must print its
+# parse report), and a nerlabel save/load round trip (train a
+# perceptron, save it, load it back and tag per token). Two saves of
+# the same training run must be the same bytes. Each must exit 0. CI
+# runs this in the serve-smoke job.
 cli-smoke:
 	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) build -o "$$dir/nutriprofile" ./cmd/nutriprofile; \
 	$(GO) build -o "$$dir/dbtool" ./cmd/dbtool; \
+	$(GO) build -o "$$dir/dbbake" ./cmd/dbbake; \
 	$(GO) build -o "$$dir/nerlabel" ./cmd/nerlabel; \
 	"$$dir/nutriprofile" -stats "2 cups flour" "1 cup sugar" "2 eggs" >"$$dir/stats.txt"; \
 	grep -q '^matcher prune:' "$$dir/stats.txt" || \
@@ -170,13 +176,30 @@ cli-smoke:
 	printf 'Pancakes\nServes 4\nIngredients:\n1 1/2 cups all-purpose flour\n2 eggs\n1 1/4 cups milk\nInstructions:\nWhisk and fry.\n' >"$$dir/pancakes.txt"; \
 	printf 'Garlic Butter\nServes 2\nIngredients:\n1/2 cup butter , softened\n2 cloves garlic , minced\nInstructions:\nMash together.\n' >"$$dir/butter.txt"; \
 	"$$dir/nutriprofile" -batch -workers 2 "$$dir/pancakes.txt" "$$dir/butter.txt" >/dev/null; \
+	"$$dir/nutriprofile" -db regional "1 cup paneer" | grep -q 'Cheese, paneer' || \
+		{ echo "cli-smoke: nutriprofile -db regional did not match paneer" >&2; exit 1; }; \
 	"$$dir/dbtool" -search "raw chicken" >/dev/null; \
+	"$$dir/dbtool" -export "$$dir/t.csv" 2>/dev/null; \
+	"$$dir/dbtool" -stats >"$$dir/seed.stats"; \
+	"$$dir/dbtool" -db "csv:$$dir/t.csv" -stats >"$$dir/csv.stats"; \
+	cmp "$$dir/seed.stats" "$$dir/csv.stats" || \
+		{ echo "cli-smoke: dbtool -db csv: of an -export prints different -stats" >&2; exit 1; }; \
+	"$$dir/dbbake" -o "$$dir/t.img" >/dev/null; \
+	crc=$$(od -An -tx4 -j16 -N4 "$$dir/t.img" | tr -d ' '); \
+	"$$dir/dbtool" -db "$$dir/t.img" -stats | grep -q "^image crc32c: *$$crc$$" || \
+		{ echo "cli-smoke: dbtool -db IMAGE -stats did not print the image CRC $$crc" >&2; exit 1; }; \
+	mkdir "$$dir/sr"; \
+	printf '%s\n' '~01001~^~0100~^~Butter, salted~^~BUTTER~^~~^~~^~~^~~^0^~~^^^^' >"$$dir/sr/FOOD_DES.txt"; \
+	printf '%s\n' '~01001~^~208~^717^0^^~4~^~~^~~^~~^^^^^^^~~^~~^~~' >"$$dir/sr/NUT_DATA.txt"; \
+	printf '%s\n' '~01001~^~1~^1^~cup~^227^^' >"$$dir/sr/WEIGHT.txt"; \
+	"$$dir/dbbake" -db "sr:$$dir/sr" -o "$$dir/sr.img" | grep -q '^parsed .*: 1 foods' || \
+		{ echo "cli-smoke: dbbake -db sr: printed no parse report" >&2; exit 1; }; \
 	"$$dir/nerlabel" -model trained -corpus 200 -save "$$dir/ner.model" "2 cups flour" >/dev/null; \
 	"$$dir/nerlabel" -model trained -corpus 200 -save "$$dir/ner2.model" "2 cups flour" >/dev/null; \
 	cmp "$$dir/ner.model" "$$dir/ner2.model" || \
 		{ echo "cli-smoke: two nerlabel -save runs wrote different model files" >&2; exit 1; }; \
 	"$$dir/nerlabel" -load "$$dir/ner.model" -tokens "2 cups flour" >/dev/null; \
-	echo "cli-smoke: nutriprofile -stats, nutriprofile -batch, dbtool -search and nerlabel -save/-load OK, saves byte-identical"
+	echo "cli-smoke: nutriprofile -stats/-db regional/-batch, dbtool -search/csv round trip/image -stats, dbbake -db sr: and nerlabel -save/-load OK, saves byte-identical"
 
 # Boot nutriserve and drive a small generated corpus through streaming
 # /v1/batch with interactive traffic mixed in, verifying zero lost/torn
@@ -207,7 +230,7 @@ load-smoke:
 # floors. The floors are far below the ~13k recipes/s a single dev core
 # sustains so shared-runner noise cannot flake the job; a regression
 # that halves throughput still trips them. The server boots with -db on
-# a dbbake -synth 7500 image (8,214 foods, the table nutribench serves),
+# a dbbake -db synth:7500 image (8,214 foods, the table nutribench serves),
 # so the gate covers the image load path. After the run it prints the
 # server's peak RSS (VmHWM) and fails above LOAD_RSS_CEILING_MB: on a
 # 2-vCPU VM the server peaked at 34.4-36.1 MB (38.6-40.3 MB while it
@@ -218,7 +241,7 @@ load-bench:
 	$(GO) build -o /tmp/nutriserve ./cmd/nutriserve; \
 	$(GO) build -o /tmp/loadgen ./cmd/loadgen; \
 	$(GO) build -o /tmp/dbbake ./cmd/dbbake; \
-	/tmp/dbbake -synth 7500 -o /tmp/load-bench.img >/dev/null; \
+	/tmp/dbbake -db synth:7500 -o /tmp/load-bench.img >/dev/null; \
 	/tmp/nutriserve -addr $(LOAD_ADDR) -quiet -db /tmp/load-bench.img & pid=$$!; \
 	trap 'kill $$pid 2>/dev/null || true' EXIT; \
 	ok=0; for i in $$(seq 1 50); do \

@@ -6,17 +6,16 @@
 // CRC-32C seal means a truncated or bit-flipped image is rejected
 // before it can reach the estimator.
 //
-// Sources, mutually exclusive:
+// -db names the table as every CLI does (bake.Open):
 //
 //	dbbake -o seed.img                        # built-in SR seed table (default)
-//	dbbake -o full.img -sr /data/sr26         # genuine USDA SR26 ASCII release
+//	dbbake -o full.img -db sr:/data/sr26      # genuine USDA SR26 ASCII release
 //	                                          # (FOOD_DES.txt, NUT_DATA.txt, WEIGHT.txt)
-//	dbbake -o reg.img -regional               # seed + FAO-style regional supplement
-//	dbbake -o big.img -synth 7500             # seed + N synthetic foods (benchmarks)
+//	dbbake -o reg.img -db regional            # seed + FAO-style regional supplement
+//	dbbake -o big.img -db synth:7500          # seed + N synthetic foods (benchmarks)
+//	dbbake -o my.img -db csv:my.csv           # a table in the usda CSV format
 //
-// Inspection:
-//
-//	dbbake -info seed.img                     # decode and print image statistics
+// `dbtool -db IMAGE -stats` inspects an image.
 package main
 
 import (
@@ -24,92 +23,39 @@ import (
 	"fmt"
 	"os"
 
-	"nutriprofile/internal/usda"
 	"nutriprofile/internal/usda/bake"
-	"nutriprofile/internal/usda/sr"
 )
 
 func main() {
 	out := flag.String("o", "", "output image path (atomic write via rename)")
-	srDir := flag.String("sr", "", "parse a USDA SR26 ASCII release from this directory")
-	regional := flag.Bool("regional", false, "bake the merged SR+regional table")
-	synth := flag.Int("synth", 0, "append N synthetic foods to the seed (load testing)")
-	synthSeed := flag.Int64("synth-seed", 1, "RNG seed for -synth")
-	info := flag.String("info", "", "decode an existing image and print its statistics")
+	dbSpec := flag.String("db", "seed", "food table: seed, regional (seed + FAO supplement), fao, synth:N, sr:DIR, csv:FILE, or a baked image path")
 	flag.Parse()
 
-	if err := run(*out, *srDir, *regional, *synth, *synthSeed, *info); err != nil {
+	if err := run(*out, *dbSpec); err != nil {
 		fmt.Fprintf(os.Stderr, "dbbake: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(out, srDir string, regional bool, synth int, synthSeed int64, info string) error {
-	if info != "" {
-		if out != "" || srDir != "" || regional || synth != 0 {
-			return fmt.Errorf("-info does not combine with bake flags")
-		}
-		return printInfo(info)
-	}
+func run(out, dbSpec string) error {
 	if out == "" {
-		return fmt.Errorf("no output: use -o IMAGE (or -info IMAGE to inspect)")
+		return fmt.Errorf("no output: use -o IMAGE (dbtool -db IMAGE -stats inspects one)")
 	}
-	nSources := 0
-	for _, on := range []bool{srDir != "", regional, synth != 0} {
-		if on {
-			nSources++
-		}
+	ld, err := bake.Open(dbSpec)
+	if err != nil {
+		return err
 	}
-	if nSources > 1 {
-		return fmt.Errorf("-sr, -regional and -synth are mutually exclusive")
-	}
-
-	var db *usda.DB
-	switch {
-	case srDir != "":
-		parsed, rep, err := sr.ParseDir(srDir)
-		if err != nil {
-			return err
-		}
-		db = parsed
+	if rep := ld.SR; rep != nil {
 		fmt.Printf("parsed %s: %d foods, %d nutrient rows (%d untracked), %d weights (%d skipped)\n",
-			srDir, rep.Foods, rep.NutrientRows, rep.UnknownNutrients, rep.WeightRows, rep.SkippedWeights)
-	case regional:
-		db = usda.WithRegional()
-	case synth != 0:
-		if synth < 0 {
-			return fmt.Errorf("-synth must be non-negative, got %d", synth)
-		}
-		db = usda.Merged(synth, synthSeed)
-	default:
-		db = usda.Seed()
+			dbSpec, rep.Foods, rep.NutrientRows, rep.UnknownNutrients, rep.WeightRows, rep.SkippedWeights)
 	}
-
-	if err := bake.WriteFile(out, db, nil); err != nil {
+	if err := bake.WriteFile(out, ld.DB, ld.Index); err != nil {
 		return err
 	}
 	st, err := os.Stat(out)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("baked %s: %d foods, %d bytes\n", out, db.Len(), st.Size())
-	return nil
-}
-
-func printInfo(path string) error {
-	ld, err := bake.LoadFile(path)
-	if err != nil {
-		return err
-	}
-	weights := 0
-	for i := 0; i < ld.DB.Len(); i++ {
-		weights += ld.DB.At(i).NumWeights()
-	}
-	fmt.Printf("image:   %s\n", path)
-	fmt.Printf("bytes:   %d\n", ld.Bytes)
-	fmt.Printf("crc32c:  %08x\n", ld.CRC)
-	fmt.Printf("foods:   %d\n", ld.DB.Len())
-	fmt.Printf("weights: %d\n", weights)
-	fmt.Printf("terms:   %d\n", len(ld.Index.Terms))
+	fmt.Printf("baked %s: %d foods, %d bytes\n", out, ld.DB.Len(), st.Size())
 	return nil
 }

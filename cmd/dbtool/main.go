@@ -1,34 +1,34 @@
-// Command dbtool inspects and exports the composition tables: the SR
-// seed, the FAO-style regional supplement, or a CSV file in the usda
-// interchange format.
+// Command dbtool inspects and exports a composition table. -db names
+// the table as every CLI does (bake.Open): seed (the default),
+// regional (seed + FAO supplement), fao (the supplement alone),
+// synth:N, sr:DIR, csv:FILE, or a baked image path.
 //
 // Usage:
 //
-//	dbtool -list                         # every description, NDB order
-//	dbtool -search "milk"                # matcher-ranked candidates
-//	dbtool -show 1001                    # one food with weights
-//	dbtool -stats                        # table statistics
-//	dbtool -export seed.csv              # write the table as CSV
-//	dbtool -db regional -list            # the regional table
-//	dbtool -db merged -search "paneer"   # seed + regional
-//	dbtool -import my.csv -stats         # load a custom table
+//	dbtool -list                           # every description, NDB order
+//	dbtool -search "milk"                  # matcher-ranked candidates
+//	dbtool -show 1001                      # one food with weights
+//	dbtool -stats                          # table statistics
+//	dbtool -export seed.csv                # write the table as CSV
+//	dbtool -db fao -list                   # the regional supplement alone
+//	dbtool -db regional -search "paneer"   # seed + supplement
+//	dbtool -db csv:my.csv -stats           # a custom table
+//	dbtool -db seed.img -stats             # an image's bytes, CRC and terms too
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"nutriprofile/internal/match"
 	"nutriprofile/internal/report"
 	"nutriprofile/internal/units"
-	"nutriprofile/internal/usda"
+	"nutriprofile/internal/usda/bake"
 )
 
 func main() {
-	dbName := flag.String("db", "seed", `table: "seed", "regional", or "merged"`)
-	importPath := flag.String("import", "", "load the table from a CSV file instead")
+	dbSpec := flag.String("db", "seed", "food table: seed, regional (seed + FAO supplement), fao, synth:N, sr:DIR, csv:FILE, or a baked image path")
 	list := flag.Bool("list", false, "list every food description")
 	search := flag.String("search", "", "rank matching descriptions for an ingredient name")
 	show := flag.Int("show", 0, "print one food by NDB number")
@@ -36,11 +36,12 @@ func main() {
 	export := flag.String("export", "", "write the table as CSV to this file")
 	flag.Parse()
 
-	db, err := selectDB(*dbName, *importPath)
+	ld, err := bake.Open(*dbSpec)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dbtool: %v\n", err)
 		os.Exit(1)
 	}
+	db := ld.DB
 
 	ran := false
 	if *list {
@@ -54,7 +55,11 @@ func main() {
 		ran = true
 		opts := match.DefaultOptions()
 		opts.ExplainMatched = true // explain output: show the matched words
-		m := match.New(db, opts)
+		m, err := match.NewFromIndex(db, opts, ld.Index)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "dbtool: %v\n", err)
+			os.Exit(1)
+		}
 		results := m.Rank(match.Query{Name: *search}, 10)
 		if len(results) == 0 {
 			fmt.Printf("no match for %q\n", *search)
@@ -89,7 +94,7 @@ func main() {
 	}
 	if *stats {
 		ran = true
-		printStats(db)
+		printStats(ld)
 	}
 	if *export != "" {
 		ran = true
@@ -115,28 +120,10 @@ func main() {
 	}
 }
 
-func selectDB(name, importPath string) (*usda.DB, error) {
-	if importPath != "" {
-		f, err := os.Open(importPath)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return usda.ReadCSV(f)
-	}
-	switch strings.ToLower(name) {
-	case "seed":
-		return usda.Seed(), nil
-	case "regional":
-		return usda.Regional(), nil
-	case "merged":
-		return usda.WithRegional(), nil
-	default:
-		return nil, fmt.Errorf("unknown table %q", name)
-	}
-}
-
-func printStats(db *usda.DB) {
+// printStats prints the table's statistics and its index's vocabulary,
+// and for a baked image the image's size and checksum.
+func printStats(ld *bake.Loaded) {
+	db := ld.DB
 	groups := map[int]int{}
 	weights, unresolvable := 0, 0
 	for i := 0; i < db.Len(); i++ {
@@ -149,8 +136,13 @@ func printStats(db *usda.DB) {
 			}
 		}
 	}
+	if ld.Bytes > 0 {
+		fmt.Printf("image bytes:          %d\n", ld.Bytes)
+		fmt.Printf("image crc32c:         %08x\n", ld.CRC)
+	}
 	fmt.Printf("foods:                %d\n", db.Len())
 	fmt.Printf("weight rows:          %d (%.1f per food)\n", weights, float64(weights)/float64(db.Len()))
 	fmt.Printf("unresolvable units:   %d weight rows\n", unresolvable)
 	fmt.Printf("food groups (NDB/1000): %d\n", len(groups))
+	fmt.Printf("index terms:          %d\n", len(ld.Index.Terms))
 }

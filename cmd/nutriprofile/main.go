@@ -5,7 +5,7 @@
 //
 //	nutriprofile [-servings N] [-v] "2 cups flour" "1 cup sugar" ...
 //	echo "2 cups flour" | nutriprofile -servings 4
-//	nutriprofile -file recipe.txt -regional -yield
+//	nutriprofile -file recipe.txt -db regional -yield
 //	nutriprofile -batch -workers 8 recipes/*.txt
 //
 // Each argument (or stdin line) is one ingredient phrase; -file parses a
@@ -22,6 +22,10 @@
 // -stats appends the hot path's observability counters to either mode:
 // phrase/match memoization cache hit rates and the matcher engine's
 // index shape (vocabulary size, posting lists) and arena-pool hit rate.
+//
+// -db names the food table as every CLI does (bake.Open): seed (the
+// default), regional, fao, synth:N, sr:DIR, csv:FILE, or a baked image
+// path.
 package main
 
 import (
@@ -35,7 +39,7 @@ import (
 	"nutriprofile/internal/memo"
 	"nutriprofile/internal/recipedb"
 	"nutriprofile/internal/report"
-	"nutriprofile/internal/usda"
+	"nutriprofile/internal/usda/bake"
 	"nutriprofile/internal/yield"
 )
 
@@ -43,7 +47,7 @@ func main() {
 	servings := flag.Int("servings", 1, "number of servings the recipe yields")
 	verbose := flag.Bool("v", false, "print the per-ingredient extraction and match trace")
 	file := flag.String("file", "", "parse a plain-text recipe file instead of phrase arguments")
-	regional := flag.Bool("regional", false, "use the merged SR+FAO composition table")
+	dbSpec := flag.String("db", "seed", "food table: seed, regional (seed + FAO supplement), fao, synth:N, sr:DIR, csv:FILE, or a baked image path")
 	applyYield := flag.Bool("yield", false, "apply the cooking-yield correction (method from the recipe text)")
 	fuzzy := flag.Bool("fuzzy", false, "enable typo-tolerant matching")
 	batch := flag.Bool("batch", false, "treat every argument as a recipe file and estimate them concurrently")
@@ -62,7 +66,7 @@ func main() {
 	phrases := flag.Args()
 	method := yield.None
 	if *batch {
-		runBatch(flag.Args(), *regional, *fuzzy, *applyYield, *verbose, *stats, *workers, *cacheSize, policy)
+		runBatch(flag.Args(), *dbSpec, *fuzzy, *applyYield, *verbose, *stats, *workers, *cacheSize, policy)
 		return
 	}
 	if *file != "" {
@@ -102,7 +106,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	e := newEstimator(*regional, *fuzzy, *cacheSize, policy)
+	e := newEstimator(*dbSpec, *fuzzy, *cacheSize, policy)
 	if !*applyYield {
 		method = yield.None
 	}
@@ -169,12 +173,13 @@ func printStats(e *core.Estimator) {
 }
 
 // newEstimator builds the shared estimator from the CLI switches.
-func newEstimator(regional, fuzzy bool, cacheSize int, policy memo.Policy) *core.Estimator {
-	db := usda.Seed()
-	if regional {
-		db = usda.WithRegional()
+func newEstimator(dbSpec string, fuzzy bool, cacheSize int, policy memo.Policy) *core.Estimator {
+	ld, err := bake.Open(dbSpec)
+	var e *core.Estimator
+	if err == nil {
+		opts := core.Options{FuzzyMatch: fuzzy, CacheSize: cacheSize, CachePolicy: policy}
+		e, err = core.NewWithIndex(ld.DB, nil, opts, ld.Index, dbSpec)
 	}
-	e, err := core.New(db, nil, core.Options{FuzzyMatch: fuzzy, CacheSize: cacheSize, CachePolicy: policy})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "nutriprofile: %v\n", err)
 		os.Exit(1)
@@ -185,7 +190,7 @@ func newEstimator(regional, fuzzy bool, cacheSize int, policy memo.Policy) *core
 // runBatch is corpus mode: each arg is a recipe file; all recipes are
 // estimated concurrently on one worker pool sharing one memoized
 // estimator, and summarized one line per recipe in argument order.
-func runBatch(files []string, regional, fuzzy, applyYield, verbose, stats bool, workers, cacheSize int, policy memo.Policy) {
+func runBatch(files []string, dbSpec string, fuzzy, applyYield, verbose, stats bool, workers, cacheSize int, policy memo.Policy) {
 	if len(files) == 0 {
 		fmt.Fprintln(os.Stderr, "nutriprofile: -batch requires recipe-file arguments")
 		os.Exit(2)
@@ -220,7 +225,7 @@ func runBatch(files []string, regional, fuzzy, applyYield, verbose, stats bool, 
 		inputs[i] = core.RecipeInput{Phrases: rec.Phrases(), Servings: servings, Method: method}
 	}
 
-	e := newEstimator(regional, fuzzy, cacheSize, policy)
+	e := newEstimator(dbSpec, fuzzy, cacheSize, policy)
 	outcomes := e.EstimateRecipes(inputs, workers)
 
 	tb := report.NewTable("Recipe", "Title", "Mapped", "Total kcal", "kcal/serving")

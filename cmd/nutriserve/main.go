@@ -11,8 +11,9 @@
 //	GET  /v1/healthz                                        → liveness probe
 //	GET  /v1/stats                                          → memo/matcher/HTTP counters
 //	GET  /metrics                                           → Prometheus text exposition
-//	POST /admin/reload {"path": "/data/new.img"}            → hot-swap the DB (with -db;
-//	                                                          loopback peers only)
+//	POST /admin/reload {"path": "/data/new.img"}            → hot-swap the DB (when -db
+//	                                                          names an image; loopback
+//	                                                          peers only)
 //
 // The server sheds load above -max-in-flight concurrent estimation
 // requests (429 + Retry-After; it never queues unboundedly), bounds
@@ -20,9 +21,15 @@
 // -timeout (504), and on SIGINT/SIGTERM stops accepting connections and
 // drains in-flight requests for up to -drain before exiting.
 //
+// -db names the food table as every CLI does (bake.Open): seed (the
+// default), regional, fao, synth:N, sr:DIR, csv:FILE, or a baked image
+// path (cmd/dbbake). Only a server booted from an image serves
+// /admin/reload.
+//
 // Usage:
 //
 //	nutriserve -addr :8080 -cache 8192 -max-in-flight 64
+//	nutriserve -addr :8080 -db /data/sr26.img
 package main
 
 import (
@@ -40,7 +47,6 @@ import (
 	"nutriprofile/internal/core"
 	"nutriprofile/internal/memo"
 	"nutriprofile/internal/server"
-	"nutriprofile/internal/usda"
 	"nutriprofile/internal/usda/bake"
 )
 
@@ -56,8 +62,7 @@ func main() {
 	maxBulkStreams := flag.Int("max-bulk-streams", 0, "concurrently open /v1/batch streams before shedding (0: max-in-flight/4)")
 	cacheSize := flag.Int("cache", 8192, "result-cache budget in entries: bounds the phrase cache and the match cache; 0 disables")
 	cachePolicy := flag.String("cache-policy", "tinylfu", "memo cache admission policy: lru (store every miss) or tinylfu (store a key on its second lookup)")
-	regional := flag.Bool("regional", false, "use the merged SR+FAO composition table")
-	dbImage := flag.String("db", "", "serve from a baked DB image (cmd/dbbake); enables POST /admin/reload")
+	dbSpec := flag.String("db", "seed", "food table: seed, regional (seed + FAO supplement), fao, synth:N, sr:DIR, csv:FILE, or a baked image path, which also enables POST /admin/reload")
 	fuzzy := flag.Bool("fuzzy", false, "enable typo-tolerant matching")
 	quiet := flag.Bool("quiet", false, "disable per-request access logging")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables")
@@ -67,25 +72,12 @@ func main() {
 	if err != nil {
 		log.Fatalf("nutriserve: %v", err)
 	}
-	opts := core.Options{FuzzyMatch: *fuzzy, CacheSize: *cacheSize, CachePolicy: policy}
-	var est *core.Estimator
-	switch {
-	case *dbImage != "":
-		// Baked image: single-read load, index adopted zero-copy, and the
-		// image stays hot-swappable at runtime via POST /admin/reload.
-		if *regional {
-			log.Fatalf("nutriserve: -db and -regional are mutually exclusive")
-		}
-		ld, lerr := bake.LoadFile(*dbImage)
-		if lerr != nil {
-			log.Fatalf("nutriserve: loading %s: %v", *dbImage, lerr)
-		}
-		est, err = core.NewWithIndex(ld.DB, nil, opts, ld.Index, *dbImage)
-	case *regional:
-		est, err = core.New(usda.WithRegional(), nil, opts)
-	default:
-		est, err = core.New(usda.Seed(), nil, opts)
+	ld, err := bake.Open(*dbSpec)
+	if err != nil {
+		log.Fatalf("nutriserve: %v", err)
 	}
+	opts := core.Options{FuzzyMatch: *fuzzy, CacheSize: *cacheSize, CachePolicy: policy}
+	est, err := core.NewWithIndex(ld.DB, nil, opts, ld.Index, *dbSpec)
 	if err != nil {
 		log.Fatalf("nutriserve: %v", err)
 	}
@@ -103,7 +95,7 @@ func main() {
 		BatchWorkers:   *batchWorkers,
 		MaxBulkStreams: *maxBulkStreams,
 		RetryAfter:     *retryAfter,
-		EnableReload:   *dbImage != "",
+		EnableReload:   ld.Bytes > 0, // the table came from an image file
 		AccessLog:      access,
 	})
 	if err != nil {

@@ -170,31 +170,27 @@ type matchHit struct {
 	ok  bool
 }
 
-// New builds an Estimator over a composition table with the given tagger.
-// A nil tagger selects the rule-based baseline.
+// New builds an Estimator over a composition table, indexed with
+// match.BuildIndex, with the given tagger. A nil tagger selects the
+// rule-based baseline.
 func New(db *usda.DB, tagger ner.Tagger, opts Options) (*Estimator, error) {
 	if db == nil {
 		return nil, errors.New("core: nil database")
 	}
-	return newEstimator(db, match.New(db, match.DefaultOptions()), tagger, opts, "boot")
+	return NewWithIndex(db, tagger, opts, match.BuildIndex(db), "boot")
 }
 
-// NewWithIndex builds an Estimator whose matcher adopts a prebuilt
-// scoring index (a baked DB image's) instead of re-indexing db — the
-// nutriserve -db startup path. The index is structurally validated;
-// source labels the snapshot's origin (e.g. the image path).
+// NewWithIndex builds an Estimator whose matcher adopts a scoring index
+// instead of re-indexing db: a baked image's, or the one bake.Open or
+// New computed with match.BuildIndex. The index is structurally
+// validated, and a nil db or idx is an error; source labels the
+// snapshot's origin (the table spec or image path). A nil tagger
+// selects the rule-based baseline.
 func NewWithIndex(db *usda.DB, tagger ner.Tagger, opts Options, idx *match.Index, source string) (*Estimator, error) {
-	if db == nil {
-		return nil, errors.New("core: nil database")
-	}
 	m, err := match.NewFromIndex(db, match.DefaultOptions(), idx)
 	if err != nil {
 		return nil, err
 	}
-	return newEstimator(db, m, tagger, opts, source)
-}
-
-func newEstimator(db *usda.DB, m *match.Matcher, tagger ner.Tagger, opts Options, source string) (*Estimator, error) {
 	if tagger == nil {
 		tagger = ner.RuleTagger{}
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"nutriprofile/internal/match"
 	"nutriprofile/internal/memo"
 	"nutriprofile/internal/nutrition"
 	"nutriprofile/internal/usda"
@@ -75,7 +76,7 @@ func TestCachedProfileFollowsSnapshot(t *testing.T) {
 	}
 
 	before := serve() // warm both tiers on the boot database
-	if _, err := e.Install(db2, nil, "scaled"); err != nil {
+	if _, err := e.Install(db2, match.BuildIndex(db2), "scaled"); err != nil {
 		t.Fatal(err)
 	}
 	after := serve()

@@ -40,7 +40,6 @@ package core
 // no request ever returns a result computed against another snapshot.
 
 import (
-	"errors"
 	"fmt"
 
 	"nutriprofile/internal/match"
@@ -119,23 +118,14 @@ func (e *Estimator) SnapshotStats() SnapshotStats {
 // Install atomically replaces the estimator's database under live
 // traffic: requests already pinned to the old snapshot finish on it
 // unperturbed, requests pinned after the store see only the new one.
-// The matcher is built before the swap — from the prebuilt idx
-// (a baked image, validated structurally) when given, otherwise by
-// indexing db's descriptions — so the swap itself is one pointer store
-// plus cache purges. Concurrent Installs serialize; versions are
-// strictly monotonic.
+// The matcher is built before the swap from idx (a baked image's, or
+// match.BuildIndex of db; validated structurally, and required), so
+// the swap itself is one pointer store plus cache purges. Concurrent
+// Installs serialize; versions are strictly monotonic.
 func (e *Estimator) Install(db *usda.DB, idx *match.Index, source string) (SnapshotStats, error) {
-	if db == nil {
-		return SnapshotStats{}, errors.New("core: nil database")
-	}
-	var m *match.Matcher
-	if idx != nil {
-		var err error
-		if m, err = match.NewFromIndex(db, match.DefaultOptions(), idx); err != nil {
-			return SnapshotStats{}, fmt.Errorf("core: installing database: %w", err)
-		}
-	} else {
-		m = match.New(db, match.DefaultOptions())
+	m, err := match.NewFromIndex(db, match.DefaultOptions(), idx)
+	if err != nil {
+		return SnapshotStats{}, fmt.Errorf("core: installing database: %w", err)
 	}
 
 	e.swapMu.Lock()

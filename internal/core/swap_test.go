@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"nutriprofile/internal/match"
 	"nutriprofile/internal/usda"
 )
 
@@ -68,7 +69,7 @@ func TestInstallSwapsSnapshotAndPurgesCaches(t *testing.T) {
 	}
 
 	db2 := scaledSeed(t, 2)
-	st, err := e.Install(db2, nil, "unit-test-image")
+	st, err := e.Install(db2, match.BuildIndex(db2), "unit-test-image")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,6 +98,19 @@ func TestInstallRejectsNilDB(t *testing.T) {
 	e := NewDefault()
 	if _, err := e.Install(nil, nil, "x"); err == nil {
 		t.Fatal("Install(nil) did not error")
+	}
+}
+
+// TestInstallRequiresIndex: Install adopts the index it is given and
+// never builds one, so a missing index is an error and the boot
+// snapshot keeps serving.
+func TestInstallRequiresIndex(t *testing.T) {
+	e := NewDefault()
+	if _, err := e.Install(usda.Seed(), nil, "x"); err == nil {
+		t.Fatal("Install(db, nil index) did not error")
+	}
+	if got := e.SnapshotStats(); got.Version != 1 || got.Source != "boot" {
+		t.Fatalf("snapshot after a refused install = %+v, want the boot snapshot", got)
 	}
 }
 
@@ -132,6 +146,7 @@ func TestInstallVersionsStrictlyMonotonicUnderConcurrency(t *testing.T) {
 	}
 	const installers, per = 8, 6
 	db2 := scaledSeed(t, 1.5)
+	idx2 := match.BuildIndex(db2)
 	versions := make([][]uint64, installers)
 	var wg sync.WaitGroup
 	for g := 0; g < installers; g++ {
@@ -139,7 +154,7 @@ func TestInstallVersionsStrictlyMonotonicUnderConcurrency(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				st, err := e.Install(db2, nil, fmt.Sprintf("g%d-%d", g, i))
+				st, err := e.Install(db2, idx2, fmt.Sprintf("g%d-%d", g, i))
 				if err != nil {
 					t.Errorf("install: %v", err)
 					return
@@ -177,6 +192,7 @@ func TestInstallVersionsStrictlyMonotonicUnderConcurrency(t *testing.T) {
 func TestReloadStorm(t *testing.T) {
 	dbA := usda.Seed()
 	dbB := scaledSeed(t, 3)
+	idxA, idxB := match.BuildIndex(dbA), match.BuildIndex(dbB)
 	opts := Options{CacheSize: 512}
 
 	// Reference results from isolated estimators per database.
@@ -246,11 +262,11 @@ func TestReloadStorm(t *testing.T) {
 		go func(r int) {
 			defer rwg.Done()
 			for i := 0; i < installsPerReloader; i++ {
-				db := dbA
+				db, idx := dbA, idxA
 				if (r+i)%2 == 0 {
-					db = dbB
+					db, idx = dbB, idxB
 				}
-				st, err := e.Install(db, nil, "storm")
+				st, err := e.Install(db, idx, "storm")
 				if err != nil {
 					t.Errorf("install: %v", err)
 					return

@@ -261,8 +261,9 @@ func buildIndex(db *usda.DB) (*Index, *textutil.Interner) {
 }
 
 // BuildIndex computes the scoring index for db — exactly the index New
-// builds internally. cmd/dbbake serializes its output into the baked
-// image so serving processes can load it back with NewFromIndex.
+// builds internally. bake.Open indexes in-memory tables with it,
+// core.New the table it is given, and bake.BakeBytes stores it in the
+// baked image; each builds its matcher from it with NewFromIndex.
 func BuildIndex(db *usda.DB) *Index {
 	idx, _ := buildIndex(db)
 	return idx

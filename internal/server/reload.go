@@ -2,7 +2,8 @@ package server
 
 // POST /admin/reload: hot-swap the serving database from a baked image
 // (cmd/dbbake) without dropping a request. The endpoint is an admin
-// surface, not an API one: it is off unless Config.EnableReload is set,
+// surface, not an API one: it is off unless Config.EnableReload is set
+// (nutriserve sets it exactly when its -db names an image file),
 // it only answers loopback peers (nutriserve does not do authentication,
 // so the reachable-from-anywhere failure mode is fenced at the socket),
 // and it bypasses admission control — a reload must succeed exactly when

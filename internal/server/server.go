@@ -56,7 +56,8 @@ type Config struct {
 	RetryAfter time.Duration
 	// EnableReload exposes POST /admin/reload (loopback-only hot swap of
 	// the serving database from a baked image). Off by default: a
-	// process whose DB is baked into the binary has nothing to reload.
+	// process whose DB is built into the binary (nutriserve -db seed)
+	// has nothing to reload.
 	EnableReload bool
 	// BatchWindow caps the NDJSON lines a /v1/batch stream decodes,
 	// estimates and flushes per pipeline pass. A window holds the
@@ -78,8 +79,6 @@ type Config struct {
 	// AccessLog receives one structured line per request; nil disables
 	// access logging.
 	AccessLog *log.Logger
-	// Registry collects request metrics; a fresh one is created when nil.
-	Registry *metrics.Registry
 }
 
 func (c *Config) fill() error {
@@ -112,9 +111,6 @@ func (c *Config) fill() error {
 		if c.MaxBulkStreams < 1 {
 			c.MaxBulkStreams = 1
 		}
-	}
-	if c.Registry == nil {
-		c.Registry = metrics.NewRegistry()
 	}
 	return nil
 }
@@ -158,7 +154,7 @@ func New(cfg Config) (*Server, error) {
 	return &Server{
 		cfg:     cfg,
 		est:     cfg.Estimator,
-		reg:     cfg.Registry,
+		reg:     metrics.NewRegistry(),
 		sem:     make(chan struct{}, cfg.MaxInFlight),
 		bulkSem: make(chan struct{}, cfg.MaxBulkStreams),
 		drainCh: make(chan struct{}),

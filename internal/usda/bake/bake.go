@@ -1,8 +1,9 @@
 // Package bake compiles a parsed USDA database plus its prebuilt
 // matcher index into a versioned, checksummed flat binary image, and
 // loads such images back with near-zero per-food work. The offline
-// cmd/dbbake tool writes images; nutriserve loads one at startup
-// (-db) or on POST /admin/reload.
+// cmd/dbbake tool writes images; nutriserve loads one at startup when
+// its -db names an image, or on POST /admin/reload. Open (open.go)
+// resolves every CLI's -db value: a table name, or an image path.
 //
 // # Image format (version 1, little-endian)
 //

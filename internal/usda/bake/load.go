@@ -37,6 +37,7 @@ import (
 	"nutriprofile/internal/match"
 	"nutriprofile/internal/nutrition"
 	"nutriprofile/internal/usda"
+	"nutriprofile/internal/usda/sr"
 )
 
 // hostLittle reports whether the host is little-endian — the image's
@@ -55,13 +56,16 @@ var (
 	_ [11*8 - unsafe.Sizeof(nutrition.Profile{})]byte
 )
 
-// Loaded is a decoded image: the database, the matcher index, and the
-// image identity (size + checksum) for observability.
+// Loaded is an opened table: the database, its matcher index, and,
+// for a decoded image, the image identity (size + checksum) for
+// observability.
 type Loaded struct {
 	DB    *usda.DB
 	Index *match.Index
-	Bytes int    // image size in bytes
+	Bytes int    // image size in bytes; 0 for a table Open built in memory
 	CRC   uint32 // payload CRC-32C, the image's content identity
+	// SR is the parse report of an sr: table (Open), nil otherwise.
+	SR *sr.Report
 }
 
 // cursor walks the payload sections in their fixed order.
